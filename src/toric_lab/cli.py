@@ -39,6 +39,7 @@ EXIT_BUDGET = 3
 EXIT_IO = 4
 
 _METRICS = {m.value: m for m in Metric}
+_FORMATS = ("json", "csv", "ascii-grid")
 
 
 class SpecError(ValueError):
@@ -106,7 +107,6 @@ class InstanceSpec:
     budget: int = DEFAULT_WORK_BUDGET
     seed: int = 0
     fmt: str = "json"
-    threads: int = 0
 
     def grid_dims(self) -> GridDims:
         try:
@@ -136,7 +136,6 @@ class InstanceSpec:
         lines.append(f"budget = {self.budget}")
         lines.append(f"seed = {self.seed}")
         lines.append(f"format = {self.fmt}")
-        lines.append(f"threads = {self.threads}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -150,14 +149,15 @@ class InstanceSpec:
             if not sep:
                 raise SpecError(f"expected 'key = value', got {raw!r}")
             keys[key.strip()] = value.strip()
-        known = {
-            "dims", "metric", "f", "p", "tie_tol", "budget", "seed", "format", "threads",
-        }
+        known = {"dims", "metric", "f", "p", "tie_tol", "budget", "seed", "format"}
         unknown = set(keys) - known
         if unknown:
             raise SpecError(f"unknown spec keys {sorted(unknown)}")
         if "dims" not in keys:
             raise SpecError("spec file must set dims")
+        fmt = keys.get("format", "json")
+        if fmt not in _FORMATS:
+            raise SpecError(f"unknown format {fmt!r} (expected one of {list(_FORMATS)})")
         try:
             return cls(
                 dims=parse_dims(keys["dims"]),
@@ -167,8 +167,7 @@ class InstanceSpec:
                 tie_tol=float(keys["tie_tol"]) if "tie_tol" in keys else None,
                 budget=int(keys["budget"]) if "budget" in keys else _default_budget(),
                 seed=int(keys.get("seed", "0")),
-                fmt=keys.get("format", "json"),
-                threads=int(keys.get("threads", "0")),
+                fmt=fmt,
             )
         except ValueError as exc:
             if isinstance(exc, SpecError):
@@ -199,17 +198,13 @@ def _add_instance_flags(parser: argparse.ArgumentParser, need_dims: bool = True)
     parser.add_argument("--tie-tol", type=float, default=None, help="eigenvalue tie tolerance (default: scaled 1e-9)")
     parser.add_argument("--budget", type=int, default=None, help="work budget in elementary steps")
     parser.add_argument("--seed", type=int, default=None, help="random seed for stochastic search")
-    parser.add_argument("--threads", type=int, default=None, help="worker count, 0 = auto (reserved; current build runs sequentially)")
-    parser.add_argument("--format", dest="fmt", type=str, default=None, choices=["json", "csv", "ascii-grid"], help="output format")
+    parser.add_argument("--format", dest="fmt", type=str, default=None, choices=_FORMATS, help="output format")
     parser.add_argument("--out", type=Path, default=None, help="output file (default: stdout)")
 
 
 def _build_spec(args: argparse.Namespace, need_dims: bool = True) -> InstanceSpec:
     if args.spec is not None:
-        try:
-            base = InstanceSpec.from_file(args.spec)
-        except OSError:
-            raise
+        base = InstanceSpec.from_file(args.spec)
     else:
         if need_dims and args.dims is None:
             raise SpecError("either --spec or --dims is required")
@@ -219,7 +214,7 @@ def _build_spec(args: argparse.Namespace, need_dims: bool = True) -> InstanceSpe
         updates["dims"] = parse_dims(args.dims)
     for flag, field_name in [
         ("metric", "metric"), ("f", "f"), ("p", "p"), ("tie_tol", "tie_tol"),
-        ("budget", "budget"), ("seed", "seed"), ("threads", "threads"), ("fmt", "fmt"),
+        ("budget", "budget"), ("seed", "seed"), ("fmt", "fmt"),
     ]:
         value = getattr(args, flag)
         if value is not None:

@@ -22,7 +22,6 @@ from .grid import (
     Metric,
     Site,
     checkerboard_sites,
-    coords_array,
     index_to_site,
     site_index,
 )
@@ -108,18 +107,12 @@ class Configuration:
 
     def canonical(self) -> Configuration:
         """Lexicographically least translate (the orbit representative used everywhere)."""
-        add = _add_index_table(self.dims)
-        idx = np.array(self.indices(), dtype=np.int64)
-        translated = np.sort(add[:, idx], axis=1)
-        best = min(map(tuple, translated))
+        best = min(_sorted_translates(_add_index_table(self.dims), self.indices()))
         return Configuration.from_indices(self.dims, best)
 
     def orbit_size(self) -> int:
         """Number of distinct translates."""
-        add = _add_index_table(self.dims)
-        idx = np.array(self.indices(), dtype=np.int64)
-        translated = np.sort(add[:, idx], axis=1)
-        return len(set(map(tuple, translated)))
+        return len(set(_sorted_translates(_add_index_table(self.dims), self.indices())))
 
 
 def checkerboard(dims: GridDims, parity: str = "even") -> Configuration:
@@ -138,15 +131,17 @@ class EnergyReport:
     is_empty: bool = False
 
 
+def _pair_index(dims: GridDims, idx: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """Table T[a, b] = index of op(site idx[a], site idx[b]), op being np.add or np.subtract."""
+    coords = np.stack(np.unravel_index(idx, dims.sizes), axis=1)
+    combined = op(coords[:, None, :], coords[None, :, :]) % np.array(dims.sizes)
+    return np.ravel_multi_index(tuple(np.moveaxis(combined, 2, 0)), dims.sizes)
+
+
 def _pair_kernel(config: Configuration, kernel: KernelTable) -> tuple[np.ndarray, np.ndarray]:
     """Member indices and the p x p matrix of kernel values over member pairs."""
-    dims = config.dims
     idx = np.array(config.indices(), dtype=np.int64)
-    coords = np.stack(np.unravel_index(idx, dims.sizes), axis=1)
-    sizes = np.array(dims.sizes, dtype=np.int64)
-    diff = (coords[:, None, :] - coords[None, :, :]) % sizes
-    lookup = np.ravel_multi_index(tuple(np.moveaxis(diff, 2, 0)), dims.sizes)
-    return idx, kernel.values[lookup]
+    return idx, kernel.values[_pair_index(config.dims, idx, np.subtract)]
 
 
 def energies(config: Configuration, kernel: KernelTable) -> EnergyReport:
@@ -211,11 +206,7 @@ def kernel_matrix(kernel: KernelTable) -> np.ndarray:
             f"refusing to build a {dims.order} x {dims.order} kernel matrix "
             f"(limit {_MAX_MATRIX_SITES} sites)"
         )
-    coords = coords_array(dims)
-    sizes = np.array(dims.sizes, dtype=np.int64)
-    diff = (coords[:, None, :] - coords[None, :, :]) % sizes
-    lookup = np.ravel_multi_index(tuple(np.moveaxis(diff, 2, 0)), dims.sizes)
-    return kernel.values[lookup]
+    return kernel.values[_pair_index(dims, np.arange(dims.order), np.subtract)]
 
 
 def _add_index_table(dims: GridDims) -> np.ndarray:
@@ -224,10 +215,13 @@ def _add_index_table(dims: GridDims) -> np.ndarray:
         raise BudgetExceededError(
             f"refusing to build a {dims.order} x {dims.order} translation table"
         )
-    coords = coords_array(dims)
-    sizes = np.array(dims.sizes, dtype=np.int64)
-    summed = (coords[:, None, :] + coords[None, :, :]) % sizes
-    return np.ravel_multi_index(tuple(np.moveaxis(summed, 2, 0)), dims.sizes)
+    return _pair_index(dims, np.arange(dims.order), np.add)
+
+
+def _sorted_translates(add: np.ndarray, indices: Sequence[int]) -> list[tuple[int, ...]]:
+    """Sorted member indices of the translate by each site, from the table of _add_index_table."""
+    translated = np.sort(add[:, np.asarray(indices, dtype=np.int64)], axis=1)
+    return list(map(tuple, translated.tolist()))
 
 
 @dataclass(frozen=True)
@@ -310,25 +304,15 @@ def brute_force(
     leaves = _enumerate_leaves(K, dims.order, p, objective)
     if reduce == "translations":
         add = _add_index_table(dims)
-
-        def orbit_reps() -> Iterator[tuple[float, tuple[int, ...]]]:
-            for value, members in leaves:
-                if not members:
-                    yield value, members
-                    continue
-                idx = np.array(members, dtype=np.int64)
-                translated = np.sort(add[:, idx], axis=1)
-                canon = min(map(tuple, translated))
-                if canon == members:
-                    yield value, members
-
-        selected = heapq.nsmallest(top_k, orbit_reps())
-    else:
-        selected = heapq.nsmallest(top_k, leaves)
+        leaves = (
+            (value, members)
+            for value, members in leaves
+            if min(_sorted_translates(add, members)) == members
+        )
     hits = []
-    for value, members in selected:
+    for value, members in heapq.nsmallest(top_k, leaves):
         config = Configuration.from_indices(dims, members)
-        size = config.orbit_size() if reduce == "translations" else 1
+        size = len(set(_sorted_translates(add, members))) if reduce == "translations" else 1
         hits.append(SearchHit(config=config, value=value, orbit_size=size))
     return hits
 

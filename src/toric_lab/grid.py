@@ -32,14 +32,11 @@ __all__ = [
     "index_to_site",
     "enumerate_sites",
     "coords_array",
-    "normalize_site",
     "add_sites",
-    "sub_sites",
     "negate_site",
     "trivial_character",
     "minus_one_character",
     "conjugate_character",
-    "is_self_conjugate",
     "character_value",
     "checkerboard_sites",
 ]
@@ -107,12 +104,6 @@ def _check_site(dims: GridDims, s: Sequence[int], name: str) -> None:
         raise ValueError(
             f"{name} has {len(s)} coordinates but the grid has {dims.ndim} dimensions"
         )
-
-
-def normalize_site(dims: GridDims, coords: Sequence[int]) -> Site:
-    """Reduce every coordinate modulo its grid size."""
-    _check_site(dims, coords, "site")
-    return tuple(c % n for c, n in zip(coords, dims.sizes))
 
 
 def distance(metric: Metric, g: Sequence[int], h: Sequence[int], dims: GridDims) -> float:
@@ -192,12 +183,6 @@ def add_sites(dims: GridDims, g: Sequence[int], h: Sequence[int]) -> Site:
     return tuple((a + b) % n for a, b, n in zip(g, h, dims.sizes))
 
 
-def sub_sites(dims: GridDims, g: Sequence[int], h: Sequence[int]) -> Site:
-    _check_site(dims, g, "site g")
-    _check_site(dims, h, "site h")
-    return tuple((a - b) % n for a, b, n in zip(g, h, dims.sizes))
-
-
 def negate_site(dims: GridDims, g: Sequence[int]) -> Site:
     _check_site(dims, g, "site")
     return tuple((-a) % n for a, n in zip(g, dims.sizes))
@@ -218,10 +203,6 @@ def minus_one_character(dims: GridDims) -> Character:
 def conjugate_character(dims: GridDims, chi: Sequence[int]) -> Character:
     _check_site(dims, chi, "character")
     return tuple((n - j) % n for j, n in zip(chi, dims.sizes))
-
-
-def is_self_conjugate(dims: GridDims, chi: Sequence[int]) -> bool:
-    return conjugate_character(dims, chi) == tuple(j % n for j, n in zip(chi, dims.sizes))
 
 
 def character_value(dims: GridDims, chi: Sequence[int], g: Sequence[int]) -> complex:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import configs
 from .energy import EnergyFunction, KernelTable, build_kernel
 from .grid import (
     Character,
@@ -50,9 +49,6 @@ __all__ = [
 # |Im| of any transform output must stay below this times (1 + sum |u|).
 IMAG_RTOL = 1e-9
 
-# Sizes beyond which the per-axis naive transform is replaced by the FFT path.
-_AUTO_FFT_THRESHOLD = 4096
-
 
 @dataclass
 class EigenTable:
@@ -66,38 +62,16 @@ class EigenTable:
         return float(self.values[site_index(self.dims, chi)])
 
 
-def _axis_transform(arr: np.ndarray, axis: int, n: int) -> np.ndarray:
-    """Naive 1-D transform along one axis with kernel exp(+2*pi*i*j*g/n)."""
-    j = np.arange(n)
-    w = np.exp((2.0j * np.pi / n) * np.outer(j, j))
-    moved = np.moveaxis(arr, axis, 0)
-    flat = moved.reshape(n, -1)
-    out = (w @ flat).reshape(moved.shape)
-    return np.moveaxis(out, 0, axis)
-
-
-def eigen_table(kernel: KernelTable, method: str = "auto") -> EigenTable:
+def eigen_table(kernel: KernelTable) -> EigenTable:
     """Fourier-transform the kernel table into its eigenvalue table.
 
-    method "reference" applies one naive O(n^2) transform per axis and is
-    the source of truth; "fft" uses the fast transform and must agree with
-    it to rounding; "auto" picks by size.  The transform of a symmetric
-    real table is real: any imaginary residue beyond tolerance means the
-    kernel is not symmetric and is reported as an error.
+    The transform of a symmetric real table is real: any imaginary residue
+    beyond tolerance means the kernel is not symmetric and is reported as
+    an error.
     """
     dims = kernel.dims
-    if method == "auto":
-        method = "fft" if dims.order >= _AUTO_FFT_THRESHOLD else "reference"
-    grid_arr = np.asarray(kernel.values, dtype=np.complex128).reshape(dims.sizes)
-    if method == "reference":
-        for axis, n in enumerate(dims.sizes):
-            grid_arr = _axis_transform(grid_arr, axis, n)
-    elif method == "fft":
-        # ifftn uses the +2*pi*i convention and divides by |G|; undo the division.
-        grid_arr = np.fft.ifftn(grid_arr) * dims.order
-    else:
-        raise ValueError(f"unknown transform method {method!r}")
-    flat = grid_arr.ravel()
+    # ifftn uses the +2*pi*i convention and divides by |G|; undo the division.
+    flat = (np.fft.ifftn(np.reshape(kernel.values, dims.sizes)) * dims.order).ravel()
     residue = float(np.abs(flat.imag).max()) if dims.order else 0.0
     tol = IMAG_RTOL * (1.0 + float(np.abs(kernel.values).sum()))
     if residue > tol:
@@ -129,11 +103,8 @@ def min_nontrivial(eigs: EigenTable, tie_tol: float | None = None) -> tuple[floa
     lam_min = float(vals[1:].min())
     if tie_tol is None:
         tie_tol = default_tie_tol(lam_min)
-    argmin = [
-        index_to_site(eigs.dims, i)
-        for i in range(1, eigs.dims.order)
-        if vals[i] <= lam_min + tie_tol
-    ]
+    hits = np.flatnonzero(vals[1:] <= lam_min + tie_tol) + 1
+    argmin = [index_to_site(eigs.dims, int(i)) for i in hits]
     return lam_min, argmin
 
 
@@ -250,10 +221,12 @@ def checkerboard_certificate(
     eigs = eigen_table(kernel)
     sol = solve_relaxation(eigs, dims.order // 2, tie_tol)
     minus_one = minus_one_character(dims)
-    gap = eigs.value_at(minus_one) - sol.lambda_min
+    lam_minus_one = eigs.value_at(minus_one)
+    gap = lam_minus_one - sol.lambda_min
     offenders = tuple(chi for chi in sol.argmin_characters if chi != minus_one)
-    cb = configs.checkerboard(dims, "even")
-    report = configs.energies(cb, kernel)
+    # the checkerboard indicator is (1 + chi_minus_one) / 2, so every member
+    # experiences the same energy (lambda(one) + lambda(minus_one)) / 2
+    e_max = (sol.lambda_trivial + lam_minus_one) / 2.0
     if sol.is_checkerboard_certified:
         conclusion = (
             "certified: the non-trivial eigenvalue minimum is attained only at "
@@ -280,8 +253,8 @@ def checkerboard_certificate(
         gap_to_minus_one=float(gap),
         multiplicity=sol.multiplicity,
         optimal_value=sol.optimal_value,
-        checkerboard_e_tot=report.e_tot,
-        checkerboard_e_max=report.e_max,
+        checkerboard_e_tot=sol.p * e_max,
+        checkerboard_e_max=e_max,
         tie_tol=sol.tie_tol,
         conclusion=conclusion,
     )

@@ -66,7 +66,7 @@ class TestInstanceSpec:
     def test_round_trip(self):
         spec = InstanceSpec(
             dims=(4, 4), metric="lee", f="inverse-power:1", p=8,
-            tie_tol=1e-9, budget=10**10, seed=7, fmt="csv", threads=2,
+            tie_tol=1e-9, budget=10**10, seed=7, fmt="csv",
         )
         assert InstanceSpec.from_text(spec.to_text()) == spec
 
@@ -88,6 +88,10 @@ class TestInstanceSpec:
             InstanceSpec.from_text("dims = 4,4\ncolour = blue\n")
         with pytest.raises(SpecError):
             InstanceSpec.from_text("metric = lee\n")  # dims missing
+        with pytest.raises(SpecError):
+            InstanceSpec.from_text("dims = 4,4\nthreads = 2\n")
+        with pytest.raises(SpecError):
+            InstanceSpec.from_text("dims = 4,4\nformat = bogus\n")
 
 
 class TestEigsCommand:

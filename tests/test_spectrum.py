@@ -29,10 +29,9 @@ def harmonic_4x4():
 
 
 class TestEigenTable:
-    @pytest.mark.parametrize("method", ["reference", "fft"])
-    def test_4x4_reference_table(self, method):
+    def test_4x4_reference_table(self):
         dims, kernel = harmonic_4x4()
-        table = eigen_table(kernel, method=method)
+        table = eigen_table(kernel)
         got = 12.0 * table.values.reshape(4, 4)
         np.testing.assert_allclose(got, TWELVE_LAMBDA_4X4, rtol=0, atol=1e-12)
 
@@ -51,25 +50,21 @@ class TestEigenTable:
     def test_6x6_matches_direct_sum(self):
         dims = GridDims.of(6, 6)
         kernel = build_kernel(dims, Metric.LEE, HARMONIC)
-        table = eigen_table(kernel, method="reference")
+        table = eigen_table(kernel)
         np.testing.assert_allclose(table.values, direct_eigen_oracle(kernel), atol=1e-10)
 
     @pytest.mark.parametrize("sizes", [(7,), (2, 5), (4, 4), (2, 3, 4)])
     @pytest.mark.parametrize("metric", list(Metric))
     def test_fft_matches_reference(self, sizes, metric):
         kernel = build_kernel(GridDims(sizes), metric, InversePower(0.8))
-        ref = eigen_table(kernel, method="reference")
-        fast = eigen_table(kernel, method="fft")
-        np.testing.assert_allclose(fast.values, ref.values, atol=1e-10)
+        fast = eigen_table(kernel)
+        np.testing.assert_allclose(fast.values, direct_eigen_oracle(kernel), atol=1e-10)
 
-    def test_fast_path_at_auto_threshold(self):
-        # 4096 sites: "auto" switches to the fast transform, which must stay
-        # within rounding of the naive per-axis reference
+    def test_fft_matches_oracle_at_4096_sites(self):
         kernel = build_kernel(GridDims.of(16, 16, 16), Metric.LEE, InversePower(0.6))
-        ref = eigen_table(kernel, method="reference")
-        auto = eigen_table(kernel, method="auto")
+        fast = eigen_table(kernel)
         scale = 1.0 + float(np.abs(kernel.values).sum())
-        assert float(np.abs(auto.values - ref.values).max()) <= 1e-9 * scale
+        assert float(np.abs(fast.values - direct_eigen_oracle(kernel)).max()) <= 1e-9 * scale
 
     def test_trivial_character_is_maximal(self):
         for sizes, metric in [((4, 4), Metric.LEE), ((9,), Metric.EUCLIDEAN), ((2, 6), Metric.CHEBYSHEV)]:
@@ -99,11 +94,6 @@ class TestEigenTable:
         values = np.array([0.0, 1.0, 0.5, 0.5, 0.25])  # u(1) != u(-1)
         with pytest.raises(ValueError, match="kernel not symmetric"):
             eigen_table(KernelTable(dims=dims, metric=Metric.LEE, values=values))
-
-    def test_unknown_method(self):
-        _, kernel = harmonic_4x4()
-        with pytest.raises(ValueError):
-            eigen_table(kernel, method="walsh")
 
 
 class TestMinNontrivial:
@@ -246,11 +236,20 @@ class TestCertificates:
         assert cert.certified
         assert cert.checkerboard_e_tot == pytest.approx(cert.optimal_value, rel=1e-9)
 
-    def test_certificate_reports_equal_energy_checkerboard(self):
+    @pytest.mark.parametrize(
+        "f",
+        [InversePower(2.0), ExponentialAtom(1.05, "distance"), ExponentialAtom(2.0, "distance_squared")],
+        ids=["inverse-power:2", "exp:1.05", "exp:2:sq"],
+    )
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_certificate_reports_equal_energy_checkerboard(self, metric, f):
+        # the certificate reads the checkerboard energies off two eigenvalues;
+        # the pairwise sum over members must agree
         dims = GridDims.of(4, 8)
-        cert = checkerboard_certificate(dims, Metric.LEE, InversePower(2.0))
-        report = energies(checkerboard(dims), build_kernel(dims, Metric.LEE, InversePower(2.0)))
-        assert cert.checkerboard_e_max == pytest.approx(report.e_tot / (dims.order // 2), rel=1e-12)
+        cert = checkerboard_certificate(dims, metric, f)
+        report = energies(checkerboard(dims), build_kernel(dims, metric, f))
+        assert cert.checkerboard_e_tot == pytest.approx(report.e_tot, rel=1e-12)
+        assert cert.checkerboard_e_max == pytest.approx(report.e_max, rel=1e-12)
 
 
 class TestRelaxationIsLowerBound:
