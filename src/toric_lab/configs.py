@@ -1,10 +1,12 @@
 """Exact configuration energies, exhaustive and stochastic search over p-subsets.
 
-A configuration is a bitset over site indices.  Search maintains the vector
-of per-site energies against the current members incrementally (one kernel
-column added or removed per step), which keeps single-site moves at O(|G|)
-instead of O(p^2).  Exhaustive search refuses instances whose estimated
-work exceeds a budget instead of running for hours.
+A configuration is a bitset over site indices.  Energies and translation
+structure come from one table of member differences, index(s_a - s_b): its
+sorted columns are the p translates through site 0, which hold the canonical
+translate, the stabiliser and the coset test.  Search keeps per-site energies
+against the members incrementally (one kernel column per step), so a move
+costs O(|G|), not O(p^2).  Exhaustive search refuses instances whose
+estimated work exceeds a budget instead of running for hours.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ __all__ = [
 
 DEFAULT_WORK_BUDGET = 10**10
 
-# Largest grid for which the dense |G| x |G| kernel matrix may be built.
+# Most rows of a difference table: |G| for the kernel matrix, p for a configuration.
 _MAX_MATRIX_SITES = 2048
 
 _EQUIENERGY_RTOL = 1e-9
@@ -107,12 +109,19 @@ class Configuration:
 
     def canonical(self) -> Configuration:
         """Lexicographically least translate (the orbit representative used everywhere)."""
-        best = min(_sorted_translates(_add_index_table(self.dims), self.indices()))
-        return Configuration.from_indices(self.dims, best)
+        if self.p == 0:
+            return self
+        return Configuration.from_indices(self.dims, _least_row(self._zero_translates()))
 
     def orbit_size(self) -> int:
-        """Number of distinct translates."""
-        return len(set(_sorted_translates(_add_index_table(self.dims), self.indices())))
+        """Number of distinct translates: |G| over the size of the stabiliser."""
+        if self.p == 0:
+            return 1
+        rows = self._zero_translates()
+        return self.dims.order // int((rows == rows[0]).all(axis=1).sum())
+
+    def _zero_translates(self) -> np.ndarray:
+        return _zero_translates(_pair_index(self.dims, np.array(self.indices(), dtype=np.int64)))
 
 
 def checkerboard(dims: GridDims, parity: str = "even") -> Configuration:
@@ -131,17 +140,26 @@ class EnergyReport:
     is_empty: bool = False
 
 
-def _pair_index(dims: GridDims, idx: np.ndarray, op: np.ufunc) -> np.ndarray:
-    """Table T[a, b] = index of op(site idx[a], site idx[b]), op being np.add or np.subtract."""
+def _pair_index(dims: GridDims, idx: np.ndarray) -> np.ndarray:
+    """Table T[a, b] = index of site idx[a] - site idx[b]; refused above _MAX_MATRIX_SITES rows."""
+    if len(idx) > _MAX_MATRIX_SITES:
+        raise BudgetExceededError(
+            f"refusing to build a {len(idx)} x {len(idx)} kernel matrix or pair table "
+            f"(limit {_MAX_MATRIX_SITES} rows)"
+        )
     coords = np.stack(np.unravel_index(idx, dims.sizes), axis=1)
-    combined = op(coords[:, None, :], coords[None, :, :]) % np.array(dims.sizes)
-    return np.ravel_multi_index(tuple(np.moveaxis(combined, 2, 0)), dims.sizes)
+    diff = (coords[:, None, :] - coords[None, :, :]) % np.array(dims.sizes)
+    return np.ravel_multi_index(tuple(np.moveaxis(diff, 2, 0)), dims.sizes)
 
 
-def _pair_kernel(config: Configuration, kernel: KernelTable) -> tuple[np.ndarray, np.ndarray]:
-    """Member indices and the p x p matrix of kernel values over member pairs."""
-    idx = np.array(config.indices(), dtype=np.int64)
-    return idx, kernel.values[_pair_index(config.dims, idx, np.subtract)]
+def _zero_translates(differences: np.ndarray) -> np.ndarray:
+    """Row b: sorted S - s_b from T[a, b] = index(s_a - s_b); the least translate is a row."""
+    return np.sort(differences, axis=0).T
+
+
+def _least_row(rows: np.ndarray) -> np.ndarray:
+    """The lexicographically least row."""
+    return rows[np.lexsort(rows.T[::-1])[0]]
 
 
 def energies(config: Configuration, kernel: KernelTable) -> EnergyReport:
@@ -154,8 +172,8 @@ def energies(config: Configuration, kernel: KernelTable) -> EnergyReport:
         raise ValueError("configuration and kernel live on different grids")
     if config.p == 0:
         return EnergyReport(per_site={}, e_max=0.0, e_tot=0.0, is_equienergetic=True, is_empty=True)
-    idx, pair = _pair_kernel(config, kernel)
-    per = pair.sum(axis=1)
+    idx = np.array(config.indices(), dtype=np.int64)
+    per = kernel.values[_pair_index(config.dims, idx)].sum(axis=1)
     e_max = float(per.max())
     e_tot = float(per.sum())
     spread = float(per.max() - per.min())
@@ -179,49 +197,21 @@ class CosetCheck:
 def is_coset(config: Configuration) -> CosetCheck:
     """Whether the configuration is a coset of a subgroup; returns the subgroup if so.
 
-    Translating by any member must yield the same candidate subgroup, so one
-    translation plus a closure check under subtraction suffices.
+    S is a coset exactly when its translates S - s_b by its own members all
+    coincide; that common set is then the subgroup.
     """
     if config.p == 0:
         raise ValueError("empty configuration is not a coset")
-    dims = config.dims
-    sites = config.sites()
-    base = sites[0]
-    shifted = {
-        tuple((c - b) % n for c, b, n in zip(s, base, dims.sizes)) for s in sites
-    }
-    for a in shifted:
-        for b in shifted:
-            d = tuple((x - y) % n for x, y, n in zip(a, b, dims.sizes))
-            if d not in shifted:
-                return CosetCheck(is_coset=False, subgroup=None)
-    return CosetCheck(is_coset=True, subgroup=tuple(sorted(shifted)))
+    rows = config._zero_translates()
+    if not (rows == rows[0]).all():
+        return CosetCheck(is_coset=False, subgroup=None)
+    subgroup = tuple(index_to_site(config.dims, int(i)) for i in rows[0])
+    return CosetCheck(is_coset=True, subgroup=subgroup)
 
 
 def kernel_matrix(kernel: KernelTable) -> np.ndarray:
     """Dense |G| x |G| matrix K[i, j] = u(site_i - site_j); diagonal is zero."""
-    dims = kernel.dims
-    if dims.order > _MAX_MATRIX_SITES:
-        raise BudgetExceededError(
-            f"refusing to build a {dims.order} x {dims.order} kernel matrix "
-            f"(limit {_MAX_MATRIX_SITES} sites)"
-        )
-    return kernel.values[_pair_index(dims, np.arange(dims.order), np.subtract)]
-
-
-def _add_index_table(dims: GridDims) -> np.ndarray:
-    """Table T[k, i] = index of site_i + site_k."""
-    if dims.order > _MAX_MATRIX_SITES:
-        raise BudgetExceededError(
-            f"refusing to build a {dims.order} x {dims.order} translation table"
-        )
-    return _pair_index(dims, np.arange(dims.order), np.add)
-
-
-def _sorted_translates(add: np.ndarray, indices: Sequence[int]) -> list[tuple[int, ...]]:
-    """Sorted member indices of the translate by each site, from the table of _add_index_table."""
-    translated = np.sort(add[:, np.asarray(indices, dtype=np.int64)], axis=1)
-    return list(map(tuple, translated.tolist()))
+    return kernel.values[_pair_index(kernel.dims, np.arange(kernel.dims.order))]
 
 
 @dataclass(frozen=True)
@@ -231,18 +221,21 @@ class SearchHit:
     orbit_size: int
 
 
-def _estimate_work(order: int, p: int) -> int:
-    return math.comb(order, p) * p * p
+def _estimate_work(order: int, p: int, reduce: str) -> int:
+    """Leaves enumerated times p^2: the C(N-1, p-1) subsets through site 0, or all C(N, p)."""
+    leaves = math.comb(order - 1, p - 1) if reduce == "translations" and p else math.comb(order, p)
+    return leaves * p * p
 
 
 def _enumerate_leaves(
-    K: np.ndarray, order: int, p: int, objective: str
+    K: np.ndarray, p: int, objective: str, heads: int
 ) -> Iterator[tuple[float, tuple[int, ...]]]:
-    """All p-subsets in lexicographic order with their objective value.
+    """The p-subsets with least member below heads, in lexicographic order, with objective values.
 
     cur_e holds the per-site energy against the current partial selection
     and is updated by one kernel column per branch step.
     """
+    order = K.shape[0]
     cur_e = np.zeros(order)
     members: list[int] = []
 
@@ -253,7 +246,7 @@ def _enumerate_leaves(
             yield value, tuple(members)
             return
         remaining = p - len(members)
-        for j in range(start, order - remaining + 1):
+        for j in range(start, order - remaining + 1 if members else heads):
             members.append(j)
             np.add(cur_e, K[:, j], out=cur_e)
             yield from rec(j + 1)
@@ -280,6 +273,8 @@ def brute_force(
 
     With reduce="translations" only the lexicographically least translate
     of each orbit is kept, so the result is one row per translation orbit.
+    That translate contains site 0, so only subsets through site 0 are
+    enumerated, each checked against its p translates through site 0.
     Ties are broken by the canonical member tuple, which makes rankings
     reproducible.
     """
@@ -293,26 +288,29 @@ def brute_force(
         raise ValueError(f"top_k must be at least 1, got {top_k}")
     if budget is None:
         budget = DEFAULT_WORK_BUDGET
-    work = _estimate_work(dims.order, p)
+    work = _estimate_work(dims.order, p, reduce)
     if work > budget:
         raise BudgetExceededError(
             f"estimated work {work:.3e} elementary steps exceeds budget {budget:.3e} "
-            f"for C({dims.order}, {p}) configurations"
+            f"for p = {p} on {dims.order} sites with reduce={reduce!r}"
         )
     kernel = build_kernel(dims, metric, f)
     K = kernel_matrix(kernel)
-    leaves = _enumerate_leaves(K, dims.order, p, objective)
-    if reduce == "translations":
-        add = _add_index_table(dims)
-        leaves = (
-            (value, members)
-            for value, members in leaves
-            if min(_sorted_translates(add, members)) == members
-        )
+    if reduce == "none":
+        leaves = _enumerate_leaves(K, p, objective, dims.order - p + 1)
+    else:
+        diff = _pair_index(dims, np.arange(dims.order))
+
+        def canonical(members: tuple[int, ...]) -> bool:
+            m = np.array(members, dtype=np.int64)
+            return _least_row(_zero_translates(diff[m[:, None], m])).tolist() == list(members)
+
+        leaves = _enumerate_leaves(K, p, objective, 1)
+        leaves = (leaf for leaf in leaves if not p or canonical(leaf[1]))
     hits = []
     for value, members in heapq.nsmallest(top_k, leaves):
         config = Configuration.from_indices(dims, members)
-        size = len(set(_sorted_translates(add, members))) if reduce == "translations" else 1
+        size = config.orbit_size() if reduce == "translations" else 1
         hits.append(SearchHit(config=config, value=value, orbit_size=size))
     return hits
 
@@ -345,25 +343,25 @@ def _descend(
             break
         e_tot = float(cur_e[members].sum())
         e_max = float(cur_e[members].max())
+        K_mn = K[np.ix_(members, non)]
         # candidate totals for every (out, in) pair
-        new_tot = e_tot + 2.0 * (
-            cur_e[non][None, :] - cur_e[members][:, None] - K[np.ix_(members, non)]
-        )
+        new_tot = e_tot + 2.0 * (cur_e[non][None, :] - cur_e[members][:, None] - K_mn)
         if objective == "total":
             flat = int(new_tot.argmin())
             o_i, i_i = divmod(flat, len(non))
             if not float(new_tot[o_i, i_i]) < e_tot:
                 break
         else:
-            swap_e = (
-                cur_e[None, None, :]
-                - K[:, members].T[:, None, :]
-                + K[:, non].T[None, :, :]
+            # mem_e[o, i, a]: member a's energy after swapping out member o for site i
+            mem_e = (
+                cur_e[members][None, None, :]
+                - K[np.ix_(members, members)].T[:, None, :]
+                + K_mn.T[None, :, :]
             )
-            mem_e = swap_e[:, :, members].copy()
             ar = np.arange(len(members))
             mem_e[ar, :, ar] = -np.inf
-            in_e = swap_e[:, np.arange(len(non)), non]
+            # the incoming site's energy; K[i, i] is zero
+            in_e = cur_e[non][None, :] - K_mn
             new_max = np.maximum(mem_e.max(axis=2), in_e)
             flat = int(np.lexsort((new_tot.ravel(), new_max.ravel()))[0])
             o_i, i_i = divmod(flat, len(non))

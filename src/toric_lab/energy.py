@@ -11,6 +11,7 @@ derivative signs of the smooth profiles.
 
 from __future__ import annotations
 
+import bisect
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -37,6 +38,12 @@ __all__ = [
 # Strictness tolerance for "positive" in the sign checks: values inside the
 # band are reported as inconclusive rather than as violations.
 STRICTNESS_RTOL = 1e-12
+
+# Relative tolerance within which a distance matches a tabulated key, so that
+# tables written with fewer than 17 digits (1.4142135623731 for sqrt 2) work.
+# Distinct attainable distances differ far more: sqrt(a + 1) - sqrt(a) is
+# above 1e-6 relative for every a below 5e5.
+TABLE_KEY_RTOL = 1e-9
 
 
 class EnergyFunction(ABC):
@@ -85,22 +92,35 @@ class ExponentialAtom(EnergyFunction):
 
 @dataclass(frozen=True)
 class Tabulated(EnergyFunction):
-    """f given by an explicit table from attainable distances to positive values."""
+    """f given by an explicit table from attainable distances to positive values.
+
+    A distance x matches the one key within TABLE_KEY_RTOL * |x| of it; no key
+    or more than one key there is an error.
+    """
 
     values: Mapping[float, float]
 
     def __post_init__(self) -> None:
         table = dict(self.values)
         for x, v in table.items():
+            if not math.isfinite(x):
+                raise ValueError(f"tabulated distance must be finite, got {x}")
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"tabulated value at {x} must be finite positive, got {v}")
         object.__setattr__(self, "values", table)
+        object.__setattr__(self, "_keys", sorted(table))
 
     def __call__(self, x: float) -> float:
-        try:
-            return float(self.values[x])
-        except KeyError:
-            raise ValueError(f"no tabulated value at distance {x!r}") from None
+        keys = self._keys  # type: ignore[attr-defined]
+        tol = TABLE_KEY_RTOL * abs(x)
+        lo, hi = bisect.bisect_left(keys, x - tol), bisect.bisect_right(keys, x + tol)
+        if lo == hi:
+            raise ValueError(f"no tabulated value at distance {x!r}")
+        if hi - lo > 1:
+            raise ValueError(
+                f"{hi - lo} tabulated distances lie within relative {TABLE_KEY_RTOL} of {x!r}"
+            )
+        return float(self.values[keys[lo]])
 
 
 @dataclass

@@ -73,6 +73,31 @@ def tabulated_from_instance(dims: GridDims, metric: Metric, base) -> Tabulated:
     return Tabulated({x: base(x) for x in attained})
 
 
+def translate_oracle(
+    dims: GridDims, sites
+) -> tuple[tuple[Site, ...], int, tuple[Site, ...] | None]:
+    """Canonical translate, orbit size and coset subgroup of a site set, by definition.
+
+    All |G| shifts are applied with set arithmetic.  The canonical translate
+    is the least sorted site tuple (row-major indices order sites the same
+    way); the subgroup is S - min(S) if that set is closed under
+    subtraction, else None.
+    """
+    members = frozenset(map(tuple, sites))
+
+    def shifted(points, shift, sign):
+        return frozenset(
+            tuple((x + sign * s) % n for x, s, n in zip(point, shift, dims.sizes))
+            for point in points
+        )
+
+    translates = {shifted(members, shift, 1) for shift in enumerate_sites(dims)}
+    canonical = min(tuple(sorted(t)) for t in translates)
+    base = shifted(members, min(members), -1)
+    closed = all(shifted(base, b, -1) <= base for b in base)
+    return canonical, len(translates), tuple(sorted(base)) if closed else None
+
+
 def _index_add_table(dims: GridDims) -> np.ndarray:
     coords = np.stack(np.unravel_index(np.arange(dims.order), dims.sizes), axis=1)
     sizes = np.array(dims.sizes, dtype=np.int64)

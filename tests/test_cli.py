@@ -162,6 +162,17 @@ class TestCertifyCommand:
         assert code == EXIT_OK
         assert json.loads(stdout)["certified"] is True
 
+    def test_euclid_table_with_rounded_keys(self, capsys, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text("1, 1.0\n1.4142135623731, 0.5\n", encoding="utf-8")
+        code, stdout, err = run(
+            capsys, "certify", "--dims", "2,2", "--metric", "euclid", "--f", f"table:{table}",
+        )
+        assert code == EXIT_OK, err
+        doc = json.loads(stdout)
+        assert doc["certified"] is True
+        assert doc["checkerboard_e_max"] == pytest.approx(0.5, rel=1e-12)
+
     def test_odd_dims_exit_2(self, capsys):
         code, _, err = run(capsys, "certify", "--dims", "3,4", "--f", "inverse-power:1")
         assert code == EXIT_SPEC
@@ -258,6 +269,16 @@ class TestEnergyCommand:
         assert code == EXIT_OK
         assert stdout.startswith("10\n01\n")
         assert "e_tot=" in stdout
+
+    def test_oversized_configuration_exit_3(self, capsys, tmp_path):
+        config = tmp_path / "big.txt"
+        config.write_text("".join(f"{i // 64},{i % 64}\n" for i in range(2049)), encoding="utf-8")
+        code, _, err = run(
+            capsys, "energy", "--dims", "64,64", "--f", "inverse-power:1",
+            "--config", str(config),
+        )
+        assert code == EXIT_BUDGET
+        assert "2049 x 2049" in err
 
     def test_missing_file_exit_4(self, capsys, tmp_path):
         code, _, _ = run(

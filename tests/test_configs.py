@@ -21,6 +21,7 @@ from support import (
     brute_min_total,
     cosets_of,
     enumerate_subgroups,
+    translate_oracle,
 )
 
 HARMONIC = InversePower(1.0)
@@ -60,6 +61,44 @@ class TestConfiguration:
         assert checkerboard(dims).orbit_size() == 2
         row = Configuration.from_sites(dims, ROW_CONFIG_4X4)
         assert row.orbit_size() == 4
+
+
+def assert_matches_translate_oracle(config):
+    canonical, orbit, subgroup = translate_oracle(config.dims, config.sites())
+    assert config.canonical().sites() == canonical
+    assert config.orbit_size() == orbit
+    check = is_coset(config)
+    assert check.is_coset == (subgroup is not None)
+    assert check.subgroup == subgroup
+
+
+class TestTranslateOracle:
+    @pytest.mark.parametrize("sizes", [(3, 5), (2, 2, 2), (4, 6), (12,), (3, 3, 3)])
+    def test_random_configurations_and_cosets(self, sizes):
+        dims = GridDims(sizes)
+        rng = np.random.default_rng(len(sizes) * 100 + dims.order)
+        for _ in range(60):
+            p = int(rng.integers(1, dims.order + 1))
+            assert_matches_translate_oracle(
+                Configuration.from_indices(dims, rng.choice(dims.order, p, replace=False))
+            )
+        for subgroup in enumerate_subgroups(dims):
+            for coset in cosets_of(dims, subgroup):
+                assert_matches_translate_oracle(Configuration.from_sites(dims, coset))
+
+    def test_grid_above_dense_matrix_cap(self):
+        # 4096 sites: the orbit answers need only the p x p member table
+        dims = GridDims.of(64, 64)
+        rng = np.random.default_rng(64)
+        assert_matches_translate_oracle(
+            Configuration.from_indices(dims, rng.choice(dims.order, 40, replace=False))
+        )
+        lattice = Configuration.from_sites(
+            dims, [(3 + 8 * i, 5 + 8 * j) for i in range(8) for j in range(8)]
+        )
+        assert_matches_translate_oracle(lattice)
+        assert is_coset(lattice).is_coset
+        assert lattice.orbit_size() == 64
 
 
 class TestEnergies:
@@ -114,6 +153,11 @@ class TestEnergies:
         x = np.zeros(dims.order)
         x[list(config.indices())] = 1.0
         assert report.e_tot == pytest.approx(float(x @ K @ x), rel=1e-12)
+
+    def test_oversized_pair_table_refused(self):
+        dims, kernel = harmonic_kernel((64, 64))
+        with pytest.raises(BudgetExceededError, match="2049 x 2049"):
+            energies(Configuration.from_indices(dims, range(2049)), kernel)
 
     def test_grid_mismatch(self):
         dims, kernel = harmonic_kernel((4, 4))
@@ -202,6 +246,17 @@ class TestBruteForce:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError, match="exceeds budget"):
             brute_force(GridDims.of(6, 6), Metric.LEE, HARMONIC, 18, budget=10**6)
+
+    def test_budget_counts_enumerated_leaves(self):
+        # leaves x p^2: C(16, 8) * 64 = 823 680 for all subsets,
+        # C(15, 7) * 64 = 411 840 for the subsets through site 0
+        dims = GridDims.of(4, 4)
+        with pytest.raises(BudgetExceededError, match="exceeds budget"):
+            brute_force(dims, Metric.LEE, HARMONIC, 8, reduce="none", budget=500_000)
+        hits = brute_force(dims, Metric.LEE, HARMONIC, 8, reduce="translations", budget=500_000)
+        assert hits[0].orbit_size == 2
+        with pytest.raises(BudgetExceededError, match="exceeds budget"):
+            brute_force(dims, Metric.LEE, HARMONIC, 8, reduce="translations", budget=411_839)
 
     def test_p_out_of_range(self):
         with pytest.raises(ValueError):

@@ -61,6 +61,23 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             Tabulated({1: math.inf})
 
+    def test_tabulated_keys_match_within_tolerance(self):
+        # 14 significant digits of sqrt(2), as a table written by hand would hold
+        f = Tabulated({1: 1.0, 1.4142135623731: 0.5})
+        assert f(math.sqrt(2)) == 0.5
+        assert f(1.0 + 1e-12) == 1.0
+        with pytest.raises(ValueError, match="no tabulated value"):
+            f(1.0 + 1e-6)
+        with pytest.raises(ValueError, match="no tabulated value"):
+            f(2.0)
+
+    def test_tabulated_ambiguous_keys(self):
+        f = Tabulated({1.4142135623730: 0.5, 1.4142135623731: 0.25})
+        with pytest.raises(ValueError, match="2 tabulated distances"):
+            f(math.sqrt(2))
+        with pytest.raises(ValueError, match="must be finite"):
+            Tabulated({1: 1.0, math.nan: 0.5})
+
 
 class TestBuildKernel:
     def test_reference_entries_4x4(self):
