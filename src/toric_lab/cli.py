@@ -89,7 +89,10 @@ def _read_table(path: Path) -> dict[float, float]:
         if not line:
             continue
         x_text, _, v_text = line.partition(",")
-        table[float(x_text)] = float(v_text)
+        x = float(x_text)
+        if x in table:
+            raise SpecError(f"energy table {path} repeats distance {x_text.strip()!r}")
+        table[x] = float(v_text)
     if not table:
         raise SpecError(f"energy table {path} is empty")
     return table
@@ -148,7 +151,10 @@ class InstanceSpec:
             key, sep, value = line.partition("=")
             if not sep:
                 raise SpecError(f"expected 'key = value', got {raw!r}")
-            keys[key.strip()] = value.strip()
+            key = key.strip()
+            if key in keys:
+                raise SpecError(f"spec key {key!r} is set twice")
+            keys[key] = value.strip()
         known = {"dims", "metric", "f", "p", "tie_tol", "budget", "seed", "format"}
         unknown = set(keys) - known
         if unknown:
@@ -191,7 +197,8 @@ def _default_budget() -> int:
 
 def _add_instance_flags(parser: argparse.ArgumentParser, need_dims: bool = True) -> None:
     parser.add_argument("--spec", type=Path, default=None, help="spec file; flags override it")
-    parser.add_argument("--dims", type=str, default=None, help="grid sizes, e.g. 4,4" + ("" if need_dims else " (unused)"))
+    if need_dims:
+        parser.add_argument("--dims", type=str, default=None, help="grid sizes, e.g. 4,4")
     parser.add_argument("--metric", type=str, default=None, choices=sorted(_METRICS), help="distance kind")
     parser.add_argument("--f", type=str, default=None, help="energy function: inverse-power:A | exp:A[:sq] | table:PATH")
     parser.add_argument("--p", type=int, default=None, help="particle count")
@@ -203,15 +210,17 @@ def _add_instance_flags(parser: argparse.ArgumentParser, need_dims: bool = True)
 
 
 def _build_spec(args: argparse.Namespace, need_dims: bool = True) -> InstanceSpec:
+    dims = args.dims if need_dims else None
     if args.spec is not None:
         base = InstanceSpec.from_file(args.spec)
     else:
-        if need_dims and args.dims is None:
+        if need_dims and dims is None:
             raise SpecError("either --spec or --dims is required")
-        base = InstanceSpec(dims=parse_dims(args.dims) if args.dims else (1,), budget=_default_budget())
+        # dims is set from the flag below; sweep takes its grids from --dims-list
+        base = InstanceSpec(dims=(1,), budget=_default_budget())
     updates = {}
-    if args.dims is not None:
-        updates["dims"] = parse_dims(args.dims)
+    if dims is not None:
+        updates["dims"] = parse_dims(dims)
     for flag, field_name in [
         ("metric", "metric"), ("f", "f"), ("p", "p"), ("tie_tol", "tie_tol"),
         ("budget", "budget"), ("seed", "seed"), ("fmt", "fmt"),
@@ -408,6 +417,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_energy(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
+    if spec.fmt == "csv":
+        raise SpecError("energy writes --format json or ascii-grid, not csv")
     dims = spec.grid_dims()
     try:
         sites = _read_sites(args.config)
@@ -541,7 +552,10 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="file of sites, one comma-separated coordinate tuple per line")
     p_energy.set_defaults(func=_cmd_energy)
 
-    p_sweep = sub.add_parser("sweep", help="batch certificates over a list of grids (CSV)")
+    # no abbreviations, so that --dims is refused rather than read as --dims-list
+    p_sweep = sub.add_parser(
+        "sweep", help="batch certificates over a list of grids (CSV)", allow_abbrev=False
+    )
     _add_instance_flags(p_sweep, need_dims=False)
     p_sweep.add_argument("--dims-list", type=str, required=True,
                          help="semicolon-separated dims, e.g. '2,2;4,4;8,4'")

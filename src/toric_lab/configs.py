@@ -3,18 +3,19 @@
 A configuration is a bitset over site indices.  Energies and translation
 structure come from one table of member differences, index(s_a - s_b): its
 sorted columns are the p translates through site 0, which hold the canonical
-translate, the stabiliser and the coset test.  Search keeps per-site energies
-against the members incrementally (one kernel column per step), so a move
-costs O(|G|), not O(p^2).  Exhaustive search refuses instances whose
-estimated work exceeds a budget instead of running for hours.
+translate, the stabiliser and the coset test.  Exhaustive search gathers the
+same table for batches of subsets, so its values are the sums energies()
+reads; it refuses instances whose estimated work exceeds a budget instead of
+running for hours.  Local search keeps per-site energies against the members
+incrementally (one kernel column per swap), so a move costs O(|G|), not O(p^2).
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,6 +48,9 @@ DEFAULT_WORK_BUDGET = 10**10
 
 # Most rows of a difference table: |G| for the kernel matrix, p for a configuration.
 _MAX_MATRIX_SITES = 2048
+
+# Most pair entries exhaustive search gathers at once: batch rows x p^2.
+_BATCH_PAIRS = 1 << 16
 
 _EQUIENERGY_RTOL = 1e-9
 
@@ -111,7 +115,8 @@ class Configuration:
         """Lexicographically least translate (the orbit representative used everywhere)."""
         if self.p == 0:
             return self
-        return Configuration.from_indices(self.dims, _least_row(self._zero_translates()))
+        rows = self._zero_translates()
+        return Configuration.from_indices(self.dims, rows[_least_rows(rows)])
 
     def orbit_size(self) -> int:
         """Number of distinct translates: |G| over the size of the stabiliser."""
@@ -153,13 +158,17 @@ def _pair_index(dims: GridDims, idx: np.ndarray) -> np.ndarray:
 
 
 def _zero_translates(differences: np.ndarray) -> np.ndarray:
-    """Row b: sorted S - s_b from T[a, b] = index(s_a - s_b); the least translate is a row."""
-    return np.sort(differences, axis=0).T
+    """Row b: sorted S - s_b from T[..., a, b] = index(s_a - s_b); the least translate is a row."""
+    return np.sort(differences.swapaxes(-1, -2), axis=-1)
 
 
-def _least_row(rows: np.ndarray) -> np.ndarray:
-    """The lexicographically least row."""
-    return rows[np.lexsort(rows.T[::-1])[0]]
+def _least_rows(rows: np.ndarray) -> np.ndarray:
+    """Index of the lexicographically least row of each matrix in rows[..., :, :]; first on ties."""
+    live = np.ones(rows.shape[:-1], dtype=bool)
+    for j in range(rows.shape[-1]):
+        column = np.where(live, rows[..., j], np.iinfo(rows.dtype).max)
+        live &= column == column.min(axis=-1, keepdims=True)
+    return live.argmax(axis=-1)
 
 
 def energies(config: Configuration, kernel: KernelTable) -> EnergyReport:
@@ -221,42 +230,9 @@ class SearchHit:
     orbit_size: int
 
 
-def _estimate_work(order: int, p: int, reduce: str) -> int:
-    """Leaves enumerated times p^2: the C(N-1, p-1) subsets through site 0, or all C(N, p)."""
-    leaves = math.comb(order - 1, p - 1) if reduce == "translations" and p else math.comb(order, p)
-    return leaves * p * p
-
-
-def _enumerate_leaves(
-    K: np.ndarray, p: int, objective: str, heads: int
-) -> Iterator[tuple[float, tuple[int, ...]]]:
-    """The p-subsets with least member below heads, in lexicographic order, with objective values.
-
-    cur_e holds the per-site energy against the current partial selection
-    and is updated by one kernel column per branch step.
-    """
-    order = K.shape[0]
-    cur_e = np.zeros(order)
-    members: list[int] = []
-
-    def rec(start: int) -> Iterator[tuple[float, tuple[int, ...]]]:
-        if len(members) == p:
-            sel = cur_e[members]
-            value = float(sel.sum()) if objective == "total" else float(sel.max())
-            yield value, tuple(members)
-            return
-        remaining = p - len(members)
-        for j in range(start, order - remaining + 1 if members else heads):
-            members.append(j)
-            np.add(cur_e, K[:, j], out=cur_e)
-            yield from rec(j + 1)
-            np.subtract(cur_e, K[:, j], out=cur_e)
-            members.pop()
-
-    if p == 0:
-        yield 0.0, ()
-    else:
-        yield from rec(0)
+def _leaves(order: int, p: int, reduce: str) -> int:
+    """Subsets enumerated: the C(N-1, p-1) through site 0 under translations, or all C(N, p)."""
+    return math.comb(order - 1, p - 1) if reduce == "translations" and p else math.comb(order, p)
 
 
 def brute_force(
@@ -271,12 +247,15 @@ def brute_force(
 ) -> list[SearchHit]:
     """Exhaustively rank all p-subsets by total or maximal energy.
 
+    Subsets are evaluated in lexicographic batches with the member-pair
+    gather of energies(), so every value equals the energies() value of its
+    configuration bit for bit, and ties are broken by the member tuple.
     With reduce="translations" only the lexicographically least translate
     of each orbit is kept, so the result is one row per translation orbit.
     That translate contains site 0, so only subsets through site 0 are
     enumerated, each checked against its p translates through site 0.
-    Ties are broken by the canonical member tuple, which makes rankings
-    reproducible.
+    The work estimate checked against the budget is the number of member
+    pairs gathered, leaves x p^2.
     """
     if objective not in ("total", "max"):
         raise ValueError(f"objective must be 'total' or 'max', got {objective!r}")
@@ -288,27 +267,36 @@ def brute_force(
         raise ValueError(f"top_k must be at least 1, got {top_k}")
     if budget is None:
         budget = DEFAULT_WORK_BUDGET
-    work = _estimate_work(dims.order, p, reduce)
+    leaves = _leaves(dims.order, p, reduce)
+    work = leaves * p * p
     if work > budget:
         raise BudgetExceededError(
             f"estimated work {work:.3e} elementary steps exceeds budget {budget:.3e} "
             f"for p = {p} on {dims.order} sites with reduce={reduce!r}"
         )
     kernel = build_kernel(dims, metric, f)
-    K = kernel_matrix(kernel)
-    if reduce == "none":
-        leaves = _enumerate_leaves(K, p, objective, dims.order - p + 1)
-    else:
-        diff = _pair_index(dims, np.arange(dims.order))
-
-        def canonical(members: tuple[int, ...]) -> bool:
-            m = np.array(members, dtype=np.int64)
-            return _least_row(_zero_translates(diff[m[:, None], m])).tolist() == list(members)
-
-        leaves = _enumerate_leaves(K, p, objective, 1)
-        leaves = (leaf for leaf in leaves if not p or canonical(leaf[1]))
+    if p == 0:
+        return [SearchHit(config=Configuration(dims, 0), value=0.0, orbit_size=1)]
+    table = _pair_index(dims, np.arange(dims.order))
+    # the subsets through site 0 come first, so under translations they are the first leaves
+    subsets = itertools.combinations(range(dims.order), p)
+    batch_size = max(1, _BATCH_PAIRS // (p * p))
+    best_values, best = np.empty(0), np.empty((0, p), dtype=np.int64)
+    for start in range(0, leaves, batch_size):
+        count = min(batch_size, leaves - start)
+        batch = np.fromiter(subsets, dtype=np.dtype((np.int64, p)), count=count)
+        diff = table[batch[:, :, None], batch[:, None, :]]
+        if reduce == "translations":
+            keep = _least_rows(_zero_translates(diff)) == 0
+            batch, diff = batch[keep], diff[keep]
+        per = kernel.values[diff].sum(axis=2)
+        values = per.sum(axis=1) if objective == "total" else per.max(axis=1)
+        values, batch = np.concatenate((best_values, values)), np.concatenate((best, batch))
+        # earlier batches are lexicographically smaller, so a stable sort ranks ties by members
+        order = np.argsort(values, kind="stable")[:top_k]
+        best_values, best = values[order], batch[order]
     hits = []
-    for value, members in heapq.nsmallest(top_k, leaves):
+    for value, members in zip(best_values.tolist(), best.tolist()):
         config = Configuration.from_indices(dims, members)
         size = config.orbit_size() if reduce == "translations" else 1
         hits.append(SearchHit(config=config, value=value, orbit_size=size))

@@ -173,6 +173,22 @@ class TestCertifyCommand:
         assert doc["certified"] is True
         assert doc["checkerboard_e_max"] == pytest.approx(0.5, rel=1e-12)
 
+    def test_repeated_spec_key_exit_2(self, capsys, tmp_path):
+        spec = tmp_path / "twice.spec"
+        spec.write_text("dims = 4,4\nf = inverse-power:1\ndims = 2,2\n", encoding="utf-8")
+        code, stdout, err = run(capsys, "certify", "--spec", str(spec))
+        assert code == EXIT_SPEC
+        assert stdout == ""
+        assert "'dims'" in err
+
+    def test_repeated_table_distance_exit_2(self, capsys, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text("1, 1.0\n2, 0.5\n1, 0.25\n", encoding="utf-8")
+        code, stdout, err = run(capsys, "certify", "--dims", "4,4", "--f", f"table:{table}")
+        assert code == EXIT_SPEC
+        assert stdout == ""
+        assert "repeats distance '1'" in err
+
     def test_odd_dims_exit_2(self, capsys):
         code, _, err = run(capsys, "certify", "--dims", "3,4", "--f", "inverse-power:1")
         assert code == EXIT_SPEC
@@ -280,6 +296,17 @@ class TestEnergyCommand:
         assert code == EXIT_BUDGET
         assert "2049 x 2049" in err
 
+    def test_csv_format_exit_2(self, capsys, tmp_path):
+        config = tmp_path / "pair.txt"
+        config.write_text("0,0\n1,1\n", encoding="utf-8")
+        code, stdout, err = run(
+            capsys, "energy", "--dims", "2,2", "--f", "inverse-power:1",
+            "--config", str(config), "--format", "csv",
+        )
+        assert code == EXIT_SPEC
+        assert stdout == ""
+        assert "json" in err and "ascii-grid" in err
+
     def test_missing_file_exit_4(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "energy", "--dims", "4,4", "--f", "inverse-power:1",
@@ -307,6 +334,14 @@ class TestSweepCommand:
         rows = list(csv.reader(io.StringIO(stdout)))
         states = {r[0]: r[1] for r in rows[1:]}
         assert states["8"] == "false"
+
+    def test_dims_flag_rejected(self, capsys):
+        code, stdout, err = run(
+            capsys, "sweep", "--dims", "4,4", "--dims-list", "2,2", "--f", "inverse-power:1",
+        )
+        assert code == EXIT_SPEC
+        assert stdout == ""
+        assert "--dims 4,4" in err
 
 
 class TestCurveCommands:

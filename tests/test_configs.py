@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -306,6 +308,45 @@ class TestBruteForce:
         boards = {checkerboard(dims, "even").members, checkerboard(dims, "odd").members}
         assert total_optima == boards
         assert max_optima == boards
+
+
+def ranking_oracle(dims, kernel, p, objective, reduce, top_k):
+    """First top_k subsets by (energies() value, member tuple); canonical translates only
+    under reduce="translations", with their orbit sizes."""
+    ranked = []
+    for members in itertools.combinations(range(dims.order), p):
+        report = energies(Configuration.from_indices(dims, members), kernel)
+        ranked.append((report.e_tot if objective == "total" else report.e_max, members))
+    ranked.sort()
+    out = []
+    for value, members in ranked:
+        if len(out) == top_k:
+            break
+        sites = Configuration.from_indices(dims, members).sites()
+        canonical, orbit, _ = translate_oracle(dims, sites)
+        if reduce == "none":
+            out.append((value, members, 1))
+        elif canonical == sites:
+            out.append((value, members, orbit))
+    return out
+
+
+class TestRankingOracle:
+    @pytest.mark.parametrize(
+        "sizes, metric, p, objective, reduce, top_k",
+        [
+            ((4, 4), Metric.LEE, 3, "total", "none", 6),
+            ((4, 4), Metric.LEE, 8, "total", "none", 20),  # 12 870 subsets: several batches
+            ((3, 5), Metric.EUCLIDEAN, 5, "max", "translations", 10),
+            ((18,), Metric.LEE, 9, "total", "translations", 10),
+        ],
+    )
+    def test_hits_are_the_definitional_ranking(self, sizes, metric, p, objective, reduce, top_k):
+        dims, kernel = harmonic_kernel(sizes, metric)
+        hits = brute_force(dims, metric, HARMONIC, p, objective=objective, top_k=top_k, reduce=reduce)
+        assert [(h.value, h.config.indices(), h.orbit_size) for h in hits] == ranking_oracle(
+            dims, kernel, p, objective, reduce, top_k
+        )
 
 
 class TestRelaxationDominance:
