@@ -1,9 +1,11 @@
 """Command-line front end: eigenvalue tables, certificates, searches, and sweeps.
 
 Instances are described by a flat key-value spec file (one `key = value`
-per line) with every command-line flag overriding the file.  Outputs are
-CSV (RFC 4180, LF line endings, 17-significant-digit floats) and JSON
-documents matching the schemas shipped under `toric_lab/schemas/`.
+per line) with every command-line flag overriding the file.  Each command
+takes only the flags it reads and writes only the formats it lists in
+`_COMMANDS`.  Outputs are CSV (RFC 4180, LF line endings,
+17-significant-digit floats) and JSON documents matching the schemas shipped
+under `toric_lab/schemas/`.
 
 Exit codes: 0 success (and certificate granted), 1 certificate refused,
 2 invalid spec or arguments, 3 work-budget or allocation refusal, 4 I/O
@@ -16,17 +18,18 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import analysis, configs, spectrum
 from .configs import BudgetExceededError, Configuration, DEFAULT_WORK_BUDGET
 from .energy import EnergyFunction, ExponentialAtom, InversePower, Tabulated, build_kernel
-from .grid import GridDims, Metric, index_to_site
+from .grid import GridDims, Metric
 
 __all__ = ["InstanceSpec", "SpecError", "main"]
 
@@ -109,7 +112,7 @@ class InstanceSpec:
     tie_tol: float | None = None
     budget: int = DEFAULT_WORK_BUDGET
     seed: int = 0
-    fmt: str = "json"
+    fmt: str = "unset"  # unset: the command writes its first format
 
     def grid_dims(self) -> GridDims:
         try:
@@ -138,7 +141,8 @@ class InstanceSpec:
             lines.append(f"tie_tol = {self.tie_tol!r}")
         lines.append(f"budget = {self.budget}")
         lines.append(f"seed = {self.seed}")
-        lines.append(f"format = {self.fmt}")
+        if self.fmt != "unset":
+            lines.append(f"format = {self.fmt}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -161,8 +165,8 @@ class InstanceSpec:
             raise SpecError(f"unknown spec keys {sorted(unknown)}")
         if "dims" not in keys:
             raise SpecError("spec file must set dims")
-        fmt = keys.get("format", "json")
-        if fmt not in _FORMATS:
+        fmt = keys.get("format", "unset")
+        if "format" in keys and fmt not in _FORMATS:
             raise SpecError(f"unknown format {fmt!r} (expected one of {list(_FORMATS)})")
         try:
             return cls(
@@ -195,40 +199,26 @@ def _default_budget() -> int:
         raise SpecError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-def _add_instance_flags(parser: argparse.ArgumentParser, need_dims: bool = True) -> None:
-    parser.add_argument("--spec", type=Path, default=None, help="spec file; flags override it")
-    if need_dims:
-        parser.add_argument("--dims", type=str, default=None, help="grid sizes, e.g. 4,4")
-    parser.add_argument("--metric", type=str, default=None, choices=sorted(_METRICS), help="distance kind")
-    parser.add_argument("--f", type=str, default=None, help="energy function: inverse-power:A | exp:A[:sq] | table:PATH")
-    parser.add_argument("--p", type=int, default=None, help="particle count")
-    parser.add_argument("--tie-tol", type=float, default=None, help="eigenvalue tie tolerance (default: scaled 1e-9)")
-    parser.add_argument("--budget", type=int, default=None, help="work budget in elementary steps")
-    parser.add_argument("--seed", type=int, default=None, help="random seed for stochastic search")
-    parser.add_argument("--format", dest="fmt", type=str, default=None, choices=_FORMATS, help="output format")
-    parser.add_argument("--out", type=Path, default=None, help="output file (default: stdout)")
-
-
-def _build_spec(args: argparse.Namespace, need_dims: bool = True) -> InstanceSpec:
-    dims = args.dims if need_dims else None
+def _build_spec(args: argparse.Namespace) -> InstanceSpec:
     if args.spec is not None:
         base = InstanceSpec.from_file(args.spec)
+    elif hasattr(args, "dims") and args.dims is None:
+        raise SpecError("either --spec or --dims is required")
     else:
-        if need_dims and dims is None:
-            raise SpecError("either --spec or --dims is required")
         # dims is set from the flag below; sweep takes its grids from --dims-list
         base = InstanceSpec(dims=(1,), budget=_default_budget())
     updates = {}
-    if dims is not None:
-        updates["dims"] = parse_dims(dims)
-    for flag, field_name in [
-        ("metric", "metric"), ("f", "f"), ("p", "p"), ("tie_tol", "tie_tol"),
-        ("budget", "budget"), ("seed", "seed"), ("fmt", "fmt"),
-    ]:
-        value = getattr(args, flag)
+    for name in ("dims", "metric", "f", "p", "tie_tol", "budget", "seed", "fmt"):
+        value = getattr(args, name, None)
         if value is not None:
-            updates[field_name] = value
+            updates[name] = parse_dims(value) if name == "dims" else value
     spec = replace(base, **updates)
+    if spec.fmt == "unset":
+        spec = replace(spec, fmt=args.formats[0])
+    elif spec.fmt not in args.formats:
+        raise SpecError(
+            f"{args.command} writes {' or '.join(args.formats)}, not format {spec.fmt!r}"
+        )
     spec.grid_dims()
     spec.metric_kind()
     spec.energy_fn()
@@ -244,7 +234,7 @@ def _out_stream(path: Path | None) -> Iterator[io.TextIOBase]:
             yield handle
 
 
-def _write_csv(path: Path | None, header: list[str], rows: list[list[str]]) -> None:
+def _write_csv(path: Path | None, header: list[str], rows: Iterable[Sequence[str]]) -> None:
     with _out_stream(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -294,10 +284,12 @@ def _cmd_eigs(args: argparse.Namespace) -> int:
     table = spectrum.eigen_table(kernel)
     lam_min, argmin = spectrum.min_nontrivial(table, spec.tie_tol)
     header = [f"j{i + 1}" for i in range(dims.ndim)] + ["lambda"]
-    rows = []
-    for i in range(dims.order):
-        chi = list(map(str, index_to_site(dims, i)))
-        rows.append(chi + [_fmt(table.values[i])])
+    # the table is in row-major character order, the order of itertools.product
+    labels = [[str(j) for j in range(n)] for n in dims.sizes]
+    rows = (
+        (*chi, _fmt(value))
+        for chi, value in zip(itertools.product(*labels), table.values.tolist())
+    )
     summary = {
         "dims": list(dims.sizes),
         "metric": spec.metric,
@@ -346,6 +338,14 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    # flags that only the other method reads
+    unread = ("--top-k", "--reduce", "--budget") if args.method == "local" else ("--restarts", "--seed")
+    for flag in unread:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise SpecError(f"{flag} is not read by --method {args.method}")
+    top_k = 1 if args.top_k is None else args.top_k
+    reduce = "none" if args.reduce is None else args.reduce
+    restarts = 1 if args.restarts is None else args.restarts
     spec = _build_spec(args)
     dims = spec.grid_dims()
     if spec.p is None:
@@ -357,8 +357,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
             spec.energy_fn(),
             spec.p,
             objective=args.objective,
-            top_k=args.top_k,
-            reduce=args.reduce,
+            top_k=top_k,
+            reduce=reduce,
             budget=spec.budget,
         )
     else:
@@ -368,7 +368,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             spec.energy_fn(),
             spec.p,
             objective=args.objective,
-            restarts=args.restarts,
+            restarts=restarts,
             rng_seed=spec.seed,
         )
         hits = [configs.SearchHit(config=result.config, value=result.value, orbit_size=1)]
@@ -378,10 +378,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
         "f": spec.f,
         "p": spec.p,
         "objective": args.objective,
-        "top_k": args.top_k,
-        "reduce": args.reduce,
+        "top_k": top_k,
+        "reduce": reduce,
         "seed": spec.seed,
-        "restarts": args.restarts,
+        "restarts": restarts,
         "results": [
             {
                 "rank": rank,
@@ -417,8 +417,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_energy(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
-    if spec.fmt == "csv":
-        raise SpecError("energy writes --format json or ascii-grid, not csv")
     dims = spec.grid_dims()
     try:
         sites = _read_sites(args.config)
@@ -458,7 +456,7 @@ def _cmd_energy(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _build_spec(args, need_dims=False)
+    spec = _build_spec(args)
     dims_list = [parse_dims(part) for part in args.dims_list.split(";") if part.strip()]
     if not dims_list:
         raise SpecError("sweep needs at least one dims entry")
@@ -522,59 +520,89 @@ def _cmd_bernstein(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Every flag a command may take; each command registers the ones it reads.
+_FLAGS: dict[str, dict] = {
+    "--spec": dict(type=Path, help="spec file; flags override it"),
+    "--dims": dict(type=str, help="grid sizes, e.g. 4,4"),
+    "--metric": dict(type=str, choices=sorted(_METRICS), help="distance kind"),
+    "--f": dict(type=str, help="energy function: inverse-power:A | exp:A[:sq] | table:PATH"),
+    "--p": dict(type=int, help="particle count"),
+    "--tie-tol": dict(type=float, help="eigenvalue tie tolerance (default: scaled 1e-9)"),
+    "--budget": dict(type=int, help="work budget in member pairs (exhaustive method)"),
+    "--seed": dict(type=int, help="random seed (local method; default 0)"),
+    "--format": dict(dest="fmt", type=str, help="output format (default: the first choice)"),
+    "--out": dict(type=Path, help="output file (default: stdout)"),
+    "--objective": dict(choices=["total", "max"], default="total"),
+    "--top-k": dict(type=int, help="hits to report (exhaustive method; default 1)"),
+    "--reduce": dict(choices=["none", "translations"], help="orbit reduction (exhaustive method; default none)"),
+    "--method": dict(choices=["exhaustive", "local"], default="exhaustive"),
+    "--restarts": dict(type=int, help="restarts (local method; default 1)"),
+    "--config": dict(type=Path, required=True, help="file of sites, one comma-separated coordinate tuple per line"),
+    "--dims-list": dict(type=str, required=True, help="semicolon-separated dims, e.g. '2,2;4,4;8,4'"),
+    "--n": dict(type=int, required=True),
+    "--a": dict(type=float, required=True),
+    "--power": dict(type=int, choices=[1, 2], default=1),
+    "--a-grid": dict(type=str, required=True, help="comma-separated bases > 1"),
+}
+
+
+@dataclass(frozen=True)
+class _Command:
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    flags: tuple[str, ...]
+    formats: tuple[str, ...]  # the first is the default
+
+
+_COMMANDS: dict[str, _Command] = {
+    "eigs": _Command(
+        _cmd_eigs, "eigenvalue table as CSV plus a JSON summary",
+        ("--spec", "--dims", "--metric", "--f", "--tie-tol", "--out"), ("csv",),
+    ),
+    "certify": _Command(
+        _cmd_certify, "checkerboard certificate as JSON (exit 1 if refused)",
+        ("--spec", "--dims", "--metric", "--f", "--tie-tol", "--out"), ("json",),
+    ),
+    "search": _Command(
+        _cmd_search, "rank p-subsets by total or maximal energy",
+        ("--spec", "--dims", "--metric", "--f", "--p", "--budget", "--seed", "--format", "--out",
+         "--objective", "--top-k", "--reduce", "--method", "--restarts"),
+        ("json", "csv", "ascii-grid"),
+    ),
+    "energy": _Command(
+        _cmd_energy, "energy report for a configuration file",
+        ("--spec", "--dims", "--metric", "--f", "--format", "--out", "--config"), ("json", "ascii-grid"),
+    ),
+    "sweep": _Command(
+        _cmd_sweep, "batch certificates over a list of grids (CSV)",
+        ("--spec", "--metric", "--f", "--tie-tol", "--out", "--dims-list"), ("csv",),
+    ),
+    "factor-curve": _Command(
+        _cmd_factor_curve, "one per-dimension factor curve (CSV)",
+        ("--n", "--a", "--power", "--out"), ("csv",),
+    ),
+    "bernstein": _Command(
+        _cmd_bernstein, "factor-curve argmin sweep over a base grid (CSV)",
+        ("--n", "--power", "--a-grid", "--out"), ("csv",),
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toric-lab",
         description="Spectral certificates and configuration search for repelling particles on toric grids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eigs = sub.add_parser("eigs", help="eigenvalue table as CSV plus a JSON summary")
-    _add_instance_flags(p_eigs)
-    p_eigs.set_defaults(func=_cmd_eigs)
-
-    p_cert = sub.add_parser("certify", help="checkerboard certificate as JSON (exit 1 if refused)")
-    _add_instance_flags(p_cert)
-    p_cert.set_defaults(func=_cmd_certify)
-
-    p_search = sub.add_parser("search", help="rank p-subsets by total or maximal energy")
-    _add_instance_flags(p_search)
-    p_search.add_argument("--objective", choices=["total", "max"], default="total")
-    p_search.add_argument("--top-k", type=int, default=1)
-    p_search.add_argument("--reduce", choices=["none", "translations"], default="none")
-    p_search.add_argument("--method", choices=["exhaustive", "local"], default="exhaustive")
-    p_search.add_argument("--restarts", type=int, default=1, help="restarts for --method local")
-    p_search.set_defaults(func=_cmd_search)
-
-    p_energy = sub.add_parser("energy", help="energy report for a configuration file")
-    _add_instance_flags(p_energy)
-    p_energy.add_argument("--config", type=Path, required=True,
-                          help="file of sites, one comma-separated coordinate tuple per line")
-    p_energy.set_defaults(func=_cmd_energy)
-
-    # no abbreviations, so that --dims is refused rather than read as --dims-list
-    p_sweep = sub.add_parser(
-        "sweep", help="batch certificates over a list of grids (CSV)", allow_abbrev=False
-    )
-    _add_instance_flags(p_sweep, need_dims=False)
-    p_sweep.add_argument("--dims-list", type=str, required=True,
-                         help="semicolon-separated dims, e.g. '2,2;4,4;8,4'")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_curve = sub.add_parser("factor-curve", help="one per-dimension factor curve (CSV)")
-    p_curve.add_argument("--n", type=int, required=True)
-    p_curve.add_argument("--a", type=float, required=True)
-    p_curve.add_argument("--power", type=int, choices=[1, 2], default=1)
-    p_curve.add_argument("--out", type=Path, default=None)
-    p_curve.set_defaults(func=_cmd_factor_curve)
-
-    p_bern = sub.add_parser("bernstein", help="factor-curve argmin sweep over a base grid (CSV)")
-    p_bern.add_argument("--n", type=int, required=True)
-    p_bern.add_argument("--power", type=int, choices=[1, 2], default=1)
-    p_bern.add_argument("--a-grid", type=str, required=True, help="comma-separated bases > 1")
-    p_bern.add_argument("--out", type=Path, default=None)
-    p_bern.set_defaults(func=_cmd_bernstein)
-
+    for name, command in _COMMANDS.items():
+        # no abbreviations, so that sweep refuses --dims rather than read it as --dims-list
+        p_cmd = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        for flag in command.flags:
+            options = dict(_FLAGS[flag])
+            if flag == "--format":
+                options["choices"] = command.formats
+            p_cmd.add_argument(flag, **options)
+        p_cmd.set_defaults(func=command.run, formats=command.formats)
     return parser
 
 

@@ -47,6 +47,7 @@ __all__ = [
 DEFAULT_WORK_BUDGET = 10**10
 
 # Most rows of a difference table: |G| for the kernel matrix, p for a configuration.
+# Its square bounds the entries of the max objective's swap tensor in local search.
 _MAX_MATRIX_SITES = 2048
 
 # Most pair entries exhaustive search gathers at once: batch rows x p^2.
@@ -387,6 +388,12 @@ def local_search(
         raise ValueError(f"particle count {p} out of range 0..{dims.order}")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
+    # the max objective's descent scores every swap on a p x (|G| - p) x p tensor
+    if objective == "max" and p * p * (dims.order - p) > _MAX_MATRIX_SITES**2:
+        raise BudgetExceededError(
+            f"refusing a {p} x {dims.order - p} x {p} swap tensor for the max objective "
+            f"(limit {_MAX_MATRIX_SITES ** 2} entries)"
+        )
     kernel = build_kernel(dims, metric, f)
     K = kernel_matrix(kernel)
     rng = np.random.default_rng(rng_seed)

@@ -15,7 +15,7 @@ import bisect
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -201,6 +201,37 @@ class SignReport:
         return self.passed
 
 
+def _sign_report(
+    max_order: int, xs: Sequence[float], scan: Callable[[int, float], tuple[float, float]]
+) -> SignReport:
+    """Scan orders 0..max_order over xs; scan(m, x) gives a value and its rounding band.
+
+    (-1)^m * value must exceed the band; inside it the point is inconclusive,
+    below it a failure.
+    """
+    violations: list[SignViolation] = []
+    for m in range(max_order + 1):
+        for x in xs:
+            value, band = scan(m, x)
+            signed = value if m % 2 == 0 else -value
+            if signed > band:
+                continue
+            severity = "inconclusive" if signed >= -band else "fail"
+            violations.append(SignViolation(order=m, x=float(x), value=value, severity=severity))
+    if any(v.severity == "fail" for v in violations):
+        status = "fail"
+    elif violations:
+        status = "inconclusive"
+    else:
+        status = "pass"
+    return SignReport(
+        status=status,
+        violations=tuple(violations),
+        orders_checked=max_order + 1,
+        points_checked=(max_order + 1) * len(xs),
+    )
+
+
 def check_alternating_differences(
     f: EnergyFunction | Callable[[float], float],
     max_order: int,
@@ -215,30 +246,11 @@ def check_alternating_differences(
     xs = sorted(set(int(x) for x in window))
     if max_order < 0:
         raise ValueError(f"max_order must be non-negative, got {max_order}")
-    violations: list[SignViolation] = []
-    points = 0
-    for m in range(max_order + 1):
-        for x in xs:
-            value = forward_difference(f, m, x)
-            signed = value if m % 2 == 0 else -value
-            tol = STRICTNESS_RTOL * max(1.0, abs(f(x)))
-            points += 1
-            if signed > tol:
-                continue
-            severity = "inconclusive" if signed >= -tol else "fail"
-            violations.append(SignViolation(order=m, x=float(x), value=value, severity=severity))
-    if any(v.severity == "fail" for v in violations):
-        status = "fail"
-    elif violations:
-        status = "inconclusive"
-    else:
-        status = "pass"
-    return SignReport(
-        status=status,
-        violations=tuple(violations),
-        orders_checked=max_order + 1,
-        points_checked=points,
-    )
+
+    def scan(m: int, x: int) -> tuple[float, float]:
+        return forward_difference(f, m, x), STRICTNESS_RTOL * max(1.0, abs(f(x)))
+
+    return _sign_report(max_order, xs, scan)
 
 
 def _central_derivative(f: Callable[[float], float], k: int, x: float, step: float) -> float:
@@ -270,29 +282,11 @@ def check_complete_monotonicity_proxy(
     xs = sorted(set(float(x) for x in grid))
     if any(x <= 0 for x in xs):
         raise ValueError("grid points must be positive")
-    violations: list[SignViolation] = []
-    points = 0
     eps = np.finfo(np.float64).eps
-    for k in range(max_order + 1):
-        for x in xs:
-            est = _central_derivative(f, k, x, step)
-            signed = est if k % 2 == 0 else -est
-            # rounding noise of a k-point stencil with O(1) coefficients
-            noise = 8.0 * (2.0**k) * eps * max(1.0, abs(f(x))) / step**k
-            points += 1
-            if signed > noise:
-                continue
-            severity = "inconclusive" if signed >= -noise else "fail"
-            violations.append(SignViolation(order=k, x=x, value=est, severity=severity))
-    if any(v.severity == "fail" for v in violations):
-        status = "fail"
-    elif violations:
-        status = "inconclusive"
-    else:
-        status = "pass"
-    return SignReport(
-        status=status,
-        violations=tuple(violations),
-        orders_checked=max_order + 1,
-        points_checked=points,
-    )
+
+    def scan(k: int, x: float) -> tuple[float, float]:
+        # rounding noise of a k-point stencil with O(1) coefficients
+        noise = 8.0 * (2.0**k) * eps * max(1.0, abs(f(x))) / step**k
+        return _central_derivative(f, k, x, step), noise
+
+    return _sign_report(max_order, xs, scan)

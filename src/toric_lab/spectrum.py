@@ -29,7 +29,6 @@ from .grid import (
     Character,
     GridDims,
     Metric,
-    conjugate_character,
     index_to_site,
     minus_one_character,
     site_index,
@@ -56,7 +55,6 @@ class EigenTable:
 
     dims: GridDims
     values: np.ndarray = field(repr=False)
-    kernel: KernelTable = field(repr=False)
 
     def value_at(self, chi: Character) -> float:
         return float(self.values[site_index(self.dims, chi)])
@@ -83,7 +81,7 @@ def eigen_table(kernel: KernelTable) -> EigenTable:
     # asymmetry of the transform so equality holds exactly in the stored table
     conj_index = np.ix_(*[(-np.arange(n)) % n for n in dims.sizes])
     values = ((real + real[conj_index]) / 2.0).ravel()
-    return EigenTable(dims=dims, values=values, kernel=kernel)
+    return EigenTable(dims=dims, values=values)
 
 
 def default_tie_tol(lambda_min: float) -> float:
@@ -129,23 +127,6 @@ class RelaxationSolution:
     is_checkerboard_certified: bool
 
 
-def _real_multiplicity(dims: GridDims, chars: list[Character]) -> int:
-    seen: set[Character] = set()
-    mult = 0
-    for chi in chars:
-        if chi in seen:
-            continue
-        conj = conjugate_character(dims, chi)
-        if conj == chi:
-            mult += 1
-            seen.add(chi)
-        else:
-            mult += 2
-            seen.add(chi)
-            seen.add(conj)
-    return mult
-
-
 def solve_relaxation(eigs: EigenTable, p: int, tie_tol: float | None = None) -> RelaxationSolution:
     """Solve the relaxation exactly from the eigenvalue table."""
     dims = eigs.dims
@@ -159,7 +140,8 @@ def solve_relaxation(eigs: EigenTable, p: int, tie_tol: float | None = None) -> 
         tie_tol = default_tie_tol(lam_min)
     weight = p - p * p / dims.order
     optimal = lam_triv * (p * p / dims.order) + lam_min * weight
-    mult = _real_multiplicity(dims, argmin)
+    # argmin is closed under conjugation: one real dimension per character
+    mult = len(argmin)
     certified = (
         dims.all_even()
         and 2 * p == dims.order

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -14,11 +15,14 @@ from toric_lab.cli import (
     EXIT_SPEC,
     InstanceSpec,
     SpecError,
+    _build_parser,
     main,
     parse_dims,
     parse_energy,
 )
-from toric_lab.energy import ExponentialAtom, InversePower, Tabulated
+from toric_lab.energy import ExponentialAtom, InversePower, Tabulated, build_kernel
+from toric_lab.grid import GridDims, Metric, index_to_site
+from toric_lab.spectrum import eigen_table
 
 
 def load_schema(name):
@@ -422,3 +426,120 @@ class TestSpecFileFlow:
         assert code == EXIT_OK
         row = list(csv.reader(io.StringIO(stdout)))[1]
         assert float(row[4]) == 25.999999999999996
+
+
+# The flags each command reads, and nothing else.
+COMMAND_FLAGS = {
+    "eigs": {"--spec", "--dims", "--metric", "--f", "--tie-tol", "--out"},
+    "certify": {"--spec", "--dims", "--metric", "--f", "--tie-tol", "--out"},
+    "sweep": {"--spec", "--metric", "--f", "--tie-tol", "--out", "--dims-list"},
+    "energy": {"--spec", "--dims", "--metric", "--f", "--format", "--out", "--config"},
+    "search": {
+        "--spec", "--dims", "--metric", "--f", "--p", "--budget", "--seed", "--format", "--out",
+        "--objective", "--top-k", "--reduce", "--method", "--restarts",
+    },
+    "factor-curve": {"--n", "--a", "--power", "--out"},
+    "bernstein": {"--n", "--power", "--a-grid", "--out"},
+}
+
+# A valid invocation of each instance command, to which one unread flag is added.
+BASE_ARGV = {
+    "eigs": ("eigs", "--dims", "2"),
+    "certify": ("certify", "--dims", "4,4"),
+    "sweep": ("sweep", "--dims-list", "2,2"),
+    "energy": ("energy", "--dims", "2,2", "--config", "sites.txt"),
+    "search": ("search", "--dims", "4,2", "--p", "3"),
+}
+
+REMOVED_FLAGS = [
+    ("eigs", "--p", "3"), ("eigs", "--budget", "1"), ("eigs", "--seed", "5"),
+    ("eigs", "--format", "csv"),
+    ("certify", "--p", "3"), ("certify", "--budget", "1"), ("certify", "--seed", "5"),
+    ("certify", "--format", "csv"),
+    ("sweep", "--p", "2"), ("sweep", "--budget", "1"), ("sweep", "--seed", "5"),
+    ("sweep", "--format", "csv"),
+    ("energy", "--p", "2"), ("energy", "--tie-tol", "0.1"), ("energy", "--budget", "1"),
+    ("energy", "--seed", "5"),
+    ("search", "--tie-tol", "0.1"),
+]
+
+
+class TestCommandFlags:
+    def test_option_sets_match_table(self):
+        parser = _build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
+            for name, p in sub.choices.items()
+        }
+        assert options == COMMAND_FLAGS
+        assert sum(len(flags) for flags in options.values()) == 47
+
+    @pytest.mark.parametrize("command, flag, value", REMOVED_FLAGS)
+    def test_removed_flag_exit_2(self, capsys, command, flag, value):
+        code, stdout, err = run(capsys, *BASE_ARGV[command], flag, value)
+        assert code == EXIT_SPEC
+        assert stdout == ""
+        assert f"{flag} {value}" in err
+
+    @pytest.mark.parametrize("extra, flag", [
+        (("--method", "local", "--top-k", "5"), "--top-k"),
+        (("--method", "local", "--reduce", "translations"), "--reduce"),
+        (("--method", "local", "--budget", "100"), "--budget"),
+        (("--restarts", "3"), "--restarts"),
+        (("--method", "exhaustive", "--seed", "4"), "--seed"),
+    ])
+    def test_search_flag_of_other_method_exit_2(self, capsys, extra, flag):
+        code, stdout, err = run(capsys, *BASE_ARGV["search"], *extra)
+        assert code == EXIT_SPEC
+        assert stdout == ""
+        assert flag in err
+
+    @pytest.mark.parametrize("command, fmt", [("certify", "csv"), ("eigs", "json"), ("sweep", "json")])
+    def test_spec_format_not_written_exit_2(self, capsys, tmp_path, command, fmt):
+        path = tmp_path / "instance.spec"
+        path.write_text(f"dims = 4,4\nformat = {fmt}\n", encoding="utf-8")
+        argv = ("sweep", "--dims-list", "2,2") if command == "sweep" else (command,)
+        code, stdout, err = run(capsys, *argv, "--spec", str(path))
+        assert code == EXIT_SPEC
+        assert stdout == ""
+        assert repr(fmt) in err
+
+    def test_spec_format_written(self, capsys, tmp_path):
+        path = tmp_path / "instance.spec"
+        path.write_text("dims = 2,2\nf = inverse-power:1\nformat = ascii-grid\n", encoding="utf-8")
+        config = tmp_path / "pair.txt"
+        config.write_text("0,0\n1,1\n", encoding="utf-8")
+        code, stdout, _ = run(capsys, "energy", "--spec", str(path), "--config", str(config))
+        assert code == EXIT_OK
+        assert stdout.startswith("10\n01\n")
+
+    def test_unset_format_not_written_to_spec(self):
+        text = InstanceSpec(dims=(4, 4)).to_text()
+        assert "format" not in text
+        assert InstanceSpec.from_text(text).fmt == "unset"
+
+    def test_max_swap_tensor_exit_3(self, capsys):
+        code, stdout, err = run(
+            capsys, "search", "--dims", "32,32", "--p", "512", "--objective", "max",
+            "--method", "local",
+        )
+        assert code == EXIT_BUDGET
+        assert stdout == ""
+        assert "swap tensor" in err
+
+
+def test_eigs_csv_rows_in_site_order(capsys, tmp_path):
+    out = tmp_path / "eigs.csv"
+    code, _, _ = run(
+        capsys, "eigs", "--dims", "4,2,6", "--metric", "euclid", "--f", "exp:2", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    dims = GridDims((4, 2, 6))
+    values = eigen_table(build_kernel(dims, Metric.EUCLIDEAN, ExponentialAtom(2.0))).values
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["j1", "j2", "j3", "lambda"])
+    for i in range(dims.order):
+        writer.writerow(list(map(str, index_to_site(dims, i))) + [format(float(values[i]), ".17g")])
+    assert out.read_bytes() == expected.getvalue().encode("utf-8")

@@ -392,6 +392,11 @@ class TestLocalSearch:
         assert result.value < board.e_max - 1e-9
         assert result.config.p == 18
 
+    def test_max_swap_tensor_refused(self):
+        # 512 x 512 x 512 float64 entries per descent step would need 1 GiB
+        with pytest.raises(BudgetExceededError, match="512 x 512 x 512"):
+            local_search(GridDims.of(32, 32), Metric.LEE, HARMONIC, 512, objective="max")
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             local_search(GridDims.of(2, 2), Metric.LEE, HARMONIC, 1, objective="median")
