@@ -1,11 +1,12 @@
 """Command-line front end: eigenvalue tables, certificates, searches, and sweeps.
 
-Instances are described by a flat key-value spec file (one `key = value`
-per line) with every command-line flag overriding the file.  Each command
-takes only the flags it reads and writes only the formats it lists in
-`_COMMANDS`.  Outputs are CSV (RFC 4180, LF line endings,
-17-significant-digit floats) and JSON documents matching the schemas shipped
-under `toric_lab/schemas/`.
+Each command takes only the flags it reads and writes only the formats it
+lists in `_COMMANDS`.  `--spec FILE` holds one `key = value` per line, whose
+keys are the command's own flags by their argparse `dest` names (`dims`,
+`tie_tol`, `format`, ...).  The file's flags go ahead of the command line's,
+so a flag overrides the file, and one parse validates both alike.  Outputs
+are CSV (RFC 4180, LF line endings, 17-significant-digit floats) and JSON
+documents matching the schemas shipped under `toric_lab/schemas/`.
 
 Exit codes: 0 success (and certificate granted), 1 certificate refused,
 2 invalid spec or arguments, 3 work-budget or allocation refusal, 4 I/O
@@ -22,7 +23,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -31,7 +32,7 @@ from .configs import BudgetExceededError, Configuration, DEFAULT_WORK_BUDGET
 from .energy import EnergyFunction, ExponentialAtom, InversePower, Tabulated, build_kernel
 from .grid import GridDims, Metric
 
-__all__ = ["InstanceSpec", "SpecError", "main"]
+__all__ = ["SpecError", "main"]
 
 BUDGET_ENV_VAR = "TORIC_LAB_BUDGET"
 
@@ -40,9 +41,6 @@ EXIT_NOT_CERTIFIED = 1
 EXIT_SPEC = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
-
-_METRICS = {m.value: m for m in Metric}
-_FORMATS = ("json", "csv", "ascii-grid")
 
 
 class SpecError(ValueError):
@@ -101,94 +99,6 @@ def _read_table(path: Path) -> dict[float, float]:
     return table
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
-    """One problem instance plus run policy; round-trips through spec files."""
-
-    dims: tuple[int, ...]
-    metric: str = "lee"
-    f: str = "inverse-power:1"
-    p: int | None = None
-    tie_tol: float | None = None
-    budget: int = DEFAULT_WORK_BUDGET
-    seed: int = 0
-    fmt: str = "unset"  # unset: the command writes its first format
-
-    def grid_dims(self) -> GridDims:
-        try:
-            return GridDims(self.dims)
-        except ValueError as exc:
-            raise SpecError(str(exc)) from None
-
-    def metric_kind(self) -> Metric:
-        try:
-            return _METRICS[self.metric]
-        except KeyError:
-            raise SpecError(
-                f"unknown metric {self.metric!r} (expected one of {sorted(_METRICS)})"
-            ) from None
-
-    def energy_fn(self) -> EnergyFunction:
-        return parse_energy(self.f)
-
-    def to_text(self) -> str:
-        lines = [f"dims = {','.join(str(n) for n in self.dims)}"]
-        lines.append(f"metric = {self.metric}")
-        lines.append(f"f = {self.f}")
-        if self.p is not None:
-            lines.append(f"p = {self.p}")
-        if self.tie_tol is not None:
-            lines.append(f"tie_tol = {self.tie_tol!r}")
-        lines.append(f"budget = {self.budget}")
-        lines.append(f"seed = {self.seed}")
-        if self.fmt != "unset":
-            lines.append(f"format = {self.fmt}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> InstanceSpec:
-        keys: dict[str, str] = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise SpecError(f"expected 'key = value', got {raw!r}")
-            key = key.strip()
-            if key in keys:
-                raise SpecError(f"spec key {key!r} is set twice")
-            keys[key] = value.strip()
-        known = {"dims", "metric", "f", "p", "tie_tol", "budget", "seed", "format"}
-        unknown = set(keys) - known
-        if unknown:
-            raise SpecError(f"unknown spec keys {sorted(unknown)}")
-        if "dims" not in keys:
-            raise SpecError("spec file must set dims")
-        fmt = keys.get("format", "unset")
-        if "format" in keys and fmt not in _FORMATS:
-            raise SpecError(f"unknown format {fmt!r} (expected one of {list(_FORMATS)})")
-        try:
-            return cls(
-                dims=parse_dims(keys["dims"]),
-                metric=keys.get("metric", "lee"),
-                f=keys.get("f", "inverse-power:1"),
-                p=int(keys["p"]) if "p" in keys else None,
-                tie_tol=float(keys["tie_tol"]) if "tie_tol" in keys else None,
-                budget=int(keys["budget"]) if "budget" in keys else _default_budget(),
-                seed=int(keys.get("seed", "0")),
-                fmt=fmt,
-            )
-        except ValueError as exc:
-            if isinstance(exc, SpecError):
-                raise
-            raise SpecError(f"bad spec value: {exc}") from None
-
-    @classmethod
-    def from_file(cls, path: Path) -> InstanceSpec:
-        return cls.from_text(path.read_text(encoding="utf-8"))
-
-
 def _default_budget() -> int:
     env = os.environ.get(BUDGET_ENV_VAR)
     if env is None:
@@ -199,30 +109,8 @@ def _default_budget() -> int:
         raise SpecError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-def _build_spec(args: argparse.Namespace) -> InstanceSpec:
-    if args.spec is not None:
-        base = InstanceSpec.from_file(args.spec)
-    elif hasattr(args, "dims") and args.dims is None:
-        raise SpecError("either --spec or --dims is required")
-    else:
-        # dims is set from the flag below; sweep takes its grids from --dims-list
-        base = InstanceSpec(dims=(1,), budget=_default_budget())
-    updates = {}
-    for name in ("dims", "metric", "f", "p", "tie_tol", "budget", "seed", "fmt"):
-        value = getattr(args, name, None)
-        if value is not None:
-            updates[name] = parse_dims(value) if name == "dims" else value
-    spec = replace(base, **updates)
-    if spec.fmt == "unset":
-        spec = replace(spec, fmt=args.formats[0])
-    elif spec.fmt not in args.formats:
-        raise SpecError(
-            f"{args.command} writes {' or '.join(args.formats)}, not format {spec.fmt!r}"
-        )
-    spec.grid_dims()
-    spec.metric_kind()
-    spec.energy_fn()
-    return spec
+def _instance(args: argparse.Namespace) -> tuple[GridDims, Metric, EnergyFunction]:
+    return GridDims(parse_dims(args.dims)), Metric(args.metric), parse_energy(args.f)
 
 
 @contextlib.contextmanager
@@ -261,14 +149,20 @@ def _render_ascii(config: Configuration) -> str:
     raise SpecError("ascii-grid output supports 1- and 2-dimensional grids only")
 
 
-def _read_sites(path: Path) -> list[tuple[int, ...]]:
-    sites = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+def _read_sites(path: Path, dims: GridDims) -> list[tuple[int, ...]]:
+    """The sites of a configuration file, each on the grid and listed once."""
+    line_of: dict[tuple[int, ...], int] = {}
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        sites.append(tuple(int(c) for c in line.split(",")))
-    return sites
+        site = tuple(int(c) for c in line.split(","))
+        if len(site) != dims.ndim or not all(0 <= c < n for c, n in zip(site, dims.sizes)):
+            raise SpecError(f"line {number}: {line!r} is not a site of the {dims} grid")
+        if site in line_of:
+            raise SpecError(f"line {number}: {line!r} repeats the site of line {line_of[site]}")
+        line_of[site] = number
+    return list(line_of)
 
 
 def _summary_path(out: Path) -> Path:
@@ -278,11 +172,9 @@ def _summary_path(out: Path) -> Path:
 
 
 def _cmd_eigs(args: argparse.Namespace) -> int:
-    spec = _build_spec(args)
-    dims = spec.grid_dims()
-    kernel = build_kernel(dims, spec.metric_kind(), spec.energy_fn())
-    table = spectrum.eigen_table(kernel)
-    lam_min, argmin = spectrum.min_nontrivial(table, spec.tie_tol)
+    dims, metric, f = _instance(args)
+    table = spectrum.eigen_table(build_kernel(dims, metric, f))
+    lam_min, argmin = spectrum.min_nontrivial(table, args.tie_tol)
     header = [f"j{i + 1}" for i in range(dims.ndim)] + ["lambda"]
     # the table is in row-major character order, the order of itertools.product
     labels = [[str(j) for j in range(n)] for n in dims.sizes]
@@ -292,12 +184,12 @@ def _cmd_eigs(args: argparse.Namespace) -> int:
     )
     summary = {
         "dims": list(dims.sizes),
-        "metric": spec.metric,
-        "f": spec.f,
+        "metric": args.metric,
+        "f": args.f,
         "lambda_trivial": float(table.values[0]),
         "lambda_min": lam_min,
         "argmin": [list(c) for c in argmin],
-        "tie_tol": spec.tie_tol if spec.tie_tol is not None else spectrum.default_tie_tol(lam_min),
+        "tie_tol": args.tie_tol if args.tie_tol is not None else spectrum.default_tie_tol(lam_min),
     }
     if args.out is not None:
         _write_csv(args.out, header, rows)
@@ -310,15 +202,11 @@ def _cmd_eigs(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    spec = _build_spec(args)
-    dims = spec.grid_dims()
-    cert = spectrum.checkerboard_certificate(
-        dims, spec.metric_kind(), spec.energy_fn(), spec.tie_tol
-    )
+    cert = spectrum.checkerboard_certificate(*_instance(args), args.tie_tol)
     doc = {
-        "dims": list(dims.sizes),
-        "metric": spec.metric,
-        "f": spec.f,
+        "dims": list(cert.dims.sizes),
+        "metric": args.metric,
+        "f": args.f,
         "p": cert.p,
         "certified": cert.certified,
         "lambda_trivial": cert.lambda_trivial,
@@ -339,48 +227,47 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     # flags that only the other method reads
-    unread = ("--top-k", "--reduce", "--budget") if args.method == "local" else ("--restarts", "--seed")
-    for flag in unread:
-        if getattr(args, flag[2:].replace("-", "_")) is not None:
-            raise SpecError(f"{flag} is not read by --method {args.method}")
+    unread = ("top_k", "reduce", "budget") if args.method == "local" else ("restarts", "seed")
+    given = [f"--{name.replace('_', '-')} {getattr(args, name)}" for name in unread
+             if getattr(args, name) is not None]
+    if given:
+        raise SpecError(f"--method {args.method} does not read {', '.join(given)}")
     top_k = 1 if args.top_k is None else args.top_k
     reduce = "none" if args.reduce is None else args.reduce
     restarts = 1 if args.restarts is None else args.restarts
-    spec = _build_spec(args)
-    dims = spec.grid_dims()
-    if spec.p is None:
-        raise SpecError("search requires a particle count (--p)")
+    seed = 0 if args.seed is None else args.seed
+    dims, metric, f = _instance(args)
     if args.method == "exhaustive":
         hits = configs.brute_force(
             dims,
-            spec.metric_kind(),
-            spec.energy_fn(),
-            spec.p,
+            metric,
+            f,
+            args.p,
             objective=args.objective,
             top_k=top_k,
             reduce=reduce,
-            budget=spec.budget,
+            budget=_default_budget() if args.budget is None else args.budget,
         )
     else:
         result = configs.local_search(
             dims,
-            spec.metric_kind(),
-            spec.energy_fn(),
-            spec.p,
+            metric,
+            f,
+            args.p,
             objective=args.objective,
             restarts=restarts,
-            rng_seed=spec.seed,
+            rng_seed=seed,
         )
         hits = [configs.SearchHit(config=result.config, value=result.value, orbit_size=1)]
     doc = {
         "dims": list(dims.sizes),
-        "metric": spec.metric,
-        "f": spec.f,
-        "p": spec.p,
+        "metric": args.metric,
+        "f": args.f,
+        "p": args.p,
         "objective": args.objective,
         "top_k": top_k,
         "reduce": reduce,
-        "seed": spec.seed,
+        "seed": seed,
         "restarts": restarts,
         "results": [
             {
@@ -392,9 +279,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
             for rank, hit in enumerate(hits, start=1)
         ],
     }
-    if spec.fmt == "json":
+    if args.format == "json":
         _emit_json(doc, args.out)
-    elif spec.fmt == "csv":
+    elif args.format == "csv":
         header = ["rank", "value", "orbit_size", "sites"]
         rows = [
             [str(r["rank"]), _fmt(r["value"]), str(r["orbit_size"]),
@@ -416,19 +303,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_energy(args: argparse.Namespace) -> int:
-    spec = _build_spec(args)
-    dims = spec.grid_dims()
+    dims, metric, f = _instance(args)
     try:
-        sites = _read_sites(args.config)
+        sites = _read_sites(args.config, dims)
     except ValueError as exc:
         raise SpecError(f"bad configuration file {args.config}: {exc}") from None
-    try:
-        config = Configuration.from_sites(dims, sites)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
-    kernel = build_kernel(dims, spec.metric_kind(), spec.energy_fn())
-    report = configs.energies(config, kernel)
-    if spec.fmt == "ascii-grid":
+    config = Configuration.from_sites(dims, sites)
+    report = configs.energies(config, build_kernel(dims, metric, f))
+    if args.format == "ascii-grid":
         text = (
             _render_ascii(config)
             + f"\ne_tot={_fmt(report.e_tot)} e_max={_fmt(report.e_max)}"
@@ -439,8 +321,8 @@ def _cmd_energy(args: argparse.Namespace) -> int:
         return EXIT_OK
     doc = {
         "dims": list(dims.sizes),
-        "metric": spec.metric,
-        "f": spec.f,
+        "metric": args.metric,
+        "f": args.f,
         "p": config.p,
         "per_site": [
             {"site": list(site), "energy": value}
@@ -456,7 +338,7 @@ def _cmd_energy(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _build_spec(args)
+    metric, f = Metric(args.metric), parse_energy(args.f)
     dims_list = [parse_dims(part) for part in args.dims_list.split(";") if part.strip()]
     if not dims_list:
         raise SpecError("sweep needs at least one dims entry")
@@ -468,9 +350,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     all_certified = True
     for sizes in dims_list:
         dims = GridDims(sizes)
-        cert = spectrum.checkerboard_certificate(
-            dims, spec.metric_kind(), spec.energy_fn(), spec.tie_tol
-        )
+        cert = spectrum.checkerboard_certificate(dims, metric, f, args.tie_tol)
         all_certified = all_certified and cert.certified
         rows.append([
             str(dims),
@@ -522,15 +402,16 @@ def _cmd_bernstein(args: argparse.Namespace) -> int:
 
 # Every flag a command may take; each command registers the ones it reads.
 _FLAGS: dict[str, dict] = {
-    "--spec": dict(type=Path, help="spec file; flags override it"),
-    "--dims": dict(type=str, help="grid sizes, e.g. 4,4"),
-    "--metric": dict(type=str, choices=sorted(_METRICS), help="distance kind"),
-    "--f": dict(type=str, help="energy function: inverse-power:A | exp:A[:sq] | table:PATH"),
-    "--p": dict(type=int, help="particle count"),
+    "--spec": dict(type=Path, help="file of 'key = value' lines keyed by flag dest (e.g. tie_tol); flags override it"),
+    "--dims": dict(type=str, required=True, help="grid sizes, e.g. 4,4"),
+    "--metric": dict(type=str, choices=sorted(m.value for m in Metric), default="lee", help="distance kind"),
+    "--f": dict(type=str, default="inverse-power:1",
+                help="energy function: inverse-power:A | exp:A[:sq] | table:PATH"),
+    "--p": dict(type=int, required=True, help="particle count"),
     "--tie-tol": dict(type=float, help="eigenvalue tie tolerance (default: scaled 1e-9)"),
     "--budget": dict(type=int, help="work budget in member pairs (exhaustive method)"),
     "--seed": dict(type=int, help="random seed (local method; default 0)"),
-    "--format": dict(dest="fmt", type=str, help="output format (default: the first choice)"),
+    "--format": dict(type=str, help="output format (default: the first choice)"),
     "--out": dict(type=Path, help="output file (default: stdout)"),
     "--objective": dict(choices=["total", "max"], default="total"),
     "--top-k": dict(type=int, help="hits to report (exhaustive method; default 1)"),
@@ -551,17 +432,17 @@ class _Command:
     run: Callable[[argparse.Namespace], int]
     help: str
     flags: tuple[str, ...]
-    formats: tuple[str, ...]  # the first is the default
+    formats: tuple[str, ...] = ()  # the --format choices; the first is the default
 
 
 _COMMANDS: dict[str, _Command] = {
     "eigs": _Command(
         _cmd_eigs, "eigenvalue table as CSV plus a JSON summary",
-        ("--spec", "--dims", "--metric", "--f", "--tie-tol", "--out"), ("csv",),
+        ("--spec", "--dims", "--metric", "--f", "--tie-tol", "--out"),
     ),
     "certify": _Command(
         _cmd_certify, "checkerboard certificate as JSON (exit 1 if refused)",
-        ("--spec", "--dims", "--metric", "--f", "--tie-tol", "--out"), ("json",),
+        ("--spec", "--dims", "--metric", "--f", "--tie-tol", "--out"),
     ),
     "search": _Command(
         _cmd_search, "rank p-subsets by total or maximal energy",
@@ -575,15 +456,15 @@ _COMMANDS: dict[str, _Command] = {
     ),
     "sweep": _Command(
         _cmd_sweep, "batch certificates over a list of grids (CSV)",
-        ("--spec", "--metric", "--f", "--tie-tol", "--out", "--dims-list"), ("csv",),
+        ("--spec", "--metric", "--f", "--tie-tol", "--out", "--dims-list"),
     ),
     "factor-curve": _Command(
         _cmd_factor_curve, "one per-dimension factor curve (CSV)",
-        ("--n", "--a", "--power", "--out"), ("csv",),
+        ("--n", "--a", "--power", "--out"),
     ),
     "bernstein": _Command(
         _cmd_bernstein, "factor-curve argmin sweep over a base grid (CSV)",
-        ("--n", "--power", "--a-grid", "--out"), ("csv",),
+        ("--n", "--power", "--a-grid", "--out"),
     ),
 }
 
@@ -600,20 +481,64 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag in command.flags:
             options = dict(_FLAGS[flag])
             if flag == "--format":
-                options["choices"] = command.formats
+                options.update(choices=command.formats, default=command.formats[0])
             p_cmd.add_argument(flag, **options)
-        p_cmd.set_defaults(func=command.run, formats=command.formats)
+        p_cmd.set_defaults(func=command.run, parser=p_cmd)
     return parser
 
 
+def _spec_flags(path: Path, command: str) -> list[str]:
+    """A spec file's `key = value` lines as `--flag=value` arguments of the command.
+
+    Each key is the dest argparse gives a flag of the command (`tie_tol` for
+    `--tie-tol`); a key set twice, or naming no such flag, is refused.
+    """
+    keys: dict[str, str] = {}
+    for raw in path.read_text(encoding="utf-8").splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise SpecError(f"expected 'key = value', got {raw!r}")
+        key = key.strip()
+        if key in keys:
+            raise SpecError(f"spec key {key!r} is set twice")
+        keys[key] = value.strip()
+    flags = {flag[2:].replace("-", "_"): flag for flag in _COMMANDS[command].flags if flag != "--spec"}
+    unread = [f"{key} = {value!r}" for key, value in keys.items() if key not in flags]
+    if unread:
+        raise SpecError(f"{command} does not read spec keys {', '.join(unread)}")
+    return [f"{flags[key]}={value}" for key, value in keys.items()]
+
+
+# finds --spec FILE on a command line as the full parse reads it, before that parse runs
+_SPEC_FLAG = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+_SPEC_FLAG.add_argument("--spec", type=Path)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse the command line with the flags of its --spec file put ahead of it."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None and "--spec" in command.flags:
+        try:
+            path = _SPEC_FLAG.parse_known_args(argv[1:])[0].spec
+        except argparse.ArgumentError:  # such as --spec without a file: the full parse reports it
+            path = None
+        if path is not None:
+            argv = [argv[0], *_spec_flags(path, argv[0]), *argv[1:]]
+    args, unread = _build_parser().parse_known_args(argv)
+    if unread:
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(list(sys.argv[1:] if argv is None else argv))
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -31,13 +31,8 @@ __all__ = [
     "site_index",
     "index_to_site",
     "enumerate_sites",
-    "coords_array",
-    "add_sites",
-    "negate_site",
     "trivial_character",
     "minus_one_character",
-    "conjugate_character",
-    "character_value",
     "checkerboard_sites",
 ]
 
@@ -170,24 +165,6 @@ def enumerate_sites(dims: GridDims) -> Iterator[Site]:
     return itertools.product(*(range(n) for n in dims.sizes))
 
 
-def coords_array(dims: GridDims) -> np.ndarray:
-    """Integer array of shape (|G|, d) whose row i is the site with index i."""
-    return np.stack(
-        np.unravel_index(np.arange(dims.order), dims.sizes), axis=1
-    ).astype(np.int64)
-
-
-def add_sites(dims: GridDims, g: Sequence[int], h: Sequence[int]) -> Site:
-    _check_site(dims, g, "site g")
-    _check_site(dims, h, "site h")
-    return tuple((a + b) % n for a, b, n in zip(g, h, dims.sizes))
-
-
-def negate_site(dims: GridDims, g: Sequence[int]) -> Site:
-    _check_site(dims, g, "site")
-    return tuple((-a) % n for a, n in zip(g, dims.sizes))
-
-
 def trivial_character(dims: GridDims) -> Character:
     """The character sending every site to 1."""
     return (0,) * dims.ndim
@@ -198,19 +175,6 @@ def minus_one_character(dims: GridDims) -> Character:
     if not dims.all_even():
         raise ValueError(f"(-1, ..., -1) requires all even sizes, got {dims.sizes}")
     return tuple(n // 2 for n in dims.sizes)
-
-
-def conjugate_character(dims: GridDims, chi: Sequence[int]) -> Character:
-    _check_site(dims, chi, "character")
-    return tuple((n - j) % n for j, n in zip(chi, dims.sizes))
-
-
-def character_value(dims: GridDims, chi: Sequence[int], g: Sequence[int]) -> complex:
-    """Value of the character at a site: the product of per-axis roots of unity."""
-    _check_site(dims, chi, "character")
-    _check_site(dims, g, "site")
-    phase = sum((j * c % n) / n for j, c, n in zip(chi, g, dims.sizes))
-    return complex(math.cos(2.0 * math.pi * phase), math.sin(2.0 * math.pi * phase))
 
 
 def checkerboard_sites(dims: GridDims, parity: str = "even") -> list[Site]:

@@ -20,6 +20,7 @@ minimisers of total energy, and (being cosets) of maximal energy as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +98,8 @@ def min_nontrivial(eigs: EigenTable, tie_tol: float | None = None) -> tuple[floa
     """
     if eigs.dims.order < 2:
         raise ValueError("need at least two sites for a non-trivial character")
+    if tie_tol is not None and not (math.isfinite(tie_tol) and tie_tol >= 0):
+        raise ValueError(f"tie_tol must be finite and >= 0, got {tie_tol!r}")
     vals = eigs.values
     lam_min = float(vals[1:].min())
     if tie_tol is None:

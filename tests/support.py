@@ -38,6 +38,29 @@ P4_OPTIMAL_PATTERNS = [
 ROW_CONFIG_4X4 = [(0, 0), (0, 1), (0, 2), (0, 3)]
 
 
+def coords_array(dims: GridDims) -> np.ndarray:
+    """Integer array of shape (|G|, d) whose row i is the site with index i."""
+    return np.stack(np.unravel_index(np.arange(dims.order), dims.sizes), axis=1).astype(np.int64)
+
+
+def add_sites(dims: GridDims, g, h) -> Site:
+    return tuple((a + b) % n for a, b, n in zip(g, h, dims.sizes, strict=True))
+
+
+def negate_site(dims: GridDims, g) -> Site:
+    return tuple((-a) % n for a, n in zip(g, dims.sizes, strict=True))
+
+
+def conjugate_character(dims: GridDims, chi) -> Site:
+    return negate_site(dims, chi)
+
+
+def character_value(dims: GridDims, chi, g) -> complex:
+    """Value of the character at a site: the product of per-axis roots of unity."""
+    phase = sum((j * c % n) / n for j, c, n in zip(chi, g, dims.sizes, strict=True))
+    return complex(math.cos(2.0 * math.pi * phase), math.sin(2.0 * math.pi * phase))
+
+
 def direct_eigen_oracle(kernel: KernelTable) -> np.ndarray:
     """Eigenvalues by the defining O(|G|^2) cosine double sum.
 

@@ -13,7 +13,6 @@ from toric_lab.cli import (
     EXIT_NOT_CERTIFIED,
     EXIT_OK,
     EXIT_SPEC,
-    InstanceSpec,
     SpecError,
     _build_parser,
     main,
@@ -66,36 +65,96 @@ class TestParsing:
         assert f(2) == 0.5
 
 
-class TestInstanceSpec:
-    def test_round_trip(self):
-        spec = InstanceSpec(
-            dims=(4, 4), metric="lee", f="inverse-power:1", p=8,
-            tie_tol=1e-9, budget=10**10, seed=7, fmt="csv",
-        )
-        assert InstanceSpec.from_text(spec.to_text()) == spec
+def write_spec(tmp_path, text):
+    path = tmp_path / "instance.spec"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
 
-    def test_round_trip_with_omitted_optionals(self):
-        spec = InstanceSpec(dims=(8,), metric="euclid-sq", f="exp:1.05")
-        text = spec.to_text()
-        assert "p =" not in text
-        assert "tie_tol" not in text
-        assert InstanceSpec.from_text(text) == spec
 
-    def test_comments_and_blank_lines(self):
+class TestSpecFile:
+    """A spec file's keys are the command's flags by dest name, read by the same parse."""
+
+    @pytest.mark.parametrize("text, flags", [
+        (
+            "dims = 4,4\nmetric = lee\nf = inverse-power:1\np = 8\nbudget = 10000000000\n"
+            "top_k = 3\nreduce = translations\nobjective = max\nformat = csv\n",
+            ("--dims", "4,4", "--metric", "lee", "--f", "inverse-power:1", "--p", "8",
+             "--budget", "10000000000", "--top-k", "3", "--reduce", "translations",
+             "--objective", "max", "--format", "csv"),
+        ),
+        (
+            "dims = 6,6\nmetric = chebyshev\np = 18\nmethod = local\nrestarts = 3\nseed = 7\n",
+            ("--dims", "6,6", "--metric", "chebyshev", "--p", "18", "--method", "local",
+             "--restarts", "3", "--seed", "7"),
+        ),
+    ], ids=["exhaustive", "local"])
+    def test_search_keys_read_as_flags(self, capsys, tmp_path, text, flags):
+        code, stdout, _ = run(capsys, "search", "--spec", write_spec(tmp_path, text))
+        assert (code, stdout) == run(capsys, "search", *flags)[:2]
+        assert code == EXIT_OK
+
+    def test_omitted_keys_take_flag_defaults(self, capsys, tmp_path):
+        path = write_spec(tmp_path, "dims = 8\nmetric = euclid-sq\nf = exp:1.05\n")
+        code, stdout, _ = run(capsys, "certify", "--spec", path)
+        assert code == EXIT_NOT_CERTIFIED
+        assert stdout == run(capsys, "certify", "--dims", "8", "--metric", "euclid-sq", "--f", "exp:1.05")[1]
+        _, stdout, _ = run(capsys, "certify", "--spec", write_spec(tmp_path, "dims = 4,4\n"))
+        doc = json.loads(stdout)
+        assert (doc["metric"], doc["f"]) == ("lee", "inverse-power:1")
+        assert doc["tie_tol"] == pytest.approx(1e-9 * (1 + abs(doc["lambda_min"])))
+
+    def test_comments_and_blank_lines(self, capsys, tmp_path):
         text = "# instance\ndims = 4,4\n\nmetric = lee  # wrap metric\nf = inverse-power:1\n"
-        spec = InstanceSpec.from_text(text)
-        assert spec.dims == (4, 4)
-        assert spec.metric == "lee"
+        code, stdout, _ = run(capsys, "certify", "--spec", write_spec(tmp_path, text))
+        assert code == EXIT_OK
+        doc = json.loads(stdout)
+        assert (doc["dims"], doc["metric"]) == ([4, 4], "lee")
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(SpecError):
-            InstanceSpec.from_text("dims = 4,4\ncolour = blue\n")
-        with pytest.raises(SpecError):
-            InstanceSpec.from_text("metric = lee\n")  # dims missing
-        with pytest.raises(SpecError):
-            InstanceSpec.from_text("dims = 4,4\nthreads = 2\n")
-        with pytest.raises(SpecError):
-            InstanceSpec.from_text("dims = 4,4\nformat = bogus\n")
+    @pytest.mark.parametrize("command, text, named", [
+        ("certify", "dims = 4,4\ncolour = blue\n", "colour = 'blue'"),
+        ("certify", "dims = 4,4\nthreads = 2\n", "threads = '2'"),
+        ("certify", "dims = 4,4\nspec = other.spec\n", "spec = 'other.spec'"),
+        ("certify", "metric = lee\n", "--dims"),
+        ("certify", "dims = 4,4\nformat = bogus\n", "format = 'bogus'"),
+        ("search", "dims = 4,4\np = 2\nformat = bogus\n", "'bogus'"),
+        ("search", "dims = 4,4\np = two\n", "--p"),
+        ("certify", "dims 4,4\n", "'dims 4,4'"),
+    ], ids=["unknown", "threads", "spec", "no-dims", "certify-format", "search-format", "bad-int",
+            "no-equals"])
+    def test_bad_spec_exit_2(self, capsys, tmp_path, command, text, named):
+        code, stdout, err = run(capsys, command, "--spec", write_spec(tmp_path, text))
+        assert code == EXIT_SPEC
+        assert stdout == ""
+        assert named in err
+
+    def test_missing_spec_file_exit_4(self, capsys, tmp_path):
+        code, stdout, _ = run(capsys, "certify", "--spec", str(tmp_path / "nope.spec"))
+        assert code == EXIT_IO
+        assert stdout == ""
+
+    def test_unread_keys_named_with_values(self, capsys, tmp_path):
+        path = write_spec(tmp_path, "dims = 4,4\np = 3\nseed = 5\n")
+        code, stdout, err = run(capsys, "certify", "--spec", path)
+        assert code == EXIT_SPEC
+        assert stdout == ""
+        assert "p = '3'" in err and "seed = '5'" in err
+
+    @pytest.mark.parametrize("text, flag", [
+        ("dims = 4,2\np = 3\nseed = 5\n", "--seed 5"),
+        ("dims = 4,2\np = 3\nmethod = local\nbudget = 1\n", "--budget 1"),
+    ], ids=["exhaustive-seed", "local-budget"])
+    def test_search_key_of_other_method_exit_2(self, capsys, tmp_path, text, flag):
+        code, stdout, err = run(capsys, "search", "--spec", write_spec(tmp_path, text))
+        assert code == EXIT_SPEC
+        assert stdout == ""
+        assert flag in err
+
+    def test_required_flag_from_spec(self, capsys, tmp_path):
+        path = write_spec(tmp_path, "dims_list = 2,2;4,4\nf = inverse-power:2\n")
+        code, stdout, _ = run(capsys, "sweep", "--spec", path)
+        assert code == EXIT_OK
+        assert stdout == run(capsys, "sweep", "--dims-list", "2,2;4,4", "--f", "inverse-power:2")[1]
+        assert len(stdout.splitlines()) == 3
 
 
 class TestEigsCommand:
@@ -197,6 +256,16 @@ class TestCertifyCommand:
         code, _, err = run(capsys, "certify", "--dims", "3,4", "--f", "inverse-power:1")
         assert code == EXIT_SPEC
         assert "even" in err
+
+    @pytest.mark.parametrize("command", ["certify", "eigs", "sweep"])
+    @pytest.mark.parametrize("tie_tol", ["-1", "nan"])
+    def test_bad_tie_tol_exit_2(self, capsys, tmp_path, command, tie_tol):
+        grid = ("--dims-list", "4,4") if command == "sweep" else ("--dims", "4,4")
+        for source in (("--tie-tol", tie_tol), ("--spec", write_spec(tmp_path, f"tie_tol = {tie_tol}\n"))):
+            code, stdout, err = run(capsys, command, *grid, *source)
+            assert code == EXIT_SPEC
+            assert stdout == ""
+            assert "tie_tol must be finite and >= 0" in err
 
     def test_out_file_written(self, capsys, tmp_path):
         out = tmp_path / "cert.json"
@@ -311,6 +380,20 @@ class TestEnergyCommand:
         assert stdout == ""
         assert "json" in err and "ascii-grid" in err
 
+    @pytest.mark.parametrize("lines, named", [
+        ("0,0\n1,1\n# again\n0,0\n", "line 4: '0,0' repeats the site of line 1"),
+        ("0,0\n4,1\n", "line 2: '4,1' is not a site of the 4x4 grid"),
+        ("0,-1\n", "line 1: '0,-1' is not a site"),
+        ("0,0,0\n", "line 1: '0,0,0' is not a site"),
+    ], ids=["repeated", "out-of-range", "negative", "three-coordinates"])
+    def test_bad_site_exit_2(self, capsys, tmp_path, lines, named):
+        config = tmp_path / "sites.txt"
+        config.write_text(lines, encoding="utf-8")
+        code, stdout, err = run(capsys, "energy", "--dims", "4,4", "--config", str(config))
+        assert code == EXIT_SPEC
+        assert stdout == ""
+        assert named in err
+
     def test_missing_file_exit_4(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "energy", "--dims", "4,4", "--f", "inverse-power:1",
@@ -379,21 +462,21 @@ class TestCurveCommands:
 
 class TestSpecFileFlow:
     def test_spec_file_with_flag_override(self, capsys, tmp_path):
-        spec = InstanceSpec(dims=(4, 4), metric="lee", f="inverse-power:1", p=8)
-        path = tmp_path / "instance.spec"
-        path.write_text(spec.to_text(), encoding="utf-8")
-        code, stdout, _ = run(capsys, "certify", "--spec", str(path))
+        path = write_spec(tmp_path, "dims = 4,4\nmetric = lee\nf = inverse-power:1\n")
+        code, stdout, _ = run(capsys, "certify", "--spec", path)
         assert code == EXIT_OK
-        # overriding the metric on the command line wins over the file
-        code2, stdout2, _ = run(
-            capsys, "certify", "--spec", str(path), "--metric", "chebyshev",
-        )
+        assert json.loads(stdout)["metric"] == "lee"
+        # overriding the metric on the command line wins over the file, before or after --spec
+        code2, stdout2, _ = run(capsys, "certify", "--spec", path, "--metric", "chebyshev")
         assert json.loads(stdout2)["metric"] == "chebyshev"
+        code3, stdout3, _ = run(capsys, "certify", "--metric", "chebyshev", "--spec", path)
+        assert stdout3 == stdout2
 
-    def test_float_serialisation_round_trips(self):
-        spec = InstanceSpec(dims=(4,), tie_tol=0.1 + 0.2)
-        parsed = InstanceSpec.from_text(spec.to_text())
-        assert parsed.tie_tol == spec.tie_tol
+    def test_float_serialisation_round_trips(self, capsys, tmp_path):
+        path = write_spec(tmp_path, f"dims = 4\ntie_tol = {0.1 + 0.2!r}\n")
+        code, stdout, _ = run(capsys, "certify", "--spec", path)
+        assert code == EXIT_OK
+        assert json.loads(stdout)["tie_tol"] == 0.1 + 0.2
 
     def test_budget_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("TORIC_LAB_BUDGET", "1000")
@@ -482,6 +565,13 @@ class TestCommandFlags:
         assert stdout == ""
         assert f"{flag} {value}" in err
 
+    def test_unread_flag_shows_command_usage(self, capsys):
+        code, stdout, err = run(capsys, "certify", "--dims", "4,4", "--p", "3")
+        assert code == EXIT_SPEC
+        assert stdout == ""
+        assert err.startswith("usage: toric-lab certify [-h] [--spec SPEC] --dims DIMS")
+        assert "toric-lab certify: error: unrecognized arguments: --p 3" in err
+
     @pytest.mark.parametrize("extra, flag", [
         (("--method", "local", "--top-k", "5"), "--top-k"),
         (("--method", "local", "--reduce", "translations"), "--reduce"),
@@ -514,10 +604,11 @@ class TestCommandFlags:
         assert code == EXIT_OK
         assert stdout.startswith("10\n01\n")
 
-    def test_unset_format_not_written_to_spec(self):
-        text = InstanceSpec(dims=(4, 4)).to_text()
-        assert "format" not in text
-        assert InstanceSpec.from_text(text).fmt == "unset"
+    def test_spec_without_format_writes_first_format(self, capsys, tmp_path):
+        path = write_spec(tmp_path, "dims = 4,2\np = 3\n")
+        code, stdout, _ = run(capsys, "search", "--spec", path)
+        assert code == EXIT_OK
+        jsonschema.validate(json.loads(stdout), load_schema("search-result.schema.json"))
 
     def test_max_swap_tensor_exit_3(self, capsys):
         code, stdout, err = run(

@@ -12,9 +12,9 @@ from toric_lab.energy import (
     check_complete_monotonicity_proxy,
     forward_difference,
 )
-from toric_lab.grid import GridDims, Metric, negate_site, site_index, enumerate_sites
+from toric_lab.grid import GridDims, Metric, site_index, enumerate_sites
 
-from support import tabulated_from_instance
+from support import negate_site, tabulated_from_instance
 
 
 class TestEvaluate:

@@ -7,21 +7,18 @@ from hypothesis import given, strategies as st
 from toric_lab.grid import (
     GridDims,
     Metric,
-    add_sites,
     checkerboard_sites,
-    character_value,
-    conjugate_character,
-    coords_array,
     distance,
     distance_table,
     enumerate_sites,
     index_to_site,
     minus_one_character,
-    negate_site,
     site_index,
     trivial_character,
     wrap_abs,
 )
+
+from support import add_sites, character_value, conjugate_character, coords_array, negate_site
 
 ALL_METRICS = list(Metric)
 

@@ -6,7 +6,6 @@ from toric_lab.energy import ExponentialAtom, InversePower, KernelTable, build_k
 from toric_lab.grid import (
     GridDims,
     Metric,
-    conjugate_character,
     index_to_site,
     site_index,
 )
@@ -18,7 +17,7 @@ from toric_lab.spectrum import (
     solve_relaxation,
 )
 
-from support import TWELVE_LAMBDA_4X4, direct_eigen_oracle
+from support import TWELVE_LAMBDA_4X4, conjugate_character, direct_eigen_oracle
 
 HARMONIC = InversePower(1.0)
 
@@ -140,6 +139,18 @@ class TestMinNontrivial:
         table = eigen_table(kernel)
         _, argmin = min_nontrivial(table, tie_tol=1.0)
         assert (2, 2) in argmin and len(argmin) > 1
+
+    @pytest.mark.parametrize("tie_tol", [-1.0, -1e-300, float("nan"), float("inf")])
+    def test_tie_tolerance_must_be_finite_and_non_negative(self, tie_tol):
+        table = eigen_table(harmonic_4x4()[1])
+        with pytest.raises(ValueError, match="tie_tol"):
+            min_nontrivial(table, tie_tol)
+        with pytest.raises(ValueError, match="tie_tol"):
+            checkerboard_certificate(GridDims.of(4, 4), Metric.LEE, HARMONIC, tie_tol)
+
+    def test_zero_tie_tolerance_keeps_exact_minimum(self):
+        table = eigen_table(harmonic_4x4()[1])
+        assert min_nontrivial(table, 0.0)[1] == [(2, 2)]
 
     def test_needs_two_sites(self):
         kernel = build_kernel(GridDims.of(1), Metric.LEE, HARMONIC)
