@@ -21,20 +21,17 @@ import csv
 import io
 import itertools
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import analysis, configs, spectrum
-from .configs import BudgetExceededError, Configuration, DEFAULT_WORK_BUDGET
+from .configs import BudgetExceededError, Configuration
 from .energy import EnergyFunction, ExponentialAtom, InversePower, Tabulated, build_kernel
 from .grid import GridDims, Metric
 
 __all__ = ["SpecError", "main"]
-
-BUDGET_ENV_VAR = "TORIC_LAB_BUDGET"
 
 EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 1
@@ -99,16 +96,6 @@ def _read_table(path: Path) -> dict[float, float]:
     return table
 
 
-def _default_budget() -> int:
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is None:
-        return DEFAULT_WORK_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        raise SpecError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
-
-
 def _instance(args: argparse.Namespace) -> tuple[GridDims, Metric, EnergyFunction]:
     return GridDims(parse_dims(args.dims)), Metric(args.metric), parse_energy(args.f)
 
@@ -136,17 +123,17 @@ def _emit_json(doc: dict, path: Path | None) -> None:
     print(text)
 
 
+def _check_format(fmt: str, dims: GridDims) -> None:
+    """Refuse an output format that cannot show the grid, before any work."""
+    if fmt == "ascii-grid" and dims.ndim > 2:
+        raise SpecError("ascii-grid output supports 1- and 2-dimensional grids only")
+
+
 def _render_ascii(config: Configuration) -> str:
-    dims = config.dims
-    if dims.ndim == 1:
-        return "".join("1" if (c,) in config else "0" for c in range(dims.sizes[0]))
-    if dims.ndim == 2:
-        n1, n2 = dims.sizes
-        return "\n".join(
-            "".join("1" if (r, c) in config else "0" for c in range(n2))
-            for r in range(n1)
-        )
-    raise SpecError("ascii-grid output supports 1- and 2-dimensional grids only")
+    """One line of 0s and 1s per row of the grid; bit i of the members is site i, row-major."""
+    order, width = config.dims.order, config.dims.sizes[-1]
+    bits = format(config.members, f"0{order}b")[::-1]
+    return "\n".join(bits[start:start + width] for start in range(0, order, width))
 
 
 def _read_sites(path: Path, dims: GridDims) -> list[tuple[int, ...]]:
@@ -237,6 +224,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     restarts = 1 if args.restarts is None else args.restarts
     seed = 0 if args.seed is None else args.seed
     dims, metric, f = _instance(args)
+    _check_format(args.format, dims)
     if args.method == "exhaustive":
         hits = configs.brute_force(
             dims,
@@ -246,7 +234,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             objective=args.objective,
             top_k=top_k,
             reduce=reduce,
-            budget=_default_budget() if args.budget is None else args.budget,
+            budget=args.budget,
         )
     else:
         result = configs.local_search(
@@ -304,6 +292,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_energy(args: argparse.Namespace) -> int:
     dims, metric, f = _instance(args)
+    _check_format(args.format, dims)
     try:
         sites = _read_sites(args.config, dims)
     except ValueError as exc:
@@ -483,8 +472,12 @@ def _build_parser() -> argparse.ArgumentParser:
             if flag == "--format":
                 options.update(choices=command.formats, default=command.formats[0])
             p_cmd.add_argument(flag, **options)
-        p_cmd.set_defaults(func=command.run, parser=p_cmd)
     return parser
+
+
+# built once; main parses each command line with its command's own parser
+_PARSER = _build_parser()
+(_COMMAND_PARSERS,) = [a.choices for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction)]
 
 
 def _spec_flags(path: Path, command: str) -> list[str]:
@@ -517,26 +510,26 @@ _SPEC_FLAG = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on
 _SPEC_FLAG.add_argument("--spec", type=Path)
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse the command line with the flags of its --spec file put ahead of it."""
-    command = _COMMANDS.get(argv[0]) if argv else None
-    if command is not None and "--spec" in command.flags:
+def _parse_args(argv: list[str]) -> tuple[_Command, argparse.Namespace]:
+    """The command named first and its flags, with the flags of its --spec file put ahead."""
+    if not argv or argv[0] not in _COMMANDS:  # -h, or no or an unknown command
+        _PARSER.parse_args(argv)  # prints the help or the error and exits
+    name, flags = argv[0], argv[1:]
+    command = _COMMANDS[name]
+    if "--spec" in command.flags:
         try:
-            path = _SPEC_FLAG.parse_known_args(argv[1:])[0].spec
+            path = _SPEC_FLAG.parse_known_args(flags)[0].spec
         except argparse.ArgumentError:  # such as --spec without a file: the full parse reports it
             path = None
         if path is not None:
-            argv = [argv[0], *_spec_flags(path, argv[0]), *argv[1:]]
-    args, unread = _build_parser().parse_known_args(argv)
-    if unread:
-        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
-    return args
+            flags = [*_spec_flags(path, name), *flags]
+    return command, _COMMAND_PARSERS[name].parse_args(flags)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _parse_args(list(sys.argv[1:] if argv is None else argv))
-        return args.func(args)
+        command, args = _parse_args(list(sys.argv[1:] if argv is None else argv))
+        return command.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except BudgetExceededError as exc:

@@ -256,7 +256,7 @@ def brute_force(
     That translate contains site 0, so only subsets through site 0 are
     enumerated, each checked against its p translates through site 0.
     The work estimate checked against the budget is the number of member
-    pairs gathered, leaves x p^2.
+    pairs gathered, leaves x p^2; a negative budget is a ValueError.
     """
     if objective not in ("total", "max"):
         raise ValueError(f"objective must be 'total' or 'max', got {objective!r}")
@@ -268,11 +268,13 @@ def brute_force(
         raise ValueError(f"top_k must be at least 1, got {top_k}")
     if budget is None:
         budget = DEFAULT_WORK_BUDGET
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     leaves = _leaves(dims.order, p, reduce)
     work = leaves * p * p
     if work > budget:
         raise BudgetExceededError(
-            f"estimated work {work:.3e} elementary steps exceeds budget {budget:.3e} "
+            f"estimated work {work:.3e} member pairs exceeds budget {budget:.3e} "
             f"for p = {p} on {dims.order} sites with reduce={reduce!r}"
         )
     kernel = build_kernel(dims, metric, f)

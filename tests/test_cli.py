@@ -7,6 +7,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from toric_lab import cli
 from toric_lab.cli import (
     EXIT_BUDGET,
     EXIT_IO,
@@ -333,6 +334,19 @@ class TestSearchCommand:
         code, _, _ = run(capsys, "search", "--dims", "4,4", "--f", "inverse-power:1")
         assert code == EXIT_SPEC
 
+    def test_negative_budget_exit_2(self, capsys):
+        code, stdout, err = run(capsys, "search", "--dims", "4,2", "--p", "3", "--budget", "-1")
+        assert (code, stdout) == (EXIT_SPEC, "")
+        assert "budget must be at least 0, got -1" in err
+        # a zero budget is still a work refusal
+        assert run(capsys, "search", "--dims", "4,2", "--p", "3", "--budget", "0")[0] == EXIT_BUDGET
+
+    def test_ascii_grid_on_3d_grid_exit_2_before_work(self, capsys):
+        # C(64, 32) * 32^2 member pairs would exceed the budget (exit 3) were the format not refused first
+        code, stdout, err = run(capsys, "search", "--dims", "4,4,4", "--p", "32", "--format", "ascii-grid")
+        assert (code, stdout) == (EXIT_SPEC, "")
+        assert "ascii-grid output supports 1- and 2-dimensional grids only" in err
+
 
 class TestEnergyCommand:
     def test_row_configuration(self, capsys, tmp_path):
@@ -400,6 +414,22 @@ class TestEnergyCommand:
             "--config", str(tmp_path / "nope.txt"),
         )
         assert code == EXIT_IO
+
+    def test_ascii_grid_on_3d_grid_exit_2_before_reading(self, capsys, tmp_path):
+        # the configuration file is never read, so its absence is not reported
+        code, stdout, err = run(
+            capsys, "energy", "--dims", "2,2,2", "--config", str(tmp_path / "nope.txt"),
+            "--format", "ascii-grid",
+        )
+        assert (code, stdout) == (EXIT_SPEC, "")
+        assert "ascii-grid output supports 1- and 2-dimensional grids only" in err
+
+    def test_ascii_grid_1d(self, capsys, tmp_path):
+        config = tmp_path / "ends.txt"
+        config.write_text("0\n5\n", encoding="utf-8")
+        code, stdout, _ = run(capsys, "energy", "--dims", "6", "--config", str(config), "--format", "ascii-grid")
+        assert code == EXIT_OK
+        assert stdout.startswith("100001\ne_tot=")
 
 
 class TestSweepCommand:
@@ -478,19 +508,14 @@ class TestSpecFileFlow:
         assert code == EXIT_OK
         assert json.loads(stdout)["tie_tol"] == 0.1 + 0.2
 
-    def test_budget_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("TORIC_LAB_BUDGET", "1000")
-        code, _, err = run(
-            capsys, "search", "--dims", "6,6", "--f", "inverse-power:1", "--p", "18",
-        )
-        assert code == EXIT_BUDGET
-        # an explicit flag overrides the environment
-        monkeypatch.setenv("TORIC_LAB_BUDGET", "1000")
-        code2, _, _ = run(
-            capsys, "search", "--dims", "4,4", "--f", "inverse-power:1", "--p", "2",
-            "--budget", "100000000",
-        )
-        assert code2 == EXIT_OK
+    def test_budget_flag_overrides_default(self, capsys):
+        # C(8, 3) * 3^2 = 504 member pairs, far below the default budget
+        argv = ("search", "--dims", "4,2", "--f", "inverse-power:1", "--p", "3")
+        assert run(capsys, *argv)[0] == EXIT_OK
+        code, stdout, err = run(capsys, *argv, "--budget", "503")
+        assert (code, stdout) == (EXIT_BUDGET, "")
+        assert "5.040e+02 member pairs exceeds budget 5.030e+02" in err
+        assert run(capsys, *argv, "--budget", "504")[0] == EXIT_OK
 
     def test_unwritable_out_exit_4(self, capsys, tmp_path):
         code, _, _ = run(
@@ -509,6 +534,55 @@ class TestSpecFileFlow:
         assert code == EXIT_OK
         row = list(csv.reader(io.StringIO(stdout)))[1]
         assert float(row[4]) == 25.999999999999996
+
+
+class TestParserReuse:
+    """The parsers are built once, at import, and every main call starts afresh."""
+
+    def test_main_does_not_build_parser(self, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        assert run(capsys, "certify", "--dims", "4,4")[0] == EXIT_OK
+        assert run(capsys, "search", "--dims", "4,2", "--p", "3")[0] == EXIT_OK
+        assert run(capsys, "certify", "--dims", "4,4", "--p", "3")[0] == EXIT_SPEC
+        assert run(capsys, "bogus")[0] == EXIT_SPEC
+
+    def test_flags_not_carried_over(self, capsys):
+        argv = ("search", "--dims", "4,2", "--p", "3")
+        assert json.loads(run(capsys, *argv, "--top-k", "3")[1])["top_k"] == 3
+        code, stdout, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(stdout)["top_k"] == 1
+        assert len(json.loads(stdout)["results"]) == 1
+
+    def test_spec_not_carried_over(self, capsys, tmp_path):
+        path = write_spec(tmp_path, "dims = 4,4\ntie_tol = 0.5\n")
+        assert json.loads(run(capsys, "certify", "--spec", path)[1])["tie_tol"] == 0.5
+        code, stdout, _ = run(capsys, "certify", "--dims", "4,4")
+        assert code == EXIT_OK
+        doc = json.loads(stdout)
+        assert doc["tie_tol"] == pytest.approx(1e-9 * (1 + abs(doc["lambda_min"])))
+
+    def test_failed_parse_then_valid_call(self, capsys):
+        assert run(capsys, "certify", "--dims", "4,4", "--metric", "manhattan")[0] == EXIT_SPEC
+        assert run(capsys, "certify")[0] == EXIT_SPEC
+        code, stdout, err = run(capsys, "certify", "--dims", "4,4")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(stdout)["metric"] == "lee"
+
+    def test_help_lists_commands(self, capsys):
+        code, stdout, _ = run(capsys, "-h")
+        assert code == EXIT_OK
+        assert stdout.startswith("usage: toric-lab [-h]")
+        for name in COMMAND_FLAGS:
+            assert name in stdout
+
+    def test_unknown_command_exit_2(self, capsys):
+        code, stdout, err = run(capsys, "bogus")
+        assert (code, stdout) == (EXIT_SPEC, "")
+        assert "invalid choice: 'bogus'" in err
 
 
 # The flags each command reads, and nothing else.

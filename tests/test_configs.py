@@ -249,6 +249,13 @@ class TestBruteForce:
         with pytest.raises(BudgetExceededError, match="exceeds budget"):
             brute_force(GridDims.of(6, 6), Metric.LEE, HARMONIC, 18, budget=10**6)
 
+    def test_zero_budget_refuses_work_negative_budget_invalid(self):
+        with pytest.raises(BudgetExceededError):
+            brute_force(GridDims.of(4, 2), Metric.LEE, HARMONIC, 3, budget=0)
+        assert brute_force(GridDims.of(4, 2), Metric.LEE, HARMONIC, 0, budget=0)[0].value == 0.0
+        with pytest.raises(ValueError, match="budget must be at least 0, got -1"):
+            brute_force(GridDims.of(4, 2), Metric.LEE, HARMONIC, 3, budget=-1)
+
     def test_budget_counts_enumerated_leaves(self):
         # leaves x p^2: C(16, 8) * 64 = 823 680 for all subsets,
         # C(15, 7) * 64 = 411 840 for the subsets through site 0
