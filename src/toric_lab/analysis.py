@@ -15,6 +15,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .energy import EnergyFunction, forward_difference
+from .grid import axis_wraps
 
 __all__ = [
     "lambda_1d",
@@ -139,14 +140,14 @@ def factor_curve(n: int, a: float, distance_power: int = 1) -> FactorCurve:
     if distance_power not in (1, 2):
         raise ValueError(f"distance power must be 1 or 2, got {distance_power}")
     g = np.arange(n)
-    wraps = np.minimum(g, n - g)
-    exponent = (wraps**distance_power).astype(np.longdouble)
+    exponent = (axis_wraps(n) ** distance_power).astype(np.longdouble)
     terms = np.longdouble(a) ** -exponent
     pi_l = np.arccos(np.longdouble(-1.0))
+    # cos(2 pi k g / n) depends on k g only modulo n: one table serves every k
+    cos_tab = np.cos((2.0 * pi_l) * g.astype(np.longdouble) / np.longdouble(n))
     values = np.empty(n, dtype=np.float64)
     for k in range(n):
-        ang = (2.0 * pi_l) * ((k * g) % n).astype(np.longdouble) / np.longdouble(n)
-        values[k] = float((terms * np.cos(ang)).sum())
+        values[k] = float((terms * cos_tab[(k * g) % n]).sum())
     nonzero_min = float(values[1:].min())
     tol = _ARGMIN_RTOL * (1.0 + abs(nonzero_min))
     argmin = tuple(k for k in range(1, n) if values[k] <= nonzero_min + tol)

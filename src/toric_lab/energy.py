@@ -1,8 +1,11 @@
 """Repelling-force profiles and the energy kernel table u(g, 0) = f(distance(g, 0)).
 
-The kernel is stored as a single real table over site indices with the
-origin entry forced to zero, so that its discrete Fourier transform is
-exactly the eigenvalue table of the convolution operator it defines.
+The kernel is stored on its fundamental block, the per-axis wraps
+0..n_i // 2, with the origin entry forced to zero: every metric depends on a
+site only through those wraps, so the block fixes the kernel, and the full
+table over site indices is expanded from it only when a reader asks.  The
+discrete Fourier transform of the full table is exactly the eigenvalue table
+of the convolution operator it defines.
 
 Two diagnostic checks live here as well: the alternating sign of integer
 forward differences, and a finite-difference proxy for alternating
@@ -12,6 +15,7 @@ derivative signs of the smooth profiles.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -19,7 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .grid import GridDims, Metric, distance_table
+from .grid import GridDims, Metric, block_shape, distance_table, expand_block
 
 __all__ = [
     "EnergyFunction",
@@ -125,31 +129,46 @@ class Tabulated(EnergyFunction):
 
 @dataclass
 class KernelTable:
-    """Values u(g, 0) = f(distance(g, 0)) over site indices, with u(0, 0) = 0.
+    """The kernel u(g, 0) = f(distance(g, 0)), stored on the fundamental block, with u(0, 0) = 0.
 
-    The zero at the origin encodes the exclusion of the self-pair from every
-    energy sum, and makes the Fourier transform of this table equal to the
-    eigenvalue table directly.
+    Every metric depends on a site only through its per-axis wraps, so the
+    kernel is even in every axis and fixed by its values at wraps
+    0..n_i // 2: `block` holds those, in an array of shape
+    `block_shape(dims)`.  `values` is the table over all site indices,
+    expanded from the block on first use and kept.  The zero at the origin
+    encodes the exclusion of the self-pair from every energy sum, and makes
+    the Fourier transform of the full table equal to the eigenvalue table.
     """
 
     dims: GridDims
     metric: Metric
-    values: np.ndarray = field(repr=False)
+    block: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        if self.block.shape != block_shape(self.dims):
+            raise ValueError(
+                f"kernel block has shape {self.block.shape}, expected {block_shape(self.dims)} "
+                f"for grid {self.dims}"
+            )
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The kernel over all |G| sites, in site-index order."""
+        return expand_block(self.dims, self.block).ravel()
 
 
 def build_kernel(dims: GridDims, metric: Metric, f: EnergyFunction | Callable[[float], float]) -> KernelTable:
-    """Tabulate f over all nonzero distances to the origin.
+    """Tabulate f over the nonzero distances of the fundamental block.
 
     f is evaluated once per distinct attainable distance, so tabulated
     profiles only need keys for distances that actually occur.
     """
-    dist = distance_table(dims, metric).ravel()
-    uniq, inverse = np.unique(dist, return_inverse=True)
+    dist = distance_table(dims, metric)
+    uniq, inverse = np.unique(dist.ravel(), return_inverse=True)
     per_distance = np.empty(len(uniq), dtype=np.float64)
     for i, x in enumerate(uniq.tolist()):
         per_distance[i] = 0.0 if x == 0 else float(f(x))
-    values = per_distance[inverse]
-    return KernelTable(dims=dims, metric=metric, values=values)
+    return KernelTable(dims=dims, metric=metric, block=per_distance[inverse].reshape(dist.shape))
 
 
 def forward_difference(f: Callable[[float], float], m: int, x: float) -> float:

@@ -1,9 +1,12 @@
 """Toric grid model: the product group Z/n1 x ... x Z/nd, its characters, and its metrics.
 
 Sites and characters are plain integer tuples.  Every table over the grid
-(kernel tables, eigenvalue tables) is indexed by the row-major mixed-radix
-site index fixed by `site_index` (last coordinate fastest); all modules
-share this convention, which also matches numpy's C-order `reshape`.
+is indexed by the row-major mixed-radix site index fixed by `site_index`
+(last coordinate fastest); all modules share this convention, which also
+matches numpy's C-order `reshape`.  Tables that depend on a site only
+through its per-axis wraps (distances, kernels, eigenvalues) are stored on
+the fundamental block of wraps 0..n_i // 2, of shape `block_shape`, and
+`expand_block` gives their full table.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ __all__ = [
     "wrap_abs",
     "distance",
     "distance_table",
+    "axis_wraps",
+    "block_shape",
+    "expand_block",
     "site_index",
     "index_to_site",
     "enumerate_sites",
@@ -117,14 +123,30 @@ def distance(metric: Metric, g: Sequence[int], h: Sequence[int], dims: GridDims)
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def _axis_wraps(n: int) -> np.ndarray:
+def axis_wraps(n: int) -> np.ndarray:
+    """Per-axis wrap map: entry g is wrap_abs(g, n), the fundamental-block index of g."""
     r = np.arange(n)
     return np.minimum(r, n - r)
 
 
+def block_shape(dims: GridDims) -> tuple[int, ...]:
+    """Shape of the fundamental block, one entry per wrap 0..n // 2 on each axis."""
+    return tuple(n // 2 + 1 for n in dims.sizes)
+
+
+def expand_block(dims: GridDims, block: np.ndarray) -> np.ndarray:
+    """Full table of shape `dims.sizes` whose entry at g is block[wrap(g)], axis by axis."""
+    return block[np.ix_(*[axis_wraps(n) for n in dims.sizes])]
+
+
 def distance_table(dims: GridDims, metric: Metric) -> np.ndarray:
-    """Array of shape `dims.sizes` holding the distance of every site to the origin."""
-    axes = np.ix_(*[_axis_wraps(n) for n in dims.sizes])
+    """Distance to the origin over the fundamental block, an array of shape `block_shape(dims)`.
+
+    Every metric depends on a site only through its per-axis wraps, so the
+    entry at wraps (w1, ..., wd) is the distance of every site with those
+    wraps; `expand_block` gives the table over all sites.
+    """
+    axes = np.ix_(*[np.arange(m) for m in block_shape(dims)])
     if metric is Metric.LEE:
         out = sum(axes)
     elif metric is Metric.EUCLIDEAN_SQUARED:
@@ -137,7 +159,7 @@ def distance_table(dims: GridDims, metric: Metric) -> np.ndarray:
             out = np.maximum(out, a)
     else:
         raise ValueError(f"unknown metric {metric!r}")
-    return np.broadcast_to(out, dims.sizes).copy()
+    return np.broadcast_to(out, block_shape(dims)).copy()
 
 
 def site_index(dims: GridDims, site: Sequence[int]) -> int:

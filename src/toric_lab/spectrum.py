@@ -16,10 +16,16 @@ When p = |G|/2, all sizes are even, and the non-trivial minimum is attained
 only at the character (-1, ..., -1), the only optimisers are the two
 checkerboard characteristic vectors, which certifies them as the unique
 minimisers of total energy, and (being cosets) of maximal energy as well.
+
+Every metric depends on a site only through its per-axis wraps, so the
+kernel and its eigenvalue table are even in every axis.  Both are built,
+transformed and scanned on the fundamental block of wraps 0..n_i // 2, about
+|G| / 2^d entries; the full |G| table is expanded only where it is output.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -30,9 +36,12 @@ from .grid import (
     Character,
     GridDims,
     Metric,
-    index_to_site,
+    _check_site,
+    axis_wraps,
+    block_shape,
+    expand_block,
     minus_one_character,
-    site_index,
+    wrap_abs,
 )
 
 __all__ = [
@@ -52,37 +61,55 @@ IMAG_RTOL = 1e-9
 
 @dataclass
 class EigenTable:
-    """Real eigenvalue table over characters, in the same mixed-radix order as sites."""
+    """Real eigenvalue table over characters, stored on the fundamental block.
+
+    The kernel is even in every axis, so the eigenvalue of a character
+    depends only on its per-axis wraps: `block` holds the eigenvalue at
+    wraps 0..n_i // 2, in an array of shape `block_shape(dims)`.  `values`
+    is the table over all |G| characters, in the same mixed-radix order as
+    sites, expanded from the block on first use and kept.
+    """
 
     dims: GridDims
-    values: np.ndarray = field(repr=False)
+    block: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The eigenvalues of all |G| characters, in site-index order."""
+        return expand_block(self.dims, self.block).ravel()
 
     def value_at(self, chi: Character) -> float:
-        return float(self.values[site_index(self.dims, chi)])
+        _check_site(self.dims, chi, "character")
+        return float(self.block[tuple(wrap_abs(c, n) for c, n in zip(chi, self.dims.sizes))])
 
 
 def eigen_table(kernel: KernelTable) -> EigenTable:
-    """Fourier-transform the kernel table into its eigenvalue table.
+    """Fourier-transform the kernel into its eigenvalue table, on the fundamental block.
 
-    The transform of a symmetric real table is real: any imaginary residue
-    beyond tolerance means the kernel is not symmetric and is reported as
-    an error.
+    The kernel is even in every axis, so its transform is real, even in
+    every axis, and taken one axis at a time: mirror the block to length
+    n_i through the wrap map, `rfft` along that axis, and keep the real
+    part, whose n_i // 2 + 1 entries are the wraps 0..n_i // 2.  The
+    imaginary parts are rounding only: a residue beyond IMAG_RTOL times
+    (1 + the sum of |u| over all |G| sites) is reported as an error.
     """
     dims = kernel.dims
-    # ifftn uses the +2*pi*i convention and divides by |G|; undo the division.
-    flat = (np.fft.ifftn(np.reshape(kernel.values, dims.sizes)) * dims.order).ravel()
-    residue = float(np.abs(flat.imag).max()) if dims.order else 0.0
-    tol = IMAG_RTOL * (1.0 + float(np.abs(kernel.values).sum()))
+    vals = kernel.block
+    residue = 0.0
+    for axis, n in enumerate(dims.sizes):
+        spec = np.fft.rfft(np.take(vals, axis_wraps(n), axis=axis), axis=axis)
+        residue = max(residue, float(spec.imag.max()), -float(spec.imag.min()))
+        vals = spec.real.copy()
+    # sum |u| over all sites: each block entry stands for the sites with its wraps
+    abs_sum = np.abs(kernel.block)
+    for n in dims.sizes:
+        abs_sum = np.tensordot(np.bincount(axis_wraps(n)), abs_sum, axes=(0, 0))
+    tol = IMAG_RTOL * (1.0 + float(abs_sum))
     if residue > tol:
         raise ValueError(
             f"kernel not symmetric: imaginary residue {residue:.3e} exceeds {tol:.3e}"
         )
-    real = flat.real.copy().reshape(dims.sizes)
-    # conjugate characters carry equal eigenvalues; average out the rounding
-    # asymmetry of the transform so equality holds exactly in the stored table
-    conj_index = np.ix_(*[(-np.arange(n)) % n for n in dims.sizes])
-    values = ((real + real[conj_index]) / 2.0).ravel()
-    return EigenTable(dims=dims, values=values)
+    return EigenTable(dims=dims, block=vals)
 
 
 def default_tie_tol(lambda_min: float) -> float:
@@ -90,23 +117,41 @@ def default_tie_tol(lambda_min: float) -> float:
     return 1e-9 * (1.0 + abs(lambda_min))
 
 
+def _reflections(dims: GridDims, hits: np.ndarray) -> list[Character]:
+    """Every character whose per-axis wraps are those of a block index in hits, in site-index order.
+
+    A block index with wraps (w_1, ..., w_d) stands for the characters with
+    coordinate w_i or n_i - w_i on each axis; their site indices are built
+    axis by axis over all hits at once, doubling the rows on each axis.
+    """
+    index = np.zeros((1, len(hits)), dtype=np.int64)
+    for w, n in zip(np.unravel_index(hits, block_shape(dims)), dims.sizes):
+        index = np.concatenate([index * n + w, index * n + (n - w) % n])
+    # a wrap of 0 or n/2 is its own reflection: sort, then drop the repeats
+    index = np.sort(index, axis=None)
+    coords = np.unravel_index(index[np.concatenate(([True], index[1:] != index[:-1]))], dims.sizes)
+    return list(zip(*(c.tolist() for c in coords)))
+
+
 def min_nontrivial(eigs: EigenTable, tie_tol: float | None = None) -> tuple[float, list[Character]]:
     """Minimum eigenvalue over non-trivial characters and every character within tie_tol of it.
 
-    The returned set is closed under conjugation because conjugate
-    characters share their eigenvalue exactly in the stored real table.
+    The scan runs over the fundamental block, where every entry but the
+    origin is non-trivial.  Each hit stands for all characters with its
+    per-axis wraps, which share its eigenvalue exactly, so the returned set
+    is closed under the reflection chi_i -> -chi_i of any axis (conjugation
+    among them) and is listed in site-index order.
     """
     if eigs.dims.order < 2:
         raise ValueError("need at least two sites for a non-trivial character")
     if tie_tol is not None and not (math.isfinite(tie_tol) and tie_tol >= 0):
         raise ValueError(f"tie_tol must be finite and >= 0, got {tie_tol!r}")
-    vals = eigs.values
+    vals = eigs.block.ravel()
     lam_min = float(vals[1:].min())
     if tie_tol is None:
         tie_tol = default_tie_tol(lam_min)
     hits = np.flatnonzero(vals[1:] <= lam_min + tie_tol) + 1
-    argmin = [index_to_site(eigs.dims, int(i)) for i in hits]
-    return lam_min, argmin
+    return lam_min, _reflections(eigs.dims, hits)
 
 
 @dataclass(frozen=True)
@@ -137,7 +182,7 @@ def solve_relaxation(eigs: EigenTable, p: int, tie_tol: float | None = None) -> 
         raise ValueError(f"particle count {p} out of range 0..{dims.order}")
     if dims.order < 2:
         raise ValueError("relaxation needs at least two sites")
-    lam_triv = float(eigs.values[0])
+    lam_triv = float(eigs.block.flat[0])
     lam_min, argmin = min_nontrivial(eigs, tie_tol)
     if tie_tol is None:
         tie_tol = default_tie_tol(lam_min)

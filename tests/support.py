@@ -76,6 +76,39 @@ def direct_eigen_oracle(kernel: KernelTable) -> np.ndarray:
     return (np.cos(2.0 * np.pi * phase) * kernel.values[None, :]).sum(axis=1)
 
 
+def full_scan_argmin(eigs, tie_tol: float) -> tuple[float, list[Site]]:
+    """Non-trivial minimum and its tie set, by a scan of the full eigenvalue table.
+
+    The table over all |G| characters is expanded from the block here, by
+    reading each character's entry at its per-axis wraps min(c, n - c).
+    """
+    dims = eigs.dims
+    coords = coords_array(dims)
+    sizes = np.array(dims.sizes, dtype=np.int64)
+    full = eigs.block[tuple(np.minimum(coords, sizes - coords).T)]
+    lam_min = float(full[1:].min())
+    hits = np.flatnonzero(full[1:] <= lam_min + tie_tol) + 1
+    return lam_min, [tuple(int(c) for c in coords[i]) for i in hits]
+
+
+def factor_curve_oracle(n: int, a: float, powers=(1, 2)) -> dict[int, np.ndarray]:
+    """Factor-curve values by one extended-precision cosine sum per index k.
+
+    Each k takes the cosines of its own angles 2 pi ((k g) mod n) / n; one
+    cosine row serves every requested distance power.
+    """
+    g = np.arange(n)
+    wraps = np.minimum(g, n - g)
+    terms = {q: np.longdouble(a) ** -((wraps**q).astype(np.longdouble)) for q in powers}
+    pi_l = np.arccos(np.longdouble(-1.0))
+    out = {q: np.empty(n, dtype=np.float64) for q in powers}
+    for k in range(n):
+        cosines = np.cos((2.0 * pi_l) * ((k * g) % n).astype(np.longdouble) / np.longdouble(n))
+        for q in powers:
+            out[q][k] = float((terms[q] * cosines).sum())
+    return out
+
+
 def brute_min_total(dims: GridDims, metric: Metric, f, p: int) -> float:
     """Minimum total energy over all p-subsets, by definition (no increments)."""
     sites = list(enumerate_sites(dims))

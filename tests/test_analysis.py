@@ -17,6 +17,8 @@ from toric_lab.energy import ExponentialAtom, InversePower, Tabulated, build_ker
 from toric_lab.grid import GridDims, Metric, site_index
 from toric_lab.spectrum import eigen_table
 
+from support import factor_curve_oracle
+
 HARMONIC = InversePower(1.0)
 
 
@@ -166,6 +168,12 @@ class TestFactorCurve:
             assert closed > 0
             assert abs(curve.values[k] - closed) <= 1e-12 * abs(closed)
         assert curve.argmin == (n // 2,)
+
+    @pytest.mark.parametrize("n", [2, 6, 8, 12, 64, 128, 256, 2048, 4000])
+    def test_values_equal_per_index_loop_bitwise(self, n):
+        oracle = factor_curve_oracle(n, 1.01, powers=(1, 2))
+        for power in (1, 2):
+            assert factor_curve(n, 1.01, power).values.tolist() == oracle[power].tolist()
 
     def test_squared_euclid_migrated_minimum(self):
         curve = factor_curve(8, 1.05, 2)

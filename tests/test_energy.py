@@ -12,7 +12,7 @@ from toric_lab.energy import (
     check_complete_monotonicity_proxy,
     forward_difference,
 )
-from toric_lab.grid import GridDims, Metric, site_index, enumerate_sites
+from toric_lab.grid import GridDims, Metric, distance, enumerate_sites, site_index
 
 from support import negate_site, tabulated_from_instance
 
@@ -113,6 +113,22 @@ class TestBuildKernel:
         assert (grid_view == conj).all()
         assert kernel.values[0] == 0.0
         assert (kernel.values[1:] > 0).all()
+
+    @pytest.mark.parametrize(
+        "sizes", [(1,), (2,), (7,), (1, 6), (2, 5), (3, 4), (5, 2, 7), (3, 3, 3), (4, 6, 2)]
+    )
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_values_equal_pointwise_definition(self, sizes, metric):
+        # the full table is expanded from the fundamental block; every site
+        # must read f at its own distance, bit for bit
+        dims = GridDims(sizes)
+        f = InversePower(0.7)
+        kernel = build_kernel(dims, metric, f)
+        origin = (0,) * dims.ndim
+        expected = [
+            0.0 if s == origin else f(distance(metric, origin, s, dims)) for s in enumerate_sites(dims)
+        ]
+        assert kernel.values.tolist() == expected
 
     def test_tabulated_covers_instance(self):
         dims = GridDims.of(4, 6)

@@ -134,8 +134,10 @@ class TestDistance:
         origin = (0, 0, 0)
         for m in ALL_METRICS:
             table = distance_table(dims, m)
+            assert table.shape == (2, 3, 2)
             for s in enumerate_sites(dims):
-                assert table[s] == pytest.approx(distance(m, origin, s, dims))
+                wraps = tuple(wrap_abs(c, n) for c, n in zip(s, dims.sizes))
+                assert table[wraps] == pytest.approx(distance(m, origin, s, dims))
 
 
 class TestIndexing:

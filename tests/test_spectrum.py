@@ -17,7 +17,7 @@ from toric_lab.spectrum import (
     solve_relaxation,
 )
 
-from support import TWELVE_LAMBDA_4X4, conjugate_character, direct_eigen_oracle
+from support import TWELVE_LAMBDA_4X4, conjugate_character, direct_eigen_oracle, full_scan_argmin
 
 HARMONIC = InversePower(1.0)
 
@@ -52,7 +52,7 @@ class TestEigenTable:
         table = eigen_table(kernel)
         np.testing.assert_allclose(table.values, direct_eigen_oracle(kernel), atol=1e-10)
 
-    @pytest.mark.parametrize("sizes", [(7,), (2, 5), (4, 4), (2, 3, 4)])
+    @pytest.mark.parametrize("sizes", [(7,), (2, 5), (4, 4), (2, 3, 4), (1, 6), (5, 2, 7), (3, 3, 3)])
     @pytest.mark.parametrize("metric", list(Metric))
     def test_fft_matches_reference(self, sizes, metric):
         kernel = build_kernel(GridDims(sizes), metric, InversePower(0.8))
@@ -88,11 +88,14 @@ class TestEigenTable:
             rhs = kernel.dims.order * float((kernel.values**2).sum())
             assert lhs == pytest.approx(rhs, rel=1e-6)
 
-    def test_asymmetric_kernel_rejected(self):
-        dims = GridDims.of(5)
-        values = np.array([0.0, 1.0, 0.5, 0.5, 0.25])  # u(1) != u(-1)
-        with pytest.raises(ValueError, match="kernel not symmetric"):
-            eigen_table(KernelTable(dims=dims, metric=Metric.LEE, values=values))
+    def test_kernel_block_shape_checked(self):
+        # a kernel is stored on its fundamental block; a table of any other
+        # shape, such as the full table of a 5-cycle, is refused
+        with pytest.raises(ValueError, match="kernel block has shape"):
+            KernelTable(dims=GridDims.of(5), metric=Metric.LEE, block=np.array([0.0, 1.0, 0.5, 0.5, 0.25]))
+        with pytest.raises(ValueError, match="kernel block has shape"):
+            KernelTable(dims=GridDims.of(4, 3), metric=Metric.LEE, block=np.zeros((3, 3)))
+        assert KernelTable(dims=GridDims.of(4, 3), metric=Metric.LEE, block=np.zeros((3, 2))).values.shape == (12,)
 
 
 class TestMinNontrivial:
@@ -133,6 +136,36 @@ class TestMinNontrivial:
             _, argmin = min_nontrivial(table)
             closed = {conjugate_character(dims, chi) for chi in argmin}
             assert closed == set(argmin)
+
+    @pytest.mark.parametrize(
+        "sizes,metric,f",
+        [
+            ((5, 2, 7), Metric.LEE, InversePower(0.8)),
+            ((6, 4), Metric.EUCLIDEAN, HARMONIC),
+            ((3, 8), Metric.CHEBYSHEV, InversePower(0.6)),
+            ((4, 6, 2), Metric.EUCLIDEAN_SQUARED, ExponentialAtom(1.05, "distance")),
+            ((9,), Metric.LEE, InversePower(2.0)),
+            ((2, 2, 2), Metric.LEE, HARMONIC),
+        ],
+    )
+    @pytest.mark.parametrize("spread", [None, 0.0, 0.3, 2.0])
+    def test_argmin_matches_full_scan(self, sizes, metric, f, spread):
+        # spread is the tie tolerance as a multiple of the non-trivial
+        # eigenvalue range: 2.0 ties every non-trivial character, including
+        # those with 0 and n/2 coordinates
+        dims = GridDims(sizes)
+        table = eigen_table(build_kernel(dims, metric, f))
+        block = table.block.ravel()
+        lam = float(block[1:].min())
+        tie_tol = None if spread is None else spread * (float(block[1:].max()) - lam)
+        expected_tol = default_tie_tol(lam) if tie_tol is None else tie_tol
+        got_lam, argmin = min_nontrivial(table, tie_tol)
+        want_lam, want = full_scan_argmin(table, expected_tol)
+        assert got_lam == want_lam
+        assert argmin == want
+        assert solve_relaxation(table, 1, tie_tol).multiplicity == len(want)
+        if spread == 2.0:
+            assert len(argmin) == dims.order - 1
 
     def test_tie_tolerance_merges_near_ties(self):
         _, kernel = harmonic_4x4()
