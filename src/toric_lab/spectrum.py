@@ -117,20 +117,26 @@ def default_tie_tol(lambda_min: float) -> float:
     return 1e-9 * (1.0 + abs(lambda_min))
 
 
-def _reflections(dims: GridDims, hits: np.ndarray) -> list[Character]:
-    """Every character whose per-axis wraps are those of a block index in hits, in site-index order.
+def _reflection_index(dims: GridDims, hits: np.ndarray) -> np.ndarray:
+    """Sorted site indices of every character whose per-axis wraps are those of a block index in hits.
 
     A block index with wraps (w_1, ..., w_d) stands for the characters with
     coordinate w_i or n_i - w_i on each axis; their site indices are built
-    axis by axis over all hits at once, doubling the rows on each axis.
+    axis by axis over all hits at once.  A wrap of 0 or n_i / 2 is its own
+    reflection, so a row gains its reflected copy only where n_i - w_i
+    differs from w_i, and the rows are exactly the argmin, without repeats.
     """
-    index = np.zeros((1, len(hits)), dtype=np.int64)
+    index = np.zeros(len(hits), dtype=np.int64)
+    hit = np.arange(len(hits))
     for w, n in zip(np.unravel_index(hits, block_shape(dims)), dims.sizes):
-        index = np.concatenate([index * n + w, index * n + (n - w) % n])
-    # a wrap of 0 or n/2 is its own reflection: sort, then drop the repeats
-    index = np.sort(index, axis=None)
-    coords = np.unravel_index(index[np.concatenate(([True], index[1:] != index[:-1]))], dims.sizes)
-    return list(zip(*(c.tolist() for c in coords)))
+        w = w[hit]
+        refl = (n - w) % n
+        new = np.flatnonzero(refl != w)
+        index *= n
+        index = np.concatenate([index + w, index[new] + refl[new]])
+        hit = np.concatenate([hit, hit[new]])
+    index.sort()
+    return index
 
 
 def min_nontrivial(eigs: EigenTable, tie_tol: float | None = None) -> tuple[float, list[Character]]:
@@ -151,7 +157,8 @@ def min_nontrivial(eigs: EigenTable, tie_tol: float | None = None) -> tuple[floa
     if tie_tol is None:
         tie_tol = default_tie_tol(lam_min)
     hits = np.flatnonzero(vals[1:] <= lam_min + tie_tol) + 1
-    return lam_min, _reflections(eigs.dims, hits)
+    coords = np.unravel_index(_reflection_index(eigs.dims, hits), eigs.dims.sizes)
+    return lam_min, list(zip(*(c.tolist() for c in coords)))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,24 @@ class TestMinNontrivial:
         assert solve_relaxation(table, 1, tie_tol).multiplicity == len(want)
         if spread == 2.0:
             assert len(argmin) == dims.order - 1
+
+    def test_self_reflected_wraps_add_no_rows(self):
+        # on an axis of size 2 both wraps are their own reflection, so every
+        # Chebyshev distance but the origin's is 1 and all 4095 non-trivial
+        # characters tie; the peak bound keeps the expansion near its 0.6 MB
+        # output, far from the 2^12 x 4095 indices (134 MB) of a per-axis
+        # doubling that drops repeats afterwards
+        dims = GridDims((2,) * 12)
+        table = eigen_table(build_kernel(dims, Metric.CHEBYSHEV, InversePower(1.0)))
+        tracemalloc.start()
+        try:
+            lam, argmin = min_nontrivial(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(argmin) == dims.order - 1
+        assert (lam, argmin) == full_scan_argmin(table, default_tie_tol(lam))
+        assert peak < 8_000_000
 
     def test_tie_tolerance_merges_near_ties(self):
         _, kernel = harmonic_4x4()
