@@ -356,10 +356,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_factor_curve(args: argparse.Namespace) -> int:
-    try:
-        curve = analysis.factor_curve(args.n, args.a, args.power)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
+    curve = analysis.factor_curve(args.n, args.a, args.power)
     rows = [[str(k), _fmt(curve.values[k])] for k in range(curve.n)]
     _write_csv(args.out, ["k", "value"], rows)
     summary = {
@@ -374,11 +371,8 @@ def _cmd_factor_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bernstein(args: argparse.Namespace) -> int:
-    try:
-        a_grid = [float(x) for x in args.a_grid.split(",") if x.strip()]
-        records = analysis.bernstein_sweep(args.n, args.power, a_grid)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
+    a_grid = [float(x) for x in args.a_grid.split(",") if x.strip()]
+    records = analysis.bernstein_sweep(args.n, args.power, a_grid)
     header = ["a", "argmin", "is_minus_one_strict_min", "min_value"]
     rows = [
         [_fmt(r.a), ";".join(map(str, r.argmin)),

@@ -1,13 +1,15 @@
 """Exact configuration energies, exhaustive and stochastic search over p-subsets.
 
 A configuration is a bitset over site indices.  Energies and translation
-structure come from one table of member differences, index(s_a - s_b): its
-sorted columns are the p translates through site 0, which hold the canonical
-translate, the stabiliser and the coset test.  Exhaustive search gathers the
-same table for batches of subsets, so its values are the sums energies()
-reads; it refuses instances whose estimated work exceeds a budget instead of
-running for hours.  Local search keeps per-site energies against the members
-incrementally (one kernel column per swap), so a move costs O(|G|), not O(p^2).
+structure come from one table of per-axis member differences s_a - s_b:
+pair energies read the kernel block at its wraps, and its sorted columns,
+raveled to site indices, are the p translates through site 0, which hold
+the canonical translate, the stabiliser and the coset test.  Exhaustive
+search sums batches of subsets' member pairs from the kernel matrix, the
+same sums energies() reads; it refuses work beyond a budget instead of
+running for hours.  Local search keeps per-site energies incrementally: a
+swap costs O(|G|) to apply, and scoring a step's swaps O(p (|G| - p)) for
+the total objective and O(p^2 (|G| - p)) for the max.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .grid import (
     GridDims,
     Metric,
     Site,
+    axis_wraps,
     checkerboard_sites,
     index_to_site,
     site_index,
@@ -54,6 +57,7 @@ _MAX_MATRIX_SITES = 2048
 _BATCH_PAIRS = 1 << 16
 
 _EQUIENERGY_RTOL = 1e-9
+_MAX_DESCENT_STEPS = 10_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -127,7 +131,8 @@ class Configuration:
         return self.dims.order // int((rows == rows[0]).all(axis=1).sum())
 
     def _zero_translates(self) -> np.ndarray:
-        return _zero_translates(_pair_index(self.dims, np.array(self.indices(), dtype=np.int64)))
+        diff = _pair_differences(self.dims, np.array(self.indices(), dtype=np.int64))
+        return _zero_translates(np.ravel_multi_index(diff, self.dims.sizes))
 
 
 def checkerboard(dims: GridDims, parity: str = "even") -> Configuration:
@@ -146,16 +151,22 @@ class EnergyReport:
     is_empty: bool = False
 
 
-def _pair_index(dims: GridDims, idx: np.ndarray) -> np.ndarray:
-    """Table T[a, b] = index of site idx[a] - site idx[b]; refused above _MAX_MATRIX_SITES rows."""
+def _pair_differences(dims: GridDims, idx: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per axis, D[a, b] = coordinate of site idx[a] - site idx[b]; refused above _MAX_MATRIX_SITES."""
     if len(idx) > _MAX_MATRIX_SITES:
         raise BudgetExceededError(
             f"refusing to build a {len(idx)} x {len(idx)} kernel matrix or pair table "
             f"(limit {_MAX_MATRIX_SITES} rows)"
         )
-    coords = np.stack(np.unravel_index(idx, dims.sizes), axis=1)
-    diff = (coords[:, None, :] - coords[None, :, :]) % np.array(dims.sizes)
-    return np.ravel_multi_index(tuple(np.moveaxis(diff, 2, 0)), dims.sizes)
+    coords = np.unravel_index(idx, dims.sizes)
+    return tuple((c[:, None] - c[None, :]) % n for c, n in zip(coords, dims.sizes))
+
+
+def _pair_kernel(kernel: KernelTable, idx: np.ndarray) -> np.ndarray:
+    """Matrix K[a, b] = u(site idx[a] - site idx[b]), read off the kernel block at its wraps."""
+    # each axis's differences are overwritten by their wraps: no second p x p table per axis
+    diff = _pair_differences(kernel.dims, idx)
+    return kernel.block[tuple(np.take(axis_wraps(n), d, out=d) for d, n in zip(diff, kernel.dims.sizes))]
 
 
 def _zero_translates(differences: np.ndarray) -> np.ndarray:
@@ -183,7 +194,7 @@ def energies(config: Configuration, kernel: KernelTable) -> EnergyReport:
     if config.p == 0:
         return EnergyReport(per_site={}, e_max=0.0, e_tot=0.0, is_equienergetic=True, is_empty=True)
     idx = np.array(config.indices(), dtype=np.int64)
-    per = kernel.values[_pair_index(config.dims, idx)].sum(axis=1)
+    per = _pair_kernel(kernel, idx).sum(axis=1)
     e_max = float(per.max())
     e_tot = float(per.sum())
     spread = float(per.max() - per.min())
@@ -221,7 +232,7 @@ def is_coset(config: Configuration) -> CosetCheck:
 
 def kernel_matrix(kernel: KernelTable) -> np.ndarray:
     """Dense |G| x |G| matrix K[i, j] = u(site_i - site_j); diagonal is zero."""
-    return kernel.values[_pair_index(kernel.dims, np.arange(kernel.dims.order))]
+    return _pair_kernel(kernel, np.arange(kernel.dims.order))
 
 
 @dataclass(frozen=True)
@@ -248,9 +259,10 @@ def brute_force(
 ) -> list[SearchHit]:
     """Exhaustively rank all p-subsets by total or maximal energy.
 
-    Subsets are evaluated in lexicographic batches with the member-pair
-    gather of energies(), so every value equals the energies() value of its
-    configuration bit for bit, and ties are broken by the member tuple.
+    Subsets are evaluated in lexicographic batches whose member pairs are
+    gathered from the kernel matrix: the block entries energies() reads,
+    summed in the same order, so every value equals the energies() value of
+    its configuration bit for bit, and ties are broken by the member tuple.
     With reduce="translations" only the lexicographically least translate
     of each orbit is kept, so the result is one row per translation orbit.
     That translate contains site 0, so only subsets through site 0 are
@@ -280,7 +292,9 @@ def brute_force(
     kernel = build_kernel(dims, metric, f)
     if p == 0:
         return [SearchHit(config=Configuration(dims, 0), value=0.0, orbit_size=1)]
-    table = _pair_index(dims, np.arange(dims.order))
+    K = kernel_matrix(kernel)
+    if reduce == "translations":
+        table = np.ravel_multi_index(_pair_differences(dims, np.arange(dims.order)), dims.sizes)
     # the subsets through site 0 come first, so under translations they are the first leaves
     subsets = itertools.combinations(range(dims.order), p)
     batch_size = max(1, _BATCH_PAIRS // (p * p))
@@ -288,11 +302,10 @@ def brute_force(
     for start in range(0, leaves, batch_size):
         count = min(batch_size, leaves - start)
         batch = np.fromiter(subsets, dtype=np.dtype((np.int64, p)), count=count)
-        diff = table[batch[:, :, None], batch[:, None, :]]
         if reduce == "translations":
-            keep = _least_rows(_zero_translates(diff)) == 0
-            batch, diff = batch[keep], diff[keep]
-        per = kernel.values[diff].sum(axis=2)
+            keep = _least_rows(_zero_translates(table[batch[:, :, None], batch[:, None, :]])) == 0
+            batch = batch[keep]
+        per = K[batch[:, :, None], batch[:, None, :]].sum(axis=2)
         values = per.sum(axis=1) if objective == "total" else per.max(axis=1)
         values, batch = np.concatenate((best_values, values)), np.concatenate((best, batch))
         # earlier batches are lexicographically smaller, so a stable sort ranks ties by members
@@ -313,15 +326,13 @@ class LocalSearchResult:
     value: float
 
 
-def _descend(
-    K: np.ndarray, members: np.ndarray, objective: str, max_steps: int = 10_000
-) -> tuple[np.ndarray, float, float]:
+def _descend(K: np.ndarray, members: np.ndarray, objective: str) -> tuple[np.ndarray, float, float]:
     """Best-improvement single-swap descent; returns members, e_max, e_tot.
 
     For the max objective the descent key is the pair (e_max, e_tot), so
     moves that keep the maximum but lower the total are still taken and
     plateaus of equal maxima can be crossed.  The key strictly decreases
-    at every step; max_steps only guards against rounding pathologies.
+    at every step; _MAX_DESCENT_STEPS only guards against rounding pathologies.
     """
     order = K.shape[0]
     members = np.sort(np.asarray(members, dtype=np.int64))
@@ -329,7 +340,7 @@ def _descend(
     in_set[members] = True
     non = np.flatnonzero(~in_set)
     cur_e = K[:, members].sum(axis=1) if len(members) else np.zeros(order)
-    for _ in range(max_steps):
+    for _ in range(_MAX_DESCENT_STEPS):
         if len(members) == 0 or len(non) == 0:
             break
         e_tot = float(cur_e[members].sum())

@@ -2,10 +2,10 @@
 
 The kernel is stored on its fundamental block, the per-axis wraps
 0..n_i // 2, with the origin entry forced to zero: every metric depends on a
-site only through those wraps, so the block fixes the kernel, and the full
-table over site indices is expanded from it only when a reader asks.  The
-discrete Fourier transform of the full table is exactly the eigenvalue table
-of the convolution operator it defines.
+site only through those wraps, so the block fixes the kernel, and readers
+index it at the wraps of the sites they need.  The discrete Fourier
+transform of the kernel over all sites is exactly the eigenvalue table of
+the convolution operator it defines.
 
 Two diagnostic checks live here as well: the alternating sign of integer
 forward differences, and a finite-difference proxy for alternating
@@ -15,7 +15,6 @@ derivative signs of the smooth profiles.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .grid import GridDims, Metric, block_shape, distance_table, expand_block
+from .grid import GridDims, Metric, block_shape, distance_table
 
 __all__ = [
     "EnergyFunction",
@@ -127,17 +126,17 @@ class Tabulated(EnergyFunction):
         return float(self.values[keys[lo]])
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelTable:
     """The kernel u(g, 0) = f(distance(g, 0)), stored on the fundamental block, with u(0, 0) = 0.
 
     Every metric depends on a site only through its per-axis wraps, so the
     kernel is even in every axis and fixed by its values at wraps
     0..n_i // 2: `block` holds those, in an array of shape
-    `block_shape(dims)`.  `values` is the table over all site indices,
-    expanded from the block on first use and kept.  The zero at the origin
-    encodes the exclusion of the self-pair from every energy sum, and makes
-    the Fourier transform of the full table equal to the eigenvalue table.
+    `block_shape(dims)`, and u(g, 0) is the block entry at the wraps of g.
+    The zero at the origin encodes the exclusion of the self-pair from every
+    energy sum, and makes the Fourier transform of the kernel over all sites
+    equal to the eigenvalue table.
     """
 
     dims: GridDims
@@ -150,11 +149,6 @@ class KernelTable:
                 f"kernel block has shape {self.block.shape}, expected {block_shape(self.dims)} "
                 f"for grid {self.dims}"
             )
-
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        """The kernel over all |G| sites, in site-index order."""
-        return expand_block(self.dims, self.block).ravel()
 
 
 def build_kernel(dims: GridDims, metric: Metric, f: EnergyFunction | Callable[[float], float]) -> KernelTable:

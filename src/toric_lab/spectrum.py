@@ -59,7 +59,7 @@ __all__ = [
 IMAG_RTOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class EigenTable:
     """Real eigenvalue table over characters, stored on the fundamental block.
 

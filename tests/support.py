@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from toric_lab.energy import KernelTable, Tabulated
-from toric_lab.grid import GridDims, Metric, Site, distance, distance_table, enumerate_sites
+from toric_lab.grid import GridDims, Metric, Site, distance, distance_table, enumerate_sites, expand_block
 
 # 12 * eigenvalue table of the 4x4 harmonic instance, rows/cols indexed by
 # character indices 0..3 per axis.
@@ -61,6 +61,11 @@ def character_value(dims: GridDims, chi, g) -> complex:
     return complex(math.cos(2.0 * math.pi * phase), math.sin(2.0 * math.pi * phase))
 
 
+def full_kernel(kernel: KernelTable) -> np.ndarray:
+    """The kernel over all |G| sites, in site-index order, expanded from its block."""
+    return expand_block(kernel.dims, kernel.block).ravel()
+
+
 def direct_eigen_oracle(kernel: KernelTable) -> np.ndarray:
     """Eigenvalues by the defining O(|G|^2) cosine double sum.
 
@@ -73,7 +78,7 @@ def direct_eigen_oracle(kernel: KernelTable) -> np.ndarray:
     phase = np.zeros((order, order))
     for axis, n in enumerate(dims.sizes):
         phase += ((coords[:, None, axis] * coords[None, :, axis]) % n) / n
-    return (np.cos(2.0 * np.pi * phase) * kernel.values[None, :]).sum(axis=1)
+    return (np.cos(2.0 * np.pi * phase) * full_kernel(kernel)[None, :]).sum(axis=1)
 
 
 def full_scan_argmin(eigs, tie_tol: float) -> tuple[float, list[Site]]:

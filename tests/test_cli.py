@@ -485,9 +485,19 @@ class TestCurveCommands:
         assert rows[0] == ["a", "argmin", "is_minus_one_strict_min", "min_value"]
         assert all(r[2] == "true" and r[1] == "4" for r in rows[1:])
 
-    def test_bad_base_exit_2(self, capsys):
-        code, _, _ = run(capsys, "factor-curve", "--n", "8", "--a", "0.9")
-        assert code == EXIT_SPEC
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("factor-curve", "--n", "1", "--a", "2"), "cycle length must be at least 2, got 1"),
+            (("factor-curve", "--n", "8", "--a", "0.9"), "base must exceed 1, got 0.9"),
+            (("bernstein", "--n", "8", "--power", "1", "--a-grid", ""), "a_grid must be nonempty"),
+            (("bernstein", "--n", "8", "--power", "1", "--a-grid", "abc"),
+             "could not convert string to float: 'abc'"),
+        ],
+    )
+    def test_library_value_errors_exit_2(self, capsys, argv, message):
+        # main reports a ValueError raised by the analysis layer like any spec error
+        assert run(capsys, *argv) == (EXIT_SPEC, "", f"error: {message}\n")
 
 
 class TestSpecFileFlow:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,21 @@ class TestEnergies:
         dims, kernel = harmonic_kernel((64, 64))
         with pytest.raises(BudgetExceededError, match="2049 x 2049"):
             energies(Configuration.from_indices(dims, range(2049)), kernel)
+
+    def test_large_grid_reads_only_member_pairs(self):
+        # pair energies come off the kernel block; expanding the full 1024^2
+        # table (8 MiB of doubles) would break the bound
+        dims, kernel = harmonic_kernel((1024, 1024))
+        rng = np.random.default_rng(3)
+        config = Configuration.from_indices(dims, rng.choice(dims.order, 64, replace=False))
+        tracemalloc.start()
+        try:
+            report = energies(config, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.per_site) == 64
+        assert peak < 2 * 2**20
 
     def test_grid_mismatch(self):
         dims, kernel = harmonic_kernel((4, 4))

@@ -14,7 +14,7 @@ from toric_lab.energy import (
 )
 from toric_lab.grid import GridDims, Metric, distance, enumerate_sites, site_index
 
-from support import negate_site, tabulated_from_instance
+from support import full_kernel, negate_site, tabulated_from_instance
 
 
 class TestEvaluate:
@@ -82,37 +82,37 @@ class TestEvaluate:
 class TestBuildKernel:
     def test_reference_entries_4x4(self):
         dims = GridDims.of(4, 4)
-        kernel = build_kernel(dims, Metric.LEE, InversePower(1.0))
-        assert kernel.values[site_index(dims, (0, 1))] == 1.0
-        assert kernel.values[site_index(dims, (2, 2))] == 0.25
-        assert kernel.values[site_index(dims, (0, 0))] == 0.0
+        values = full_kernel(build_kernel(dims, Metric.LEE, InversePower(1.0)))
+        assert values[site_index(dims, (0, 1))] == 1.0
+        assert values[site_index(dims, (2, 2))] == 0.25
+        assert values[site_index(dims, (0, 0))] == 0.0
 
     def test_exponential_on_squared_metric(self):
         dims = GridDims.of(8)
         kernel = build_kernel(dims, Metric.EUCLIDEAN_SQUARED, ExponentialAtom(1.05, "distance"))
-        assert kernel.values[site_index(dims, (4,))] == pytest.approx(1.05**-16, rel=1e-15)
+        assert full_kernel(kernel)[site_index(dims, (4,))] == pytest.approx(1.05**-16, rel=1e-15)
 
     @pytest.mark.parametrize("sizes", [(5,), (4, 4), (3, 4), (2, 3, 4), (6, 6)])
     @pytest.mark.parametrize("metric", list(Metric))
     def test_symmetry_and_positivity(self, sizes, metric):
         dims = GridDims(sizes)
-        kernel = build_kernel(dims, metric, InversePower(0.7))
-        assert kernel.values[0] == 0.0
-        assert (kernel.values[1:] > 0).all()
+        values = full_kernel(build_kernel(dims, metric, InversePower(0.7)))
+        assert values[0] == 0.0
+        assert (values[1:] > 0).all()
         for s in enumerate_sites(dims):
             i = site_index(dims, s)
             j = site_index(dims, negate_site(dims, s))
-            assert kernel.values[i] == kernel.values[j]
+            assert values[i] == values[j]
 
     def test_symmetry_exhaustive_on_large_grid(self):
         # a million sites, checked exhaustively via the reversal permutation
         dims = GridDims.of(1000, 1000)
-        kernel = build_kernel(dims, Metric.LEE, InversePower(0.5))
-        grid_view = kernel.values.reshape(dims.sizes)
+        values = full_kernel(build_kernel(dims, Metric.LEE, InversePower(0.5)))
+        grid_view = values.reshape(dims.sizes)
         conj = grid_view[np.ix_(*[(-np.arange(n)) % n for n in dims.sizes])]
         assert (grid_view == conj).all()
-        assert kernel.values[0] == 0.0
-        assert (kernel.values[1:] > 0).all()
+        assert values[0] == 0.0
+        assert (values[1:] > 0).all()
 
     @pytest.mark.parametrize(
         "sizes", [(1,), (2,), (7,), (1, 6), (2, 5), (3, 4), (5, 2, 7), (3, 3, 3), (4, 6, 2)]
@@ -128,14 +128,14 @@ class TestBuildKernel:
         expected = [
             0.0 if s == origin else f(distance(metric, origin, s, dims)) for s in enumerate_sites(dims)
         ]
-        assert kernel.values.tolist() == expected
+        assert full_kernel(kernel).tolist() == expected
 
     def test_tabulated_covers_instance(self):
         dims = GridDims.of(4, 6)
         f = tabulated_from_instance(dims, Metric.LEE, lambda x: 1.0 / x)
         kernel = build_kernel(dims, Metric.LEE, f)
         ref = build_kernel(dims, Metric.LEE, InversePower(1.0))
-        np.testing.assert_allclose(kernel.values, ref.values, rtol=0, atol=0)
+        np.testing.assert_allclose(kernel.block, ref.block, rtol=0, atol=0)
 
     def test_tabulated_missing_distance(self):
         dims = GridDims.of(4, 4)

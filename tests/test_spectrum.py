@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,13 @@ from toric_lab.spectrum import (
     solve_relaxation,
 )
 
-from support import TWELVE_LAMBDA_4X4, conjugate_character, direct_eigen_oracle, full_scan_argmin
+from support import (
+    TWELVE_LAMBDA_4X4,
+    conjugate_character,
+    direct_eigen_oracle,
+    full_kernel,
+    full_scan_argmin,
+)
 
 HARMONIC = InversePower(1.0)
 
@@ -46,7 +53,7 @@ class TestEigenTable:
         dims = GridDims.of(3, 5)
         kernel = build_kernel(dims, Metric.CHEBYSHEV, InversePower(0.4))
         table = eigen_table(kernel)
-        assert table.values[0] == pytest.approx(kernel.values.sum(), rel=1e-12)
+        assert table.values[0] == pytest.approx(full_kernel(kernel).sum(), rel=1e-12)
 
     def test_6x6_matches_direct_sum(self):
         dims = GridDims.of(6, 6)
@@ -64,7 +71,7 @@ class TestEigenTable:
     def test_fft_matches_oracle_at_4096_sites(self):
         kernel = build_kernel(GridDims.of(16, 16, 16), Metric.LEE, InversePower(0.6))
         fast = eigen_table(kernel)
-        scale = 1.0 + float(np.abs(kernel.values).sum())
+        scale = 1.0 + float(np.abs(full_kernel(kernel)).sum())
         assert float(np.abs(fast.values - direct_eigen_oracle(kernel)).max()) <= 1e-9 * scale
 
     def test_trivial_character_is_maximal(self):
@@ -87,7 +94,7 @@ class TestEigenTable:
             kernel = build_kernel(GridDims(sizes), metric, InversePower(0.9))
             table = eigen_table(kernel)
             lhs = float((table.values**2).sum())
-            rhs = kernel.dims.order * float((kernel.values**2).sum())
+            rhs = kernel.dims.order * float((full_kernel(kernel) ** 2).sum())
             assert lhs == pytest.approx(rhs, rel=1e-6)
 
     def test_kernel_block_shape_checked(self):
@@ -97,7 +104,17 @@ class TestEigenTable:
             KernelTable(dims=GridDims.of(5), metric=Metric.LEE, block=np.array([0.0, 1.0, 0.5, 0.5, 0.25]))
         with pytest.raises(ValueError, match="kernel block has shape"):
             KernelTable(dims=GridDims.of(4, 3), metric=Metric.LEE, block=np.zeros((3, 3)))
-        assert KernelTable(dims=GridDims.of(4, 3), metric=Metric.LEE, block=np.zeros((3, 2))).values.shape == (12,)
+        kernel = KernelTable(dims=GridDims.of(4, 3), metric=Metric.LEE, block=np.zeros((3, 2)))
+        assert full_kernel(kernel).shape == (12,)
+
+    def test_tables_are_immutable(self):
+        # a reassigned block would leave anything derived from the old one stale
+        kernel = build_kernel(GridDims.of(4, 3), Metric.LEE, HARMONIC)
+        table = eigen_table(kernel)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            kernel.block = np.zeros((3, 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.block = np.zeros((3, 2))
 
 
 class TestMinNontrivial:
@@ -125,7 +142,7 @@ class TestMinNontrivial:
         dims = GridDims.of(8)
         a = build_kernel(dims, Metric.EUCLIDEAN_SQUARED, ExponentialAtom(1.05, "distance"))
         b = build_kernel(dims, Metric.EUCLIDEAN, ExponentialAtom(1.05, "distance_squared"))
-        np.testing.assert_allclose(a.values, b.values, rtol=1e-12)
+        np.testing.assert_allclose(a.block, b.block, rtol=1e-12)
 
     def test_argmin_closed_under_conjugation(self):
         for sizes, metric, f in [
@@ -239,7 +256,7 @@ class TestSolveRelaxation:
     def test_full_grid(self):
         _, kernel = harmonic_4x4()
         sol = solve_relaxation(eigen_table(kernel), 16)
-        assert sol.optimal_value == pytest.approx(16.0 * kernel.values.sum(), rel=1e-12)
+        assert sol.optimal_value == pytest.approx(16.0 * full_kernel(kernel).sum(), rel=1e-12)
 
     def test_p_out_of_range(self):
         _, kernel = harmonic_4x4()
