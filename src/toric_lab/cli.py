@@ -130,10 +130,12 @@ def _check_format(fmt: str, dims: GridDims) -> None:
 
 
 def _render_ascii(config: Configuration) -> str:
-    """One line of 0s and 1s per row of the grid; bit i of the members is site i, row-major."""
+    """One line of 0s and 1s per row of the grid; digit i is site i, row-major."""
     order, width = config.dims.order, config.dims.sizes[-1]
-    bits = format(config.members, f"0{order}b")[::-1]
-    return "\n".join(bits[start:start + width] for start in range(0, order, width))
+    cells = bytearray(b"0") * order
+    for i in config.indices():
+        cells[i] = ord("1")
+    return "\n".join(cells[start:start + width].decode() for start in range(0, order, width))
 
 
 def _read_sites(path: Path, dims: GridDims) -> list[tuple[int, ...]]:

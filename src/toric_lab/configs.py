@@ -1,15 +1,15 @@
 """Exact configuration energies, exhaustive and stochastic search over p-subsets.
 
-A configuration is a bitset over site indices.  Energies and translation
-structure come from one table of per-axis member differences s_a - s_b:
-pair energies read the kernel block at its wraps, and its sorted columns,
-raveled to site indices, are the p translates through site 0, which hold
-the canonical translate, the stabiliser and the coset test.  Exhaustive
-search sums batches of subsets' member pairs from the kernel matrix, the
-same sums energies() reads; it refuses work beyond a budget instead of
-running for hours.  Local search keeps per-site energies incrementally: a
-swap costs O(|G|) to apply, and scoring a step's swaps O(p (|G| - p)) for
-the total objective and O(p^2 (|G| - p)) for the max.
+A configuration is the strictly increasing tuple of its site indices.
+Energies and translation structure come from one table of per-axis member
+differences s_a - s_b: pair energies read the kernel block at its wraps,
+and its sorted columns, raveled to site indices, are the p translates
+through site 0, which hold the canonical translate, the stabiliser and the
+coset test.  Exhaustive search sums batches of subsets' member pairs from
+the kernel matrix, the same sums energies() reads; it refuses work beyond a
+budget instead of running for hours.  Local search keeps per-site energies
+incrementally: a swap costs O(|G|) to apply, and scoring a step's swaps
+O(p (|G| - p)) for the total objective and O(p^2 (|G| - p)) for the max.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .grid import (
     GridDims,
     Metric,
     Site,
+    _check_site,
     axis_wraps,
     checkerboard_sites,
     index_to_site,
@@ -66,25 +67,24 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class Configuration:
-    """A p-element subset of the grid, stored as a bitset over site indices."""
+    """A p-element subset of the grid: its site indices, strictly increasing."""
 
     dims: GridDims
-    members: int
+    members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.members < 0 or self.members >> self.dims.order:
-            raise ValueError("member bitset out of range for the grid")
-        object.__setattr__(self, "_p", self.members.bit_count())
+        members = tuple(map(int, self.members))
+        if any(a >= b for a, b in zip(members, members[1:])):
+            raise ValueError("site indices must strictly increase")
+        for i in members[:1] + members[-1:]:  # the least and the greatest
+            if not 0 <= i < self.dims.order:
+                raise ValueError(f"site index {i} out of range for |G| = {self.dims.order}")
+        object.__setattr__(self, "members", members)
 
     @classmethod
     def from_indices(cls, dims: GridDims, indices: Iterable[int]) -> Configuration:
-        bits = 0
-        for i in indices:
-            i = int(i)
-            if not 0 <= i < dims.order:
-                raise ValueError(f"site index {i} out of range for |G| = {dims.order}")
-            bits |= 1 << i
-        return cls(dims, bits)
+        """The configuration of the given site indices, in any order and with repeats."""
+        return cls(dims, sorted(set(map(int, indices))))
 
     @classmethod
     def from_sites(cls, dims: GridDims, sites: Iterable[Sequence[int]]) -> Configuration:
@@ -92,36 +92,30 @@ class Configuration:
 
     @property
     def p(self) -> int:
-        return self._p  # type: ignore[attr-defined]
+        return len(self.members)
 
     def indices(self) -> tuple[int, ...]:
-        out = []
-        m = self.members
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return tuple(out)
+        return self.members
 
     def sites(self) -> tuple[Site, ...]:
         return tuple(index_to_site(self.dims, i) for i in self.indices())
 
     def __contains__(self, site: Sequence[int]) -> bool:
-        return bool(self.members >> site_index(self.dims, site) & 1)
+        return site_index(self.dims, site) in self.members
 
     def translate(self, shift: Sequence[int]) -> Configuration:
-        shifted = (
-            tuple((c + s) % n for c, s, n in zip(site, shift, self.dims.sizes))
-            for site in self.sites()
-        )
-        return Configuration.from_sites(self.dims, shifted)
+        _check_site(self.dims, shift, "shift")
+        sizes = self.dims.sizes
+        coords = np.unravel_index(np.array(self.members, dtype=np.int64), sizes)
+        moved = tuple((c + s % n) % n for c, s, n in zip(coords, shift, sizes))
+        return Configuration(self.dims, np.sort(np.ravel_multi_index(moved, sizes)))
 
     def canonical(self) -> Configuration:
         """Lexicographically least translate (the orbit representative used everywhere)."""
         if self.p == 0:
             return self
         rows = self._zero_translates()
-        return Configuration.from_indices(self.dims, rows[_least_rows(rows)])
+        return Configuration(self.dims, rows[_least_rows(rows)])
 
     def orbit_size(self) -> int:
         """Number of distinct translates: |G| over the size of the stabiliser."""
@@ -291,7 +285,7 @@ def brute_force(
         )
     kernel = build_kernel(dims, metric, f)
     if p == 0:
-        return [SearchHit(config=Configuration(dims, 0), value=0.0, orbit_size=1)]
+        return [SearchHit(config=Configuration(dims, ()), value=0.0, orbit_size=1)]
     K = kernel_matrix(kernel)
     if reduce == "translations":
         table = np.ravel_multi_index(_pair_differences(dims, np.arange(dims.order)), dims.sizes)
@@ -313,7 +307,7 @@ def brute_force(
         best_values, best = values[order], batch[order]
     hits = []
     for value, members in zip(best_values.tolist(), best.tolist()):
-        config = Configuration.from_indices(dims, members)
+        config = Configuration(dims, members)
         size = config.orbit_size() if reduce == "translations" else 1
         hits.append(SearchHit(config=config, value=value, orbit_size=size))
     return hits
@@ -420,7 +414,7 @@ def local_search(
             best_key = key
             best_members = members
     assert best_members is not None
-    config = Configuration.from_indices(dims, (int(i) for i in best_members))
+    config = Configuration(dims, best_members)
     report = energies(config, kernel)
     value = report.e_tot if objective == "total" else report.e_max
     return LocalSearchResult(config=config, report=report, value=value)

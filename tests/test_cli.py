@@ -373,6 +373,14 @@ class TestEnergyCommand:
         assert stdout.startswith("10\n01\n")
         assert "e_tot=" in stdout
 
+    def test_ascii_format_keeps_orientation(self, capsys, tmp_path):
+        # a picture that differs from its reversal: rows top to bottom, columns left to right
+        config = tmp_path / "corners.txt"
+        config.write_text("0,1\n2,3\n", encoding="utf-8")
+        code, stdout, _ = run(capsys, "energy", "--dims", "3,4", "--config", str(config), "--format", "ascii-grid")
+        assert code == EXIT_OK
+        assert stdout.startswith("0100\n0000\n0001\ne_tot=")
+
     def test_oversized_configuration_exit_3(self, capsys, tmp_path):
         config = tmp_path / "big.txt"
         config.write_text("".join(f"{i // 64},{i % 64}\n" for i in range(2049)), encoding="utf-8")

@@ -49,7 +49,27 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             Configuration.from_indices(dims, [4])
         with pytest.raises(ValueError):
-            Configuration(dims, 1 << 4)
+            Configuration(dims, (4,))
+
+    def test_members_are_sorted_indices(self):
+        dims = GridDims.of(2, 2)
+        assert Configuration.from_indices(dims, [3, 1, 1]).members == (1, 3)
+        for members in [(2, 1), (1, 1), (-1,)]:
+            with pytest.raises(ValueError):
+                Configuration(dims, members)
+
+    def test_large_grid_members_stay_small(self):
+        # 2048 members on 16.7M sites: the configuration holds the members, not the grid
+        dims = GridDims.of(4096, 4096)
+        idx = np.random.default_rng(0).choice(dims.order, size=2048, replace=False)
+        tracemalloc.start()
+        try:
+            indices = Configuration.from_indices(dims, idx).indices()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert indices == tuple(sorted(idx.tolist()))
+        assert peak < 4 * 2**20
 
     def test_translate_and_canonical(self):
         dims = GridDims.of(4, 4)
@@ -58,6 +78,18 @@ class TestConfiguration:
         assert shifted.p == config.p
         assert shifted.canonical() == config.canonical()
         assert config.canonical().indices()[0] == 0 or config.p == 0
+
+    def test_translate_wraps_each_axis(self):
+        dims = GridDims.of(4, 4)
+        config = Configuration.from_sites(dims, [(0, 0), (3, 2)])
+        assert config.translate((1, 3)).sites() == ((0, 1), (1, 3))
+        assert config.translate((-3, 7)) == config.translate((1, 3))
+
+    @pytest.mark.parametrize("shift", [(1, 2, 3), (1,)], ids=["too-long", "too-short"])
+    def test_translate_refuses_wrong_length_shift(self, shift):
+        config = Configuration.from_sites(GridDims.of(4, 4), ROW_CONFIG_4X4)
+        with pytest.raises(ValueError, match=f"shift has {len(shift)} coordinates but the grid has 2"):
+            config.translate(shift)
 
     def test_orbit_size(self):
         dims = GridDims.of(4, 4)
