@@ -42,12 +42,7 @@ from .grid import (
     GridDims,
     Metric,
     Site,
-    checkerboard_sites,
-    distance,
-    enumerate_sites,
     minus_one_character,
-    trivial_character,
-    wrap_abs,
 )
 from .spectrum import (
     CheckerboardCertificate,

@@ -50,9 +50,9 @@ def _fmt(v: float) -> str:
 
 
 def parse_dims(text: str) -> tuple[int, ...]:
-    parts = [p for p in text.replace("x", ",").split(",") if p.strip()]
-    if not parts:
-        raise SpecError(f"empty dims {text!r}")
+    parts = text.replace("x", ",").split(",")
+    if not all(p.strip() for p in parts):
+        raise SpecError(f"empty size in dims {text!r}")
     try:
         return tuple(int(p) for p in parts)
     except ValueError:
@@ -164,13 +164,6 @@ def _cmd_eigs(args: argparse.Namespace) -> int:
     dims, metric, f = _instance(args)
     table = spectrum.eigen_table(build_kernel(dims, metric, f))
     lam_min, argmin = spectrum.min_nontrivial(table, args.tie_tol)
-    header = [f"j{i + 1}" for i in range(dims.ndim)] + ["lambda"]
-    # the table is in row-major character order, the order of itertools.product
-    labels = [[str(j) for j in range(n)] for n in dims.sizes]
-    rows = (
-        (*chi, _fmt(value))
-        for chi, value in zip(itertools.product(*labels), table.values.tolist())
-    )
     summary = {
         "dims": list(dims.sizes),
         "metric": args.metric,
@@ -180,12 +173,17 @@ def _cmd_eigs(args: argparse.Namespace) -> int:
         "argmin": [list(c) for c in argmin],
         "tie_tol": args.tie_tol if args.tie_tol is not None else spectrum.default_tie_tol(lam_min),
     }
+    with _out_stream(args.out) as handle:
+        handle.write(",".join([f"j{i + 1}" for i in range(dims.ndim)] + ["lambda"]) + "\n")
+        # the table is in row-major character order, the order of itertools.product
+        leading = itertools.product(*(range(n) for n in dims.sizes[:-1]))
+        for lead, row in zip(leading, table.values.reshape(-1, dims.sizes[-1])):
+            prefix = "".join(f"{c}," for c in lead)
+            handle.write("".join([f"{prefix}{j},{_fmt(v)}\n" for j, v in enumerate(row.tolist())]))
     if args.out is not None:
-        _write_csv(args.out, header, rows)
         _summary_path(args.out).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
         print(json.dumps(summary, indent=2))
     else:
-        _write_csv(None, header, rows)
         print(json.dumps(summary, indent=2), file=sys.stderr)
     return EXIT_OK
 

@@ -28,7 +28,6 @@ from .grid import (
     Site,
     _check_site,
     axis_wraps,
-    checkerboard_sites,
     index_to_site,
     site_index,
 )
@@ -130,8 +129,19 @@ class Configuration:
 
 
 def checkerboard(dims: GridDims, parity: str = "even") -> Configuration:
-    """The checkerboard configuration of the given parity; needs all sizes even."""
-    return Configuration.from_sites(dims, checkerboard_sites(dims, parity))
+    """The sites whose coordinate sum has the given parity; needs all sizes even.
+
+    The even and odd checkerboards partition the grid into two halves that
+    are translates of each other by any single-step shift.
+    """
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    if not dims.all_even():
+        odd = [n for n in dims.sizes if n % 2]
+        raise ValueError(f"checkerboard undefined: odd size(s) {odd} in {dims.sizes}")
+    coordinate_sum = sum(np.ix_(*[np.arange(n) for n in dims.sizes]))
+    want = 0 if parity == "even" else 1
+    return Configuration(dims, np.flatnonzero(coordinate_sum % 2 == want))
 
 
 @dataclass(frozen=True)

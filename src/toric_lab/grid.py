@@ -3,20 +3,20 @@
 Sites and characters are plain integer tuples.  Every table over the grid
 is indexed by the row-major mixed-radix site index fixed by `site_index`
 (last coordinate fastest); all modules share this convention, which also
-matches numpy's C-order `reshape`.  Tables that depend on a site only
-through its per-axis wraps (distances, kernels, eigenvalues) are stored on
-the fundamental block of wraps 0..n_i // 2, of shape `block_shape`, and
-`expand_block` gives their full table.
+matches numpy's C-order `reshape`, so numpy index arithmetic lists sites.
+Tables that depend on a site only through its per-axis wraps (distances,
+kernels, eigenvalues) are stored on the fundamental block of wraps
+0..n_i // 2, of shape `block_shape`: `axis_wraps` is the wrap of each
+coordinate, `distance_table` the metric over the block, and `expand_block`
+gives a block's full table.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,18 +28,13 @@ __all__ = [
     "Character",
     "Metric",
     "GridDims",
-    "wrap_abs",
-    "distance",
     "distance_table",
     "axis_wraps",
     "block_shape",
     "expand_block",
     "site_index",
     "index_to_site",
-    "enumerate_sites",
-    "trivial_character",
     "minus_one_character",
-    "checkerboard_sites",
 ]
 
 
@@ -92,14 +87,6 @@ class GridDims:
         return "x".join(str(n) for n in self.sizes)
 
 
-def wrap_abs(a: int, n: int) -> int:
-    """Smallest non-negative representative of +-a modulo n; always <= n // 2."""
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
-    r = a % n
-    return min(r, n - r)
-
-
 def _check_site(dims: GridDims, s: Sequence[int], name: str) -> None:
     if len(s) != dims.ndim:
         raise ValueError(
@@ -107,24 +94,11 @@ def _check_site(dims: GridDims, s: Sequence[int], name: str) -> None:
         )
 
 
-def distance(metric: Metric, g: Sequence[int], h: Sequence[int], dims: GridDims) -> float:
-    """Distance between two sites under the wrap-around metric of the given kind."""
-    _check_site(dims, g, "site g")
-    _check_site(dims, h, "site h")
-    wraps = [wrap_abs(hi - gi, n) for gi, hi, n in zip(g, h, dims.sizes)]
-    if metric is Metric.LEE:
-        return sum(wraps)
-    if metric is Metric.EUCLIDEAN_SQUARED:
-        return sum(w * w for w in wraps)
-    if metric is Metric.EUCLIDEAN:
-        return math.sqrt(sum(w * w for w in wraps))
-    if metric is Metric.CHEBYSHEV:
-        return max(wraps)
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def axis_wraps(n: int) -> np.ndarray:
-    """Per-axis wrap map: entry g is wrap_abs(g, n), the fundamental-block index of g."""
+    """Per-axis wrap map: entry g is min(g, n - g), the fundamental-block index of g.
+
+    The wrap of any integer coordinate c is entry c % n.
+    """
     r = np.arange(n)
     return np.minimum(r, n - r)
 
@@ -182,33 +156,8 @@ def index_to_site(dims: GridDims, index: int) -> Site:
     return tuple(reversed(coords))
 
 
-def enumerate_sites(dims: GridDims) -> Iterator[Site]:
-    """All sites in row-major order; position of a site equals its `site_index`."""
-    return itertools.product(*(range(n) for n in dims.sizes))
-
-
-def trivial_character(dims: GridDims) -> Character:
-    """The character sending every site to 1."""
-    return (0,) * dims.ndim
-
-
 def minus_one_character(dims: GridDims) -> Character:
     """The real character (-1, ..., -1); exists exactly when all sizes are even."""
     if not dims.all_even():
         raise ValueError(f"(-1, ..., -1) requires all even sizes, got {dims.sizes}")
     return tuple(n // 2 for n in dims.sizes)
-
-
-def checkerboard_sites(dims: GridDims, parity: str = "even") -> list[Site]:
-    """Sites whose coordinate sum has the given parity; needs all sizes even.
-
-    The even and odd checkerboards partition the grid into two halves that
-    are translates of each other by any single-step shift.
-    """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if not dims.all_even():
-        odd = [n for n in dims.sizes if n % 2]
-        raise ValueError(f"checkerboard undefined: odd size(s) {odd} in {dims.sizes}")
-    want = 0 if parity == "even" else 1
-    return [s for s in enumerate_sites(dims) if sum(s) % 2 == want]

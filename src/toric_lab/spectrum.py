@@ -41,7 +41,6 @@ from .grid import (
     block_shape,
     expand_block,
     minus_one_character,
-    wrap_abs,
 )
 
 __all__ = [
@@ -80,7 +79,7 @@ class EigenTable:
 
     def value_at(self, chi: Character) -> float:
         _check_site(self.dims, chi, "character")
-        return float(self.block[tuple(wrap_abs(c, n) for c, n in zip(chi, self.dims.sizes))])
+        return float(self.block[tuple(axis_wraps(n)[c % n] for c, n in zip(chi, self.dims.sizes))])
 
 
 def eigen_table(kernel: KernelTable) -> EigenTable:

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Iterator
 
 import numpy as np
 
 from toric_lab.energy import KernelTable, Tabulated
-from toric_lab.grid import GridDims, Metric, Site, distance, distance_table, enumerate_sites, expand_block
+from toric_lab.grid import Character, GridDims, Metric, Site, distance_table, expand_block
 
 # 12 * eigenvalue table of the 4x4 harmonic instance, rows/cols indexed by
 # character indices 0..3 per axis.
@@ -36,6 +37,49 @@ P4_OPTIMAL_PATTERNS = [
 ]
 
 ROW_CONFIG_4X4 = [(0, 0), (0, 1), (0, 2), (0, 3)]
+
+
+def wrap_abs(a: int, n: int) -> int:
+    """Smallest non-negative representative of +-a modulo n; always <= n // 2."""
+    if n < 1:
+        raise ValueError(f"modulus must be positive, got {n}")
+    r = a % n
+    return min(r, n - r)
+
+
+def distance(metric: Metric, g, h, dims: GridDims) -> float:
+    """Distance between two sites under the wrap-around metric of the given kind."""
+    wraps = [wrap_abs(hi - gi, n) for gi, hi, n in zip(g, h, dims.sizes, strict=True)]
+    if metric is Metric.LEE:
+        return sum(wraps)
+    if metric is Metric.EUCLIDEAN_SQUARED:
+        return sum(w * w for w in wraps)
+    if metric is Metric.EUCLIDEAN:
+        return math.sqrt(sum(w * w for w in wraps))
+    if metric is Metric.CHEBYSHEV:
+        return max(wraps)
+    raise ValueError(f"unknown metric {metric!r}")
+
+
+def enumerate_sites(dims: GridDims) -> Iterator[Site]:
+    """All sites in row-major order; position of a site equals its `site_index`."""
+    return itertools.product(*(range(n) for n in dims.sizes))
+
+
+def trivial_character(dims: GridDims) -> Character:
+    """The character sending every site to 1."""
+    return (0,) * dims.ndim
+
+
+def checkerboard_sites(dims: GridDims, parity: str = "even") -> list[Site]:
+    """Sites whose coordinate sum has the given parity; needs all sizes even."""
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    if not dims.all_even():
+        odd = [n for n in dims.sizes if n % 2]
+        raise ValueError(f"checkerboard undefined: odd size(s) {odd} in {dims.sizes}")
+    want = 0 if parity == "even" else 1
+    return [s for s in enumerate_sites(dims) if sum(s) % 2 == want]
 
 
 def coords_array(dims: GridDims) -> np.ndarray:

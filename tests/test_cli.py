@@ -46,6 +46,31 @@ class TestParsing:
         with pytest.raises(SpecError):
             parse_dims("a,b")
 
+    @pytest.mark.parametrize("text", ["4,,4", "4,4,", ",4", "4x4x", "4, ,4", "x4"])
+    def test_parse_dims_refuses_empty_size(self, text):
+        with pytest.raises(SpecError, match="empty size"):
+            parse_dims(text)
+
+    def test_parse_dims_allows_spaces_and_x(self):
+        assert parse_dims(" 4 x 6 , 2 ") == (4, 6, 2)
+
+    @pytest.mark.parametrize("argv", [
+        ("certify", "--dims", "4,,4"),
+        ("eigs", "--dims", "4,4,"),
+        ("sweep", "--dims-list", "2,2;4,,4"),
+    ])
+    def test_empty_size_exit_2(self, capsys, argv):
+        code, stdout, err = run(capsys, *argv)
+        assert code == EXIT_SPEC
+        assert stdout == ""
+        assert "empty size" in err
+
+    def test_empty_size_in_spec_exit_2(self, capsys, tmp_path):
+        code, stdout, err = run(capsys, "certify", "--spec", write_spec(tmp_path, "dims = 4,,4\n"))
+        assert code == EXIT_SPEC
+        assert stdout == ""
+        assert "'4,,4'" in err
+
     def test_parse_energy(self):
         assert parse_energy("inverse-power:1") == InversePower(1.0)
         assert parse_energy("exp:1.05") == ExponentialAtom(1.05, "distance")

@@ -15,7 +15,7 @@ from toric_lab.configs import (
     local_search,
 )
 from toric_lab.energy import InversePower, build_kernel
-from toric_lab.grid import GridDims, Metric, enumerate_sites
+from toric_lab.grid import GridDims, Metric
 from toric_lab.spectrum import eigen_table, solve_relaxation
 
 from support import (
@@ -24,6 +24,7 @@ from support import (
     brute_min_total,
     cosets_of,
     enumerate_subgroups,
+    enumerate_sites,
     translate_oracle,
 )
 

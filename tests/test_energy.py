@@ -12,9 +12,9 @@ from toric_lab.energy import (
     check_complete_monotonicity_proxy,
     forward_difference,
 )
-from toric_lab.grid import GridDims, Metric, distance, enumerate_sites, site_index
+from toric_lab.grid import GridDims, Metric, site_index
 
-from support import full_kernel, negate_site, tabulated_from_instance
+from support import distance, enumerate_sites, full_kernel, negate_site, tabulated_from_instance
 
 
 class TestEvaluate:

@@ -4,21 +4,31 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import toric_lab
+from toric_lab import grid
+from toric_lab.configs import checkerboard
 from toric_lab.grid import (
     GridDims,
     Metric,
-    checkerboard_sites,
-    distance,
+    axis_wraps,
     distance_table,
-    enumerate_sites,
     index_to_site,
     minus_one_character,
     site_index,
+)
+
+from support import (
+    add_sites,
+    character_value,
+    checkerboard_sites,
+    conjugate_character,
+    coords_array,
+    distance,
+    enumerate_sites,
+    negate_site,
     trivial_character,
     wrap_abs,
 )
-
-from support import add_sites, character_value, conjugate_character, coords_array, negate_site
 
 ALL_METRICS = list(Metric)
 
@@ -71,6 +81,10 @@ class TestWrapAbs:
     @given(st.integers(-100, 100), st.integers(1, 50))
     def test_min_over_both_residue_classes(self, a, n):
         assert wrap_abs(a, n) == min(a % n, (-a) % n)
+
+    @given(st.integers(-10**6, 10**6), st.integers(1, 5000))
+    def test_axis_wraps_agrees(self, a, n):
+        assert axis_wraps(n)[a % n] == wrap_abs(a, n)
 
 
 class TestDistance:
@@ -207,25 +221,25 @@ class TestCharacters:
 
 class TestCheckerboard:
     def test_two_by_two(self):
-        assert set(checkerboard_sites(GridDims.of(2, 2), "even")) == {(0, 0), (1, 1)}
+        assert set(checkerboard(GridDims.of(2, 2), "even").sites()) == {(0, 0), (1, 1)}
 
     def test_four_by_four(self):
-        even = checkerboard_sites(GridDims.of(4, 4), "even")
+        even = checkerboard(GridDims.of(4, 4), "even").sites()
         assert len(even) == 8
         for s in [(0, 0), (1, 1), (0, 2)]:
             assert s in even
 
     def test_odd_size_rejected(self):
         with pytest.raises(ValueError, match="checkerboard undefined"):
-            checkerboard_sites(GridDims.of(3, 4))
+            checkerboard(GridDims.of(3, 4))
         with pytest.raises(ValueError):
-            checkerboard_sites(GridDims.of(4, 4), parity="sideways")
+            checkerboard(GridDims.of(4, 4), parity="sideways")
 
     @pytest.mark.parametrize("sizes", [(2, 2), (4, 4), (2, 4, 6), (8,)])
     def test_partition_and_translation(self, sizes):
         dims = GridDims(sizes)
-        even = set(checkerboard_sites(dims, "even"))
-        odd = set(checkerboard_sites(dims, "odd"))
+        even = set(checkerboard(dims, "even").sites())
+        odd = set(checkerboard(dims, "odd").sites())
         assert not even & odd
         assert len(even) == len(odd) == dims.order // 2
         assert even | odd == set(enumerate_sites(dims))
@@ -235,13 +249,36 @@ class TestCheckerboard:
 
     def test_adjacent_sites_opposite(self):
         dims = GridDims.of(4, 6)
-        even = set(checkerboard_sites(dims, "even"))
+        even = set(checkerboard(dims, "even").sites())
         for s in enumerate_sites(dims):
             for axis in range(dims.ndim):
                 step = tuple(1 if i == axis else 0 for i in range(dims.ndim))
                 assert (s in even) != (add_sites(dims, s, step) in even)
 
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("sizes", [(2, 2), (4, 4), (2, 4, 6), (8,), (6, 8, 2)])
+    def test_members_match_oracle(self, sizes, parity):
+        dims = GridDims(sizes)
+        expected = tuple(site_index(dims, s) for s in checkerboard_sites(dims, parity))
+        assert checkerboard(dims, parity).members == expected
+
+    @pytest.mark.parametrize("sizes, parity", [((3, 4, 5), "even"), ((4, 4), "sideways")])
+    def test_errors_match_oracle(self, sizes, parity):
+        with pytest.raises(ValueError) as expected:
+            checkerboard_sites(GridDims(sizes), parity)
+        with pytest.raises(ValueError) as got:
+            checkerboard(GridDims(sizes), parity)
+        assert str(got.value) == str(expected.value)
+
     def test_negate_site(self):
         dims = GridDims.of(4, 6)
         assert negate_site(dims, (1, 2)) == (3, 4)
         assert negate_site(dims, (0, 0)) == (0, 0)
+
+
+@pytest.mark.parametrize("name", ["distance", "wrap_abs", "enumerate_sites", "trivial_character", "checkerboard_sites"])
+def test_scalar_duplicates_not_exported(name):
+    # distance_table, axis_wraps and numpy index arithmetic are the one metric, wrap and site listing
+    assert not hasattr(toric_lab, name)
+    assert not hasattr(grid, name)
+    assert name not in grid.__all__

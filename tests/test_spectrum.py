@@ -24,6 +24,7 @@ from support import (
     TWELVE_LAMBDA_4X4,
     conjugate_character,
     direct_eigen_oracle,
+    enumerate_sites,
     full_kernel,
     full_scan_argmin,
 )
@@ -48,6 +49,22 @@ class TestEigenTable:
         table = eigen_table(kernel)
         # character with per-axis roots (1, i) sits at indices (0, 1)
         assert table.value_at((0, 1)) == pytest.approx(13.0 / 12.0, abs=1e-13)
+
+    @pytest.mark.parametrize("sizes", [(4, 4), (5, 2, 7), (9,), (1, 6)])
+    def test_value_at_reads_every_character(self, sizes):
+        dims = GridDims(sizes)
+        table = eigen_table(build_kernel(dims, Metric.EUCLIDEAN, InversePower(0.7)))
+        for chi in enumerate_sites(dims):
+            assert table.value_at(chi) == table.values[site_index(dims, chi)]
+
+    def test_value_at_wraps_coordinates(self):
+        dims, kernel = harmonic_4x4()
+        table = eigen_table(kernel)
+        assert table.value_at((-1, 5)) == table.value_at((3, 1)) == table.values[site_index(dims, (3, 1))]
+        for chi in enumerate_sites(dims):
+            for shift in [(-4, 0), (0, 8), (-8, -12), (4, 4)]:
+                moved = tuple(c + s for c, s in zip(chi, shift))
+                assert table.value_at(moved) == table.value_at(chi)
 
     def test_trivial_character_is_kernel_sum(self):
         dims = GridDims.of(3, 5)
