@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import analysis, configs, spectrum
 from .configs import BudgetExceededError, Configuration
 from .energy import EnergyFunction, ExponentialAtom, InversePower, Tabulated, build_kernel
-from .grid import GridDims, Metric
+from .grid import GridDims, Metric, axis_wraps
 
 __all__ = ["SpecError", "main"]
 
@@ -57,6 +57,16 @@ def parse_dims(text: str) -> tuple[int, ...]:
         return tuple(int(p) for p in parts)
     except ValueError:
         raise SpecError(f"cannot parse dims {text!r}") from None
+
+
+def _list_entries(text: str, sep: str, flag: str) -> list[str]:
+    """The entries of a separated list flag: none for a blank text, and an empty entry is refused."""
+    if not text.strip():
+        return []
+    entries = text.split(sep)
+    if not all(e.strip() for e in entries):
+        raise SpecError(f"empty entry in {flag} {text!r}")
+    return entries
 
 
 def parse_energy(text: str) -> EnergyFunction:
@@ -168,18 +178,26 @@ def _cmd_eigs(args: argparse.Namespace) -> int:
         "dims": list(dims.sizes),
         "metric": args.metric,
         "f": args.f,
-        "lambda_trivial": float(table.values[0]),
+        "lambda_trivial": float(table.block.flat[0]),
         "lambda_min": lam_min,
         "argmin": [list(c) for c in argmin],
         "tie_tol": args.tie_tol if args.tie_tol is not None else spectrum.default_tie_tol(lam_min),
     }
+    last = dims.sizes[-1]
+    columns = [f"{j}," for j in range(last)]
+    column_wraps = axis_wraps(last).tolist()
     with _out_stream(args.out) as handle:
         handle.write(",".join([f"j{i + 1}" for i in range(dims.ndim)] + ["lambda"]) + "\n")
-        # the table is in row-major character order, the order of itertools.product
+        # rows in row-major character order, the order of itertools.product; a
+        # row's values are the block row at its leading wraps, read at the
+        # wraps of the last axis, so each block value is formatted once per row
         leading = itertools.product(*(range(n) for n in dims.sizes[:-1]))
-        for lead, row in zip(leading, table.values.reshape(-1, dims.sizes[-1])):
+        leading_wraps = itertools.product(*(axis_wraps(n).tolist() for n in dims.sizes[:-1]))
+        for lead, wraps in zip(leading, leading_wraps):
             prefix = "".join(f"{c}," for c in lead)
-            handle.write("".join([f"{prefix}{j},{_fmt(v)}\n" for j, v in enumerate(row.tolist())]))
+            texts = [format(v, ".17g") for v in table.block[wraps].tolist()]  # _fmt, on floats already
+            cells = [column + texts[w] for column, w in zip(columns, column_wraps)]
+            handle.write(prefix + ("\n" + prefix).join(cells) + "\n")
     if args.out is not None:
         _summary_path(args.out).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
         print(json.dumps(summary, indent=2))
@@ -328,7 +346,7 @@ def _cmd_energy(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     metric, f = Metric(args.metric), parse_energy(args.f)
-    dims_list = [parse_dims(part) for part in args.dims_list.split(";") if part.strip()]
+    dims_list = [parse_dims(part) for part in _list_entries(args.dims_list, ";", "--dims-list")]
     if not dims_list:
         raise SpecError("sweep needs at least one dims entry")
     header = [
@@ -371,7 +389,7 @@ def _cmd_factor_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bernstein(args: argparse.Namespace) -> int:
-    a_grid = [float(x) for x in args.a_grid.split(",") if x.strip()]
+    a_grid = [float(x) for x in _list_entries(args.a_grid, ",", "--a-grid")]
     records = analysis.bernstein_sweep(args.n, args.power, a_grid)
     header = ["a", "argmin", "is_minus_one_strict_min", "min_value"]
     rows = [

@@ -48,6 +48,11 @@ STRICTNESS_RTOL = 1e-12
 # above 1e-6 relative for every a below 5e5.
 TABLE_KEY_RTOL = 1e-9
 
+# build_kernel marks the distance keys present in a table indexed by the key
+# when the largest key is below this many times the block's entry count;
+# sparser keys (squared distances on one axis or on skewed grids) are sorted.
+KEY_TABLE_FACTOR = 2
+
 
 class EnergyFunction(ABC):
     """A repelling profile f; positive and finite wherever it is defined."""
@@ -154,15 +159,34 @@ class KernelTable:
 def build_kernel(dims: GridDims, metric: Metric, f: EnergyFunction | Callable[[float], float]) -> KernelTable:
     """Tabulate f over the nonzero distances of the fundamental block.
 
-    f is evaluated once per distinct attainable distance, so tabulated
-    profiles only need keys for distances that actually occur.
+    Every metric's distance is a function of an integer key over the block:
+    the distance itself for Lee, Chebyshev and squared Euclid, and the square
+    root of the squared Euclidean distance for Euclid.  f is evaluated once
+    per distinct nonzero key, in increasing order, so tabulated profiles only
+    need keys for distances that actually occur.  Dense keys (every Lee and
+    Chebyshev grid, and most squared ones of two or more axes) are marked in
+    a table indexed by the key; sparse ones are found by sorting.
     """
-    dist = distance_table(dims, metric)
-    uniq, inverse = np.unique(dist.ravel(), return_inverse=True)
-    per_distance = np.empty(len(uniq), dtype=np.float64)
-    for i, x in enumerate(uniq.tolist()):
-        per_distance[i] = 0.0 if x == 0 else float(f(x))
-    return KernelTable(dims=dims, metric=metric, block=per_distance[inverse].reshape(dist.shape))
+    key = distance_table(dims, Metric.EUCLIDEAN_SQUARED if metric is Metric.EUCLIDEAN else metric)
+    to_distance = math.sqrt if metric is Metric.EUCLIDEAN else int
+
+    def tabulate(keys: np.ndarray) -> np.ndarray:
+        # filled as f returns, without a list of Python floats: up to ~10^5 keys at 1024^2 euclid
+        values = (0.0 if k == 0 else float(f(to_distance(k))) for k in keys.tolist())
+        return np.fromiter(values, dtype=np.float64, count=len(keys))
+
+    top = int(key.max())
+    if top < KEY_TABLE_FACTOR * key.size:
+        present = np.zeros(top + 1, dtype=bool)
+        present[key] = True
+        keys = np.flatnonzero(present)
+        per_key = np.zeros(top + 1, dtype=np.float64)
+        per_key[keys] = tabulate(keys)
+        block = per_key[key]
+    else:
+        keys, inverse = np.unique(key.ravel(), return_inverse=True)
+        block = tabulate(keys)[inverse].reshape(key.shape)
+    return KernelTable(dims=dims, metric=metric, block=block)
 
 
 def forward_difference(f: Callable[[float], float], m: int, x: float) -> float:

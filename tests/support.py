@@ -15,6 +15,7 @@ import numpy as np
 
 from toric_lab.energy import KernelTable, Tabulated
 from toric_lab.grid import Character, GridDims, Metric, Site, distance_table, expand_block
+from toric_lab.spectrum import EigenTable, default_tie_tol
 
 # 12 * eigenvalue table of the 4x4 harmonic instance, rows/cols indexed by
 # character indices 0..3 per axis.
@@ -138,6 +139,37 @@ def full_scan_argmin(eigs, tie_tol: float) -> tuple[float, list[Site]]:
     lam_min = float(full[1:].min())
     hits = np.flatnonzero(full[1:] <= lam_min + tie_tol) + 1
     return lam_min, [tuple(int(c) for c in coords[i]) for i in hits]
+
+
+def eigs_csv_oracle(eigs: EigenTable) -> str:
+    """The `eigs` CSV by definition: a header, then one line per character in site-index order.
+
+    Each line holds the character's coordinates and its eigenvalue in 17
+    significant digits, read from the full table expanded from the block.
+    """
+    dims = eigs.dims
+    values = expand_block(dims, eigs.block).ravel()
+    lines = [",".join([f"j{i + 1}" for i in range(dims.ndim)] + ["lambda"])]
+    for chi, value in zip(enumerate_sites(dims), values.tolist(), strict=True):
+        lines.append(",".join(map(str, chi)) + "," + format(value, ".17g"))
+    return "\n".join(lines) + "\n"
+
+
+def eigs_summary_oracle(eigs: EigenTable, metric: str, f: str) -> dict:
+    """The `eigs` JSON summary at the default tie tolerance, from a scan of the full table."""
+    values = expand_block(eigs.dims, eigs.block).ravel()
+    lam_min = float(values[1:].min())
+    tie_tol = default_tie_tol(lam_min)
+    _, argmin = full_scan_argmin(eigs, tie_tol)
+    return {
+        "dims": list(eigs.dims.sizes),
+        "metric": metric,
+        "f": f,
+        "lambda_trivial": float(values[0]),
+        "lambda_min": lam_min,
+        "argmin": [list(c) for c in argmin],
+        "tie_tol": tie_tol,
+    }
 
 
 def factor_curve_oracle(n: int, a: float, powers=(1, 2)) -> dict[int, np.ndarray]:

@@ -7,7 +7,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from toric_lab import cli
+from toric_lab import cli, spectrum
 from toric_lab.cli import (
     EXIT_BUDGET,
     EXIT_IO,
@@ -21,8 +21,10 @@ from toric_lab.cli import (
     parse_energy,
 )
 from toric_lab.energy import ExponentialAtom, InversePower, Tabulated, build_kernel
-from toric_lab.grid import GridDims, Metric, index_to_site
+from toric_lab.grid import GridDims, Metric
 from toric_lab.spectrum import eigen_table
+
+from support import eigs_csv_oracle, eigs_summary_oracle
 
 
 def load_schema(name):
@@ -64,6 +66,20 @@ class TestParsing:
         assert code == EXIT_SPEC
         assert stdout == ""
         assert "empty size" in err
+
+    @pytest.mark.parametrize("argv, text", [
+        (("sweep", "--dims-list", "2,2;;4,4"), "'2,2;;4,4'"),
+        (("sweep", "--dims-list", "2,2;4,4;"), "'2,2;4,4;'"),
+        (("sweep", "--dims-list", "2,2; ;4,4"), "'2,2; ;4,4'"),
+        (("bernstein", "--n", "8", "--a-grid", "1.5,,2"), "'1.5,,2'"),
+        (("bernstein", "--n", "8", "--a-grid", "1.5,2,"), "'1.5,2,'"),
+        (("bernstein", "--n", "8", "--a-grid", "1.5, ,2"), "'1.5, ,2'"),
+    ])
+    def test_empty_list_entry_exit_2(self, capsys, argv, text):
+        code, stdout, err = run(capsys, *argv)
+        assert code == EXIT_SPEC
+        assert stdout == ""
+        assert err == f"error: empty entry in {argv[-2]} {text}\n"
 
     def test_empty_size_in_spec_exit_2(self, capsys, tmp_path):
         code, stdout, err = run(capsys, "certify", "--spec", write_spec(tmp_path, "dims = 4,,4\n"))
@@ -743,11 +759,59 @@ def test_eigs_csv_rows_in_site_order(capsys, tmp_path):
         capsys, "eigs", "--dims", "4,2,6", "--metric", "euclid", "--f", "exp:2", "--out", str(out),
     )
     assert code == EXIT_OK
-    dims = GridDims((4, 2, 6))
-    values = eigen_table(build_kernel(dims, Metric.EUCLIDEAN, ExponentialAtom(2.0))).values
-    expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(["j1", "j2", "j3", "lambda"])
-    for i in range(dims.order):
-        writer.writerow(list(map(str, index_to_site(dims, i))) + [format(float(values[i]), ".17g")])
-    assert out.read_bytes() == expected.getvalue().encode("utf-8")
+    table = eigen_table(build_kernel(GridDims((4, 2, 6)), Metric.EUCLIDEAN, ExponentialAtom(2.0)))
+    assert out.read_bytes() == eigs_csv_oracle(table).encode("utf-8")
+
+
+EIGS_GRIDS = [(1,), (2,), (9,), (1, 6), (5, 2, 7), (3, 3, 3), (4, 2, 6), (10, 10)]
+
+
+class TestEigsBytes:
+    """`eigs` output, byte for byte, against the per-character oracle of tests/support.py."""
+
+    F = "inverse-power:0.7"
+
+    def expected(self, sizes, metric):
+        table = eigen_table(build_kernel(GridDims(sizes), Metric(metric), InversePower(0.7)))
+        summary = json.dumps(eigs_summary_oracle(table, metric, self.F), indent=2) + "\n"
+        return eigs_csv_oracle(table), summary
+
+    @pytest.mark.parametrize("sizes", EIGS_GRIDS)
+    @pytest.mark.parametrize("metric", [m.value for m in Metric])
+    def test_stdout(self, capsys, sizes, metric):
+        argv = ("eigs", "--dims", ",".join(map(str, sizes)), "--metric", metric, "--f", self.F)
+        if sizes == (1,):
+            # no non-trivial character: refused before any output
+            assert run(capsys, *argv) == (
+                EXIT_SPEC, "", "error: need at least two sites for a non-trivial character\n"
+            )
+            return
+        csv_text, summary = self.expected(sizes, metric)
+        assert run(capsys, *argv) == (EXIT_OK, csv_text, summary)
+
+    @pytest.mark.parametrize("sizes", EIGS_GRIDS)
+    @pytest.mark.parametrize("metric", [m.value for m in Metric])
+    def test_out_file_and_summary(self, capsys, tmp_path, sizes, metric):
+        out = tmp_path / "e.csv"
+        argv = ("eigs", "--dims", ",".join(map(str, sizes)), "--metric", metric, "--f", self.F,
+                "--out", str(out))
+        if sizes == (1,):
+            assert run(capsys, *argv)[0] == EXIT_SPEC
+            assert list(tmp_path.iterdir()) == []
+            return
+        csv_text, summary = self.expected(sizes, metric)
+        assert run(capsys, *argv) == (EXIT_OK, summary, "")
+        assert out.read_bytes() == csv_text.encode("utf-8")
+        assert (tmp_path / "e.summary.json").read_bytes() == summary.encode("utf-8")
+
+    def test_never_expands_the_full_table(self, capsys, tmp_path, monkeypatch):
+        csv_text, summary = self.expected((4, 2, 6), "lee")
+
+        def refuse(*args):
+            raise AssertionError("eigs expanded the full eigenvalue table")
+
+        monkeypatch.setattr(spectrum, "expand_block", refuse)
+        out = tmp_path / "e.csv"
+        argv = ("eigs", "--dims", "4,2,6", "--metric", "lee", "--f", self.F, "--out", str(out))
+        assert run(capsys, *argv) == (EXIT_OK, summary, "")
+        assert out.read_bytes() == csv_text.encode("utf-8")

@@ -114,9 +114,33 @@ class TestBuildKernel:
         assert values[0] == 0.0
         assert (values[1:] > 0).all()
 
-    @pytest.mark.parametrize(
-        "sizes", [(1,), (2,), (7,), (1, 6), (2, 5), (3, 4), (5, 2, 7), (3, 3, 3), (4, 6, 2)]
-    )
+    # Lee and Chebyshev keys always fit the key table (their largest key is
+    # below the block's entry count).  The squared keys of euclid-sq and
+    # euclid take the np.unique branch on (7,), (1, 6) and (2, 40), whose
+    # largest key is at least twice the block's entry count (401 against 42
+    # entries at (2, 40)), and the key table on the other sizes (72 against
+    # 49 entries at (12, 12)).
+    KEY_BRANCH_SIZES = [
+        (1,), (2,), (7,), (1, 6), (2, 5), (3, 4), (5, 2, 7), (3, 3, 3), (4, 6, 2), (12, 12), (2, 40)
+    ]
+    SORTED_KEYS = {(7,), (1, 6), (2, 40)}
+
+    @pytest.mark.parametrize("sizes", KEY_BRANCH_SIZES)
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_branch_taken(self, sizes, metric, monkeypatch):
+        sorts = []
+        unique = np.unique
+
+        def counting_unique(*args, **kwargs):
+            sorts.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        build_kernel(GridDims(sizes), metric, InversePower(0.7))
+        squared = metric in (Metric.EUCLIDEAN_SQUARED, Metric.EUCLIDEAN)
+        assert bool(sorts) == (squared and sizes in self.SORTED_KEYS)
+
+    @pytest.mark.parametrize("sizes", KEY_BRANCH_SIZES)
     @pytest.mark.parametrize("metric", list(Metric))
     def test_values_equal_pointwise_definition(self, sizes, metric):
         # the full table is expanded from the fundamental block; every site
@@ -129,6 +153,23 @@ class TestBuildKernel:
             0.0 if s == origin else f(distance(metric, origin, s, dims)) for s in enumerate_sites(dims)
         ]
         assert full_kernel(kernel).tolist() == expected
+
+    @pytest.mark.parametrize("sizes", [(7,), (2, 40), (12, 12), (3, 3, 3)])
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_f_called_once_per_distinct_nonzero_distance(self, sizes, metric):
+        dims = GridDims(sizes)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0
+
+        build_kernel(dims, metric, f)
+        origin = (0,) * dims.ndim
+        # the oracle takes math.sqrt of the integer sum of squares for euclid
+        distinct = sorted({distance(metric, origin, s, dims) for s in enumerate_sites(dims)} - {0})
+        assert sorted(calls) == distinct
+        assert all(type(x) is (float if metric is Metric.EUCLIDEAN else int) for x in calls)
 
     def test_tabulated_covers_instance(self):
         dims = GridDims.of(4, 6)
