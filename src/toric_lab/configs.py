@@ -5,16 +5,20 @@ Energies and translation structure come from one table of per-axis member
 differences s_a - s_b: pair energies read the kernel block at its wraps,
 and its sorted columns, raveled to site indices, are the p translates
 through site 0, which hold the canonical translate, the stabiliser and the
-coset test.  Exhaustive search sums batches of subsets' member pairs from
-the kernel matrix, the same sums energies() reads; it refuses work beyond a
-budget instead of running for hours.  Local search keeps per-site energies
+coset test.  Exhaustive search is a depth-first, batched branch and bound
+over sorted prefixes: a prefix is pruned only when a lower bound on every
+subset below it exceeds the top_k-th best value found so far by more than a
+rounding slack, and each subset reached sums its member pairs from the
+kernel matrix, the same sums energies() reads, so hits are ranked by
+(value, member tuple) exactly as a full enumeration ranks them.  It refuses
+a worst-case work estimate beyond a budget, before any work, instead of
+running for hours.  Local search keeps per-site energies
 incrementally: a swap costs O(|G|) to apply, and scoring a step's swaps
 O(p (|G| - p)) for the total objective and O(p^2 (|G| - p)) for the max.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -53,8 +57,16 @@ DEFAULT_WORK_BUDGET = 10**10
 # Its square bounds the entries of the max objective's swap tensor in local search.
 _MAX_MATRIX_SITES = 2048
 
-# Most pair entries exhaustive search gathers at once: batch rows x p^2.
+# Most entries exhaustive search gathers at once: leaf rows x p^2, or prefix rows x |G|.
 _BATCH_PAIRS = 1 << 16
+
+# Most prefixes in one batch of the exhaustive search tree; of 64, 256, 1024
+# and 4096, 256 was fastest on the search workload's exhaustive instances.
+_CHUNK_ROWS = 256
+
+# The pruning slack in units of one sum's rounding-error bound (see brute_force).
+_SLACK_FACTOR = 4
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 _EQUIENERGY_RTOL = 1e-9
 _MAX_DESCENT_STEPS = 10_000
@@ -156,14 +168,18 @@ class EnergyReport:
 
 
 def _pair_differences(dims: GridDims, idx: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per axis, D[a, b] = coordinate of site idx[a] - site idx[b]; refused above _MAX_MATRIX_SITES."""
-    if len(idx) > _MAX_MATRIX_SITES:
+    """Per axis, D[..., a, b] = coordinate of site idx[..., a] - site idx[..., b].
+
+    Refused above _MAX_MATRIX_SITES sites per row.
+    """
+    rows = idx.shape[-1]
+    if rows > _MAX_MATRIX_SITES:
         raise BudgetExceededError(
-            f"refusing to build a {len(idx)} x {len(idx)} kernel matrix or pair table "
+            f"refusing to build a {rows} x {rows} kernel matrix or pair table "
             f"(limit {_MAX_MATRIX_SITES} rows)"
         )
     coords = np.unravel_index(idx, dims.sizes)
-    return tuple((c[:, None] - c[None, :]) % n for c, n in zip(coords, dims.sizes))
+    return tuple((c[..., :, None] - c[..., None, :]) % n for c, n in zip(coords, dims.sizes))
 
 
 def _pair_kernel(kernel: KernelTable, idx: np.ndarray) -> np.ndarray:
@@ -263,16 +279,40 @@ def brute_force(
 ) -> list[SearchHit]:
     """Exhaustively rank all p-subsets by total or maximal energy.
 
-    Subsets are evaluated in lexicographic batches whose member pairs are
-    gathered from the kernel matrix: the block entries energies() reads,
-    summed in the same order, so every value equals the energies() value of
-    its configuration bit for bit, and ties are broken by the member tuple.
-    With reduce="translations" only the lexicographically least translate
-    of each orbit is kept, so the result is one row per translation orbit.
-    That translate contains site 0, so only subsets through site 0 are
-    enumerated, each checked against its p translates through site 0.
-    The work estimate checked against the budget is the number of member
-    pairs gathered, leaves x p^2; a negative budget is a ValueError.
+    The subsets are the leaves of a tree of sorted prefixes, searched depth
+    first in batches of prefixes with branch and bound.  A prefix P of m
+    members carries its site energies E[j] = sum over a in P of u(a - j);
+    its children are P + (j,) for j after its last member, visited in order
+    of their own prefix energy (total, or the largest member energy), so
+    good leaves come early.  With r = p - m members still to add, every leaf
+    below P has at least the value
+        total:  e_tot(P) + 2 (sum of the r smallest E[j], j after P) + r(r-1) min u,
+        max:    max over a in P of E[a] + r min u,
+    since each added member adds its energy against P twice to the total, and
+    at least min u against each other member, whatever the sign of u.
+    A prefix is pruned only when its bound exceeds the incumbent T, the
+    top_k-th best value among the leaves evaluated so far (infinite until
+    top_k of them exist), by more than a rounding slack.  Both a leaf value
+    and a bound are float sums of at most p(p-1) kernel entries, each at most
+    U = max |u| in size, so each is off its exact value by at most
+    gamma_{p^2} p(p-1) U (gamma_n = n eps / (1 - n eps), eps the unit
+    roundoff); the slack is _SLACK_FACTOR = 4 times that: one for the leaf,
+    one for the bound, and as much again for rounding T + slack and the
+    product r(r-1) min u.  So no leaf whose value ties or beats T is ever
+    pruned, and without pruning the search is the full enumeration.
+
+    Leaf values are summed from the member pairs gathered off the kernel
+    matrix: the block entries energies() reads, summed in the same order, so
+    every value equals the energies() value of its configuration bit for
+    bit.  Hits are ranked by (value, member tuple).  With
+    reduce="translations" only the lexicographically least translate of
+    each orbit is kept, so the result is one row per translation orbit.
+    That translate contains site 0, so only prefixes through site 0 are
+    expanded, and each leaf is checked against its p translates through
+    site 0.  The work estimate checked against the budget, before any work,
+    is the worst case, every leaf enumerated: leaves x p^2 member pairs, so
+    pruning never turns a refusal into a run; a negative budget is a
+    ValueError.
     """
     if objective not in ("total", "max"):
         raise ValueError(f"objective must be 'total' or 'max', got {objective!r}")
@@ -297,30 +337,82 @@ def brute_force(
     if p == 0:
         return [SearchHit(config=Configuration(dims, ()), value=0.0, orbit_size=1)]
     K = kernel_matrix(kernel)
-    if reduce == "translations":
-        table = np.ravel_multi_index(_pair_differences(dims, np.arange(dims.order)), dims.sizes)
-    # the subsets through site 0 come first, so under translations they are the first leaves
-    subsets = itertools.combinations(range(dims.order), p)
-    batch_size = max(1, _BATCH_PAIRS // (p * p))
-    best_values, best = np.empty(0), np.empty((0, p), dtype=np.int64)
-    for start in range(0, leaves, batch_size):
-        count = min(batch_size, leaves - start)
-        batch = np.fromiter(subsets, dtype=np.dtype((np.int64, p)), count=count)
-        if reduce == "translations":
-            keep = _least_rows(_zero_translates(table[batch[:, :, None], batch[:, None, :]])) == 0
-            batch = batch[keep]
-        per = K[batch[:, :, None], batch[:, None, :]].sum(axis=2)
-        values = per.sum(axis=1) if objective == "total" else per.max(axis=1)
-        values, batch = np.concatenate((best_values, values)), np.concatenate((best, batch))
-        # earlier batches are lexicographically smaller, so a stable sort ranks ties by members
-        order = np.argsort(values, kind="stable")[:top_k]
-        best_values, best = values[order], batch[order]
+    best_values, best = _branch_and_bound(kernel, K, p, objective, top_k, reduce == "translations")
     hits = []
     for value, members in zip(best_values.tolist(), best.tolist()):
         config = Configuration(dims, members)
         size = config.orbit_size() if reduce == "translations" else 1
         hits.append(SearchHit(config=config, value=value, orbit_size=size))
     return hits
+
+
+def _branch_and_bound(
+    kernel: KernelTable, K: np.ndarray, p: int, objective: str, top_k: int, translations: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The top_k leaf values and member rows of brute_force's search tree, ranked."""
+    dims, order = kernel.dims, K.shape[0]
+    off_diagonal = kernel.block.flat[1:]  # u at every nonzero displacement
+    min_u = float(off_diagonal.min()) if off_diagonal.size else 0.0
+    largest = float(np.abs(off_diagonal).max()) if off_diagonal.size else 0.0
+    gamma = p * p * _UNIT_ROUNDOFF / (1 - p * p * _UNIT_ROUNDOFF)
+    slack = _SLACK_FACTOR * gamma * p * (p - 1) * largest
+    sites = np.arange(order)
+    # a stack of batches of prefixes of one length: members, prefix energy (the key
+    # children are ordered by), and the parent's site energies with each row's parent
+    stack: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def push(prefixes: np.ndarray, keys: np.ndarray, parent: np.ndarray, rows: np.ndarray) -> None:
+        m = prefixes.shape[1]
+        # a leaf gathers p^2 pairs; a prefix's bound and children take m x |G| entries
+        size = max(1, min(_CHUNK_ROWS, _BATCH_PAIRS // (p * p if m == p else order * m)))
+        for start in reversed(range(0, len(prefixes), size)):
+            chunk = slice(start, start + size)
+            stack.append((prefixes[chunk], keys[chunk], parent, rows[chunk]))
+
+    # the first members: any site that leaves room for p - 1 more, or site 0 alone
+    firsts = sites[: 1 if translations else order - p + 1]
+    push(firsts[:, None], np.zeros(len(firsts)), np.zeros((1, order)), np.zeros(len(firsts), dtype=np.int64))
+    best_values, best = np.empty(0), np.empty((0, p), dtype=np.int64)
+    limit = np.inf  # incumbent plus slack: a bound above it prunes
+    while stack:
+        prefixes, keys, parent, rows = stack.pop()
+        r = p - prefixes.shape[1]
+        if r == 0:
+            batch = prefixes[~(keys > limit)]
+            if translations:
+                differences = np.ravel_multi_index(_pair_differences(dims, batch), dims.sizes)
+                batch = batch[_least_rows(_zero_translates(differences)) == 0]
+            per = K[batch[:, :, None], batch[:, None, :]].sum(axis=2)
+            values = per.sum(axis=1) if objective == "total" else per.max(axis=1)
+            values, batch = np.concatenate((best_values, values)), np.concatenate((best, batch))
+            ranked = np.lexsort((*batch.T[::-1], values))[:top_k]
+            best_values, best = values[ranked], batch[ranked]
+            if len(best_values) == top_k:
+                limit = best_values[-1] + slack
+            continue
+        E = parent[rows] + K[prefixes[:, -1]]
+        after = sites > prefixes[:, -1:]
+        if objective == "total":
+            smallest = np.partition(np.where(after, E, np.inf), r - 1, axis=1)[:, :r].sum(axis=1)
+            bounds = keys + 2 * smallest + r * (r - 1) * min_u
+        else:
+            bounds = keys + r * min_u
+        live = ~(bounds > limit)
+        prefixes, keys, E = prefixes[live], keys[live], E[live]
+        if objective == "total":
+            child_keys = keys[:, None] + 2 * E
+        else:
+            members_E = np.take_along_axis(E, prefixes, axis=1)
+            child_keys = np.maximum((members_E[:, :, None] + K[prefixes]).max(axis=1), E)
+        children = after[live] & (sites <= order - r)
+        if r == 1:  # a leaf's prefix energy is its bound
+            children &= ~(child_keys > limit)
+        rows, js = np.nonzero(children)
+        child_keys = child_keys[rows, js]
+        ranked = np.argsort(child_keys, kind="stable")
+        rows, js = rows[ranked], js[ranked]
+        push(np.concatenate((prefixes[rows], js[:, None]), axis=1), child_keys[ranked], E, rows)
+    return best_values, best
 
 
 @dataclass(frozen=True)

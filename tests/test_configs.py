@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from toric_lab.configs import (
     kernel_matrix,
     local_search,
 )
-from toric_lab.energy import InversePower, build_kernel
+from toric_lab.energy import ExponentialAtom, InversePower, build_kernel
 from toric_lab.grid import GridDims, Metric
 from toric_lab.spectrum import eigen_table, solve_relaxation
 
@@ -31,9 +32,9 @@ from support import (
 HARMONIC = InversePower(1.0)
 
 
-def harmonic_kernel(sizes, metric=Metric.LEE):
+def harmonic_kernel(sizes, metric=Metric.LEE, f=HARMONIC):
     dims = GridDims(sizes)
-    return dims, build_kernel(dims, metric, HARMONIC)
+    return dims, build_kernel(dims, metric, f)
 
 
 class TestConfiguration:
@@ -353,6 +354,29 @@ class TestBruteForce:
         with pytest.raises(BudgetExceededError, match="kernel matrix"):
             kernel_matrix(big)
 
+    def test_reach_6x6_lee_p8_translations(self):
+        # C(35, 7) = 6 724 520 leaves through site 0; the full enumeration took
+        # 20-27 s, and its top hit is pinned here bit for bit
+        hit = brute_force(GridDims.of(6, 6), Metric.LEE, HARMONIC, 8, reduce="translations")[0]
+        assert hit.value.hex() == "0x1.199999999999ap+4"  # 17.6
+        assert hit.config.members == (0, 3, 7, 16, 20, 23, 25, 34)
+        assert hit.orbit_size == 36
+
+    def test_translations_build_no_site_pair_table(self):
+        # 2048 sites: a |G| x |G| table of site differences would add 32 MiB
+        # to the kernel matrix's peak
+        dims = GridDims.of(32, 64)
+        peaks = {}
+        for reduce in ("none", "translations"):
+            tracemalloc.start()
+            try:
+                hits = brute_force(dims, Metric.LEE, HARMONIC, 2, reduce=reduce)
+                peaks[reduce] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert hits[0].config.members == (0, 1056)
+        assert peaks["translations"] <= peaks["none"] + 2**20
+
     def test_max_objective_checkerboard_logic(self):
         # unique total-energy optima that are cosets force the same optima for
         # maximal energy; exhaustive max search must agree end to end
@@ -387,6 +411,14 @@ def ranking_oracle(dims, kernel, p, objective, reduce, top_k):
     return out
 
 
+def assert_definitional_ranking(sizes, metric, f, p, objective, reduce, top_k):
+    dims, kernel = harmonic_kernel(sizes, metric, f)
+    hits = brute_force(dims, metric, f, p, objective=objective, top_k=top_k, reduce=reduce)
+    assert [(h.value, h.config.indices(), h.orbit_size) for h in hits] == ranking_oracle(
+        dims, kernel, p, objective, reduce, top_k
+    ), (sizes, metric, f, p, objective, reduce, top_k)
+
+
 class TestRankingOracle:
     @pytest.mark.parametrize(
         "sizes, metric, p, objective, reduce, top_k",
@@ -395,14 +427,52 @@ class TestRankingOracle:
             ((4, 4), Metric.LEE, 8, "total", "none", 20),  # 12 870 subsets: several batches
             ((3, 5), Metric.EUCLIDEAN, 5, "max", "translations", 10),
             ((18,), Metric.LEE, 9, "total", "translations", 10),
+            # top_k cuts through a group of equal values: 3.5 and 44.0
+            ((4, 4), Metric.LEE, 8, "max", "none", 5),
+            ((2, 2, 4), Metric.CHEBYSHEV, 8, "total", "translations", 6),
+            # one member, all but one, all
+            ((2, 3), Metric.LEE, 1, "total", "none", 4),
+            ((2, 3), Metric.LEE, 1, "max", "translations", 4),
+            ((2, 3), Metric.EUCLIDEAN, 5, "max", "translations", 3),
+            ((2, 3), Metric.CHEBYSHEV, 5, "total", "none", 7),
+            ((2, 3), Metric.EUCLIDEAN_SQUARED, 6, "total", "none", 2),
+            ((2, 3), Metric.LEE, 6, "max", "translations", 2),
         ],
     )
     def test_hits_are_the_definitional_ranking(self, sizes, metric, p, objective, reduce, top_k):
-        dims, kernel = harmonic_kernel(sizes, metric)
-        hits = brute_force(dims, metric, HARMONIC, p, objective=objective, top_k=top_k, reduce=reduce)
-        assert [(h.value, h.config.indices(), h.orbit_size) for h in hits] == ranking_oracle(
-            dims, kernel, p, objective, reduce, top_k
-        )
+        assert_definitional_ranking(sizes, metric, HARMONIC, p, objective, reduce, top_k)
+
+    @pytest.mark.parametrize(
+        "sizes, metric, p, objective",
+        [
+            ((4, 4), Metric.EUCLIDEAN, 5, "total"),
+            ((3, 5), Metric.LEE, 7, "total"),
+            ((4, 4), Metric.EUCLIDEAN, 5, "max"),
+            ((3, 5), Metric.EUCLIDEAN, 7, "max"),
+        ],
+    )
+    def test_kernel_of_either_sign(self, sizes, metric, p, objective):
+        # cos takes both signs over the distances: the bounds' min u terms are negative
+        assert_definitional_ranking(sizes, metric, math.cos, p, objective, "none", 2)
+
+    def test_random_instances(self):
+        # grids of 6 to 16 sites, every metric, profiles of either curvature and
+        # math.cos, a kernel of either sign; p is drawn among those with at most
+        # 2000 subsets to keep the oracle quick
+        rng = np.random.default_rng(2012)
+        profiles = [HARMONIC, InversePower(0.3), InversePower(2.0), ExponentialAtom(1.05),
+                    ExponentialAtom(2.0, "distance_squared"), math.cos]
+        for case in range(36):
+            sizes = ()
+            while not 6 <= math.prod(sizes) <= 16:
+                sizes = tuple(int(n) for n in rng.integers(1, 9, size=rng.integers(1, 4)))
+            order = math.prod(sizes)
+            p = int(rng.choice([q for q in range(1, order + 1) if math.comb(order, q) <= 2000]))
+            objective = ("total", "max")[int(rng.integers(2))]
+            reduce = ("none", "translations")[int(rng.integers(2))]
+            top_k = int(rng.integers(1, 41))
+            assert_definitional_ranking(sizes, list(Metric)[case % len(Metric)],
+                                        profiles[case % len(profiles)], p, objective, reduce, top_k)
 
 
 class TestRelaxationDominance:
