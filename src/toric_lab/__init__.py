@@ -17,7 +17,6 @@ from .configs import (
     Configuration,
     CosetCheck,
     EnergyReport,
-    LocalSearchResult,
     SearchHit,
     brute_force,
     checkerboard,

@@ -255,16 +255,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
             budget=args.budget,
         )
     else:
-        result = configs.local_search(
-            dims,
-            metric,
-            f,
-            args.p,
-            objective=args.objective,
-            restarts=restarts,
-            rng_seed=seed,
-        )
-        hits = [configs.SearchHit(config=result.config, value=result.value, orbit_size=1)]
+        hits = [
+            configs.local_search(
+                dims, metric, f, args.p, objective=args.objective, restarts=restarts, rng_seed=seed
+            )
+        ]
     doc = {
         "dims": list(dims.sizes),
         "metric": args.metric,

@@ -8,11 +8,11 @@ through site 0, which hold the canonical translate, the stabiliser and the
 coset test.  Exhaustive search is a depth-first, batched branch and bound
 over sorted prefixes: a prefix is pruned only when a lower bound on every
 subset below it exceeds the top_k-th best value found so far by more than a
-rounding slack, and each subset reached sums its member pairs from the
-kernel matrix, the same sums energies() reads, so hits are ranked by
-(value, member tuple) exactly as a full enumeration ranks them.  It refuses
-a worst-case work estimate beyond a budget, before any work, instead of
-running for hours.  Local search keeps per-site energies
+rounding slack, and each subset reached reads its member pairs by the same
+_pair_kernel call as energies(), so hits are ranked by (value, member
+tuple) exactly as a full enumeration ranks them.  It refuses a worst-case
+work estimate beyond a budget, before any work, instead of running for
+hours.  Local search keeps per-site energies
 incrementally: a swap costs O(|G|) to apply, and scoring a step's swaps
 O(p (|G| - p)) for the total objective and O(p^2 (|G| - p)) for the max.
 """
@@ -45,7 +45,6 @@ __all__ = [
     "is_coset",
     "SearchHit",
     "brute_force",
-    "LocalSearchResult",
     "local_search",
     "BudgetExceededError",
     "DEFAULT_WORK_BUDGET",
@@ -53,7 +52,7 @@ __all__ = [
 
 DEFAULT_WORK_BUDGET = 10**10
 
-# Most rows of a difference table: |G| for the kernel matrix, p for a configuration.
+# Most sites of the kernel matrix, and most members of a pair difference table.
 # Its square bounds the entries of the max objective's swap tensor in local search.
 _MAX_MATRIX_SITES = 2048
 
@@ -167,25 +166,29 @@ class EnergyReport:
     is_empty: bool = False
 
 
-def _pair_differences(dims: GridDims, idx: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per axis, D[..., a, b] = coordinate of site idx[..., a] - site idx[..., b].
-
-    Refused above _MAX_MATRIX_SITES sites per row.
-    """
-    rows = idx.shape[-1]
+def _check_rows(rows: int) -> None:
+    """Refuses a kernel matrix or pair table of more than _MAX_MATRIX_SITES rows."""
     if rows > _MAX_MATRIX_SITES:
         raise BudgetExceededError(
             f"refusing to build a {rows} x {rows} kernel matrix or pair table "
             f"(limit {_MAX_MATRIX_SITES} rows)"
         )
+
+
+def _pair_differences(dims: GridDims, idx: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per axis, D[..., a, b] = coordinate of site idx[..., a] - site idx[..., b], mod n."""
+    _check_rows(idx.shape[-1])
     coords = np.unravel_index(idx, dims.sizes)
     return tuple((c[..., :, None] - c[..., None, :]) % n for c, n in zip(coords, dims.sizes))
 
 
-def _pair_kernel(kernel: KernelTable, idx: np.ndarray) -> np.ndarray:
-    """Matrix K[a, b] = u(site idx[a] - site idx[b]), read off the kernel block at its wraps."""
-    # each axis's differences are overwritten by their wraps: no second p x p table per axis
-    diff = _pair_differences(kernel.dims, idx)
+def _pair_kernel(kernel: KernelTable, diff: tuple[np.ndarray, ...]) -> np.ndarray:
+    """u at per-axis site differences, already reduced mod n_i and broadcast together.
+
+    The one read of the kernel block at site differences: energies(), the
+    exhaustive leaves and kernel_matrix all gather here.  Each axis's
+    differences are overwritten by their wraps, so no second table is built.
+    """
     return kernel.block[tuple(np.take(axis_wraps(n), d, out=d) for d, n in zip(diff, kernel.dims.sizes))]
 
 
@@ -214,7 +217,7 @@ def energies(config: Configuration, kernel: KernelTable) -> EnergyReport:
     if config.p == 0:
         return EnergyReport(per_site={}, e_max=0.0, e_tot=0.0, is_equienergetic=True, is_empty=True)
     idx = np.array(config.indices(), dtype=np.int64)
-    per = _pair_kernel(kernel, idx).sum(axis=1)
+    per = _pair_kernel(kernel, _pair_differences(config.dims, idx)).sum(axis=1)
     e_max = float(per.max())
     e_tot = float(per.sum())
     spread = float(per.max() - per.min())
@@ -251,8 +254,16 @@ def is_coset(config: Configuration) -> CosetCheck:
 
 
 def kernel_matrix(kernel: KernelTable) -> np.ndarray:
-    """Dense |G| x |G| matrix K[i, j] = u(site_i - site_j); diagonal is zero."""
-    return _pair_kernel(kernel, np.arange(kernel.dims.order))
+    """Dense |G| x |G| matrix K[i, j] = u(site_i - site_j); diagonal is zero.
+
+    Axis a's differences are one n_a x n_a table on open-grid axes a and d + a;
+    they broadcast in the gather, so no |G| x |G| index array is built.
+    """
+    sizes, order = kernel.dims.sizes, kernel.dims.order
+    _check_rows(order)
+    grids = np.ix_(*[np.arange(n) for n in sizes * 2])
+    diff = tuple((grids[a] - grids[a + len(sizes)]) % n for a, n in enumerate(sizes))
+    return _pair_kernel(kernel, diff).reshape(order, order)
 
 
 @dataclass(frozen=True)
@@ -301,11 +312,10 @@ def brute_force(
     product r(r-1) min u.  So no leaf whose value ties or beats T is ever
     pruned, and without pruning the search is the full enumeration.
 
-    Leaf values are summed from the member pairs gathered off the kernel
-    matrix: the block entries energies() reads, summed in the same order, so
-    every value equals the energies() value of its configuration bit for
-    bit.  Hits are ranked by (value, member tuple).  With
-    reduce="translations" only the lexicographically least translate of
+    Each leaf batch's member pairs are read by the same _pair_kernel call
+    as energies(), so every value equals the energies() value of its
+    configuration bit for bit.  Hits are ranked by (value, member tuple).
+    With reduce="translations" only the lexicographically least translate of
     each orbit is kept, so the result is one row per translation orbit.
     That translate contains site 0, so only prefixes through site 0 are
     expanded, and each leaf is checked against its p translates through
@@ -379,10 +389,11 @@ def _branch_and_bound(
         r = p - prefixes.shape[1]
         if r == 0:
             batch = prefixes[~(keys > limit)]
+            diff = _pair_differences(dims, batch)
             if translations:
-                differences = np.ravel_multi_index(_pair_differences(dims, batch), dims.sizes)
-                batch = batch[_least_rows(_zero_translates(differences)) == 0]
-            per = K[batch[:, :, None], batch[:, None, :]].sum(axis=2)
+                keep = _least_rows(_zero_translates(np.ravel_multi_index(diff, dims.sizes))) == 0
+                batch, diff = batch[keep], tuple(d[keep] for d in diff)
+            per = _pair_kernel(kernel, diff).sum(axis=2)
             values = per.sum(axis=1) if objective == "total" else per.max(axis=1)
             values, batch = np.concatenate((best_values, values)), np.concatenate((best, batch))
             ranked = np.lexsort((*batch.T[::-1], values))[:top_k]
@@ -413,13 +424,6 @@ def _branch_and_bound(
         rows, js = rows[ranked], js[ranked]
         push(np.concatenate((prefixes[rows], js[:, None]), axis=1), child_keys[ranked], E, rows)
     return best_values, best
-
-
-@dataclass(frozen=True)
-class LocalSearchResult:
-    config: Configuration
-    report: EnergyReport
-    value: float
 
 
 def _descend(K: np.ndarray, members: np.ndarray, objective: str) -> tuple[np.ndarray, float, float]:
@@ -485,11 +489,11 @@ def local_search(
     objective: str = "max",
     restarts: int = 1,
     rng_seed: int = 0,
-) -> LocalSearchResult:
+) -> SearchHit:
     """Repeated single-swap hill descent from uniform random p-subsets.
 
     Deterministic for a fixed seed.  Returns the best configuration seen
-    across restarts; no optimality claim is made.
+    across restarts, with its energies() value; no optimality claim is made.
     """
     if objective not in ("total", "max"):
         raise ValueError(f"objective must be 'total' or 'max', got {objective!r}")
@@ -518,5 +522,4 @@ def local_search(
     assert best_members is not None
     config = Configuration(dims, best_members)
     report = energies(config, kernel)
-    value = report.e_tot if objective == "total" else report.e_max
-    return LocalSearchResult(config=config, report=report, value=value)
+    return SearchHit(config, report.e_tot if objective == "total" else report.e_max, orbit_size=1)

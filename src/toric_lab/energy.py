@@ -145,7 +145,6 @@ class KernelTable:
     """
 
     dims: GridDims
-    metric: Metric
     block: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
@@ -186,7 +185,7 @@ def build_kernel(dims: GridDims, metric: Metric, f: EnergyFunction | Callable[[f
     else:
         keys, inverse = np.unique(key.ravel(), return_inverse=True)
         block = tabulate(keys)[inverse].reshape(key.shape)
-    return KernelTable(dims=dims, metric=metric, block=block)
+    return KernelTable(dims=dims, block=block)
 
 
 def forward_difference(f: Callable[[float], float], m: int, x: float) -> float:

@@ -227,7 +227,6 @@ class CheckerboardCertificate:
     """
 
     dims: GridDims
-    metric: Metric
     p: int
     certified: bool
     lambda_trivial: float
@@ -279,7 +278,6 @@ def checkerboard_certificate(
         )
     return CheckerboardCertificate(
         dims=dims,
-        metric=metric,
         p=sol.p,
         certified=sol.is_checkerboard_certified,
         lambda_trivial=sol.lambda_trivial,

@@ -23,9 +23,11 @@ from support import (
     P4_OPTIMAL_PATTERNS,
     ROW_CONFIG_4X4,
     brute_min_total,
+    coords_array,
     cosets_of,
     enumerate_subgroups,
     enumerate_sites,
+    full_kernel,
     translate_oracle,
 )
 
@@ -196,6 +198,20 @@ class TestEnergies:
         with pytest.raises(BudgetExceededError, match="2049 x 2049"):
             energies(Configuration.from_indices(dims, range(2049)), kernel)
 
+    def test_half_filling_64x64_peak(self):
+        # two int64 p x p difference tables, overwritten in place by their wraps,
+        # and the float gather; wraps as new arrays would add a p x p table per axis
+        dims, kernel = harmonic_kernel((64, 64))
+        config = checkerboard(dims)
+        tracemalloc.start()
+        try:
+            report = energies(config, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.is_equienergetic
+        assert peak <= 3 * config.p**2 * 8 + 2**20
+
     def test_large_grid_reads_only_member_pairs(self):
         # pair energies come off the kernel block; expanding the full 1024^2
         # table (8 MiB of doubles) would break the bound
@@ -216,6 +232,31 @@ class TestEnergies:
         other = Configuration.from_indices(GridDims.of(2, 2), [0])
         with pytest.raises(ValueError):
             energies(other, kernel)
+
+
+class TestKernelMatrix:
+    @pytest.mark.parametrize("metric", list(Metric))
+    @pytest.mark.parametrize("sizes", [(1,), (9,), (5, 7), (3, 4), (3, 5, 3), (2, 3, 5)])
+    def test_bits_match_full_kernel(self, sizes, metric):
+        dims, kernel = harmonic_kernel(sizes, metric, InversePower(0.7))
+        coords = coords_array(dims)
+        diff = (coords[:, None, :] - coords[None, :, :]) % np.array(sizes)
+        at = np.ravel_multi_index(tuple(np.moveaxis(diff, 2, 0)), sizes)
+        expected = full_kernel(kernel)[at]
+        assert np.array_equal(kernel_matrix(kernel).view(np.uint64), expected.view(np.uint64))
+
+    def test_peak_is_the_matrix(self):
+        # one n_a x n_a difference table per axis, broadcast in the gather; a
+        # |G| x |G| int64 index table per axis would add 32 MiB each
+        dims, kernel = harmonic_kernel((32, 64))
+        tracemalloc.start()
+        try:
+            K = kernel_matrix(kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert K.shape == (2048, 2048)
+        assert peak <= K.nbytes + 2**20
 
 
 class TestIsCoset:
@@ -376,6 +417,9 @@ class TestBruteForce:
                 tracemalloc.stop()
             assert hits[0].config.members == (0, 1056)
         assert peaks["translations"] <= peaks["none"] + 2**20
+        # the 32 MiB kernel matrix plus batch arrays of at most _BATCH_PAIRS
+        # entries each (about 4.4 MiB in all measured)
+        assert max(peaks.values()) <= dims.order**2 * 8 + 8 * 2**20
 
     def test_max_objective_checkerboard_logic(self):
         # unique total-energy optima that are cosets force the same optima for

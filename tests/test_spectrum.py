@@ -118,10 +118,10 @@ class TestEigenTable:
         # a kernel is stored on its fundamental block; a table of any other
         # shape, such as the full table of a 5-cycle, is refused
         with pytest.raises(ValueError, match="kernel block has shape"):
-            KernelTable(dims=GridDims.of(5), metric=Metric.LEE, block=np.array([0.0, 1.0, 0.5, 0.5, 0.25]))
+            KernelTable(dims=GridDims.of(5), block=np.array([0.0, 1.0, 0.5, 0.5, 0.25]))
         with pytest.raises(ValueError, match="kernel block has shape"):
-            KernelTable(dims=GridDims.of(4, 3), metric=Metric.LEE, block=np.zeros((3, 3)))
-        kernel = KernelTable(dims=GridDims.of(4, 3), metric=Metric.LEE, block=np.zeros((3, 2)))
+            KernelTable(dims=GridDims.of(4, 3), block=np.zeros((3, 3)))
+        kernel = KernelTable(dims=GridDims.of(4, 3), block=np.zeros((3, 2)))
         assert full_kernel(kernel).shape == (12,)
 
     def test_tables_are_immutable(self):
