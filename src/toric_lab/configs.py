@@ -15,6 +15,11 @@ work estimate beyond a budget, before any work, instead of running for
 hours.  Local search keeps per-site energies
 incrementally: a swap costs O(|G|) to apply, and scoring a step's swaps
 O(p (|G| - p)) for the total objective and O(p^2 (|G| - p)) for the max.
+Its restarts descend together in batches of about _BATCH_PAIRS / (p (|G| - p))
+restarts, so a batch holds a few (restarts, p, |G| - p) score arrays of about
+_BATCH_PAIRS entries each, whatever the number of restarts; the max
+objective folds each member's energy after a swap into the new maximum one
+member at a time, on arrays of that shape.
 """
 
 from __future__ import annotations
@@ -426,59 +431,83 @@ def _branch_and_bound(
     return best_values, best
 
 
-def _descend(K: np.ndarray, members: np.ndarray, objective: str) -> tuple[np.ndarray, float, float]:
-    """Best-improvement single-swap descent; returns members, e_max, e_tot.
+def _descend(
+    K: np.ndarray, starts: np.ndarray, objective: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best-improvement single-swap descent from each row of starts; members, e_max, e_tot per row.
 
-    For the max objective the descent key is the pair (e_max, e_tot), so
-    moves that keep the maximum but lower the total are still taken and
-    plateaus of equal maxima can be crossed.  The key strictly decreases
-    at every step; _MAX_DESCENT_STEPS only guards against rounding pathologies.
+    The rows descend together, each as if alone: a row leaves the batch
+    once no swap lowers its key.  Each step takes the swap of least key,
+    the first in (member, non-member) order on ties, members and
+    non-members both sorted.  For the max objective the key is the pair
+    (e_max, e_tot), so moves that keep the maximum but lower the total are
+    still taken and plateaus of equal maxima can be crossed.  The key
+    strictly decreases at every step; _MAX_DESCENT_STEPS per row only
+    guards against rounding pathologies.  Scoring a step costs O(p (|G| - p)) per
+    row for the total and O(p^2 (|G| - p)) for the max, in (rows, p,
+    |G| - p) arrays: member a's energy after swapping member o out for
+    site i is (c_a - K[a, o]) + K[a, i], accumulated into the new maximum
+    one member a at a time.  K is symmetric, so its rows serve as columns.
     """
+    rows, p = starts.shape
     order = K.shape[0]
-    members = np.sort(np.asarray(members, dtype=np.int64))
-    in_set = np.zeros(order, dtype=bool)
-    in_set[members] = True
-    non = np.flatnonzero(~in_set)
-    cur_e = K[:, members].sum(axis=1) if len(members) else np.zeros(order)
-    for _ in range(_MAX_DESCENT_STEPS):
-        if len(members) == 0 or len(non) == 0:
-            break
-        e_tot = float(cur_e[members].sum())
-        e_max = float(cur_e[members].max())
-        K_mn = K[np.ix_(members, non)]
-        # candidate totals for every (out, in) pair
-        new_tot = e_tot + 2.0 * (cur_e[non][None, :] - cur_e[members][:, None] - K_mn)
-        if objective == "total":
-            flat = int(new_tot.argmin())
-            o_i, i_i = divmod(flat, len(non))
-            if not float(new_tot[o_i, i_i]) < e_tot:
+    q = order - p
+    in_set = np.zeros((rows, order), dtype=bool)
+    in_set[np.arange(rows)[:, None], starts] = True
+    members = np.nonzero(in_set)[1].reshape(rows, p)
+    cur_e = np.stack([K[:, m].sum(axis=1) for m in members]) if p else np.zeros((rows, order))
+    out_members = members.copy()
+    out_max, out_tot = np.zeros(rows), np.zeros(rows)
+    live = np.arange(rows)  # the batch rows still descending, in order
+    if p and q:
+        for _ in range(_MAX_DESCENT_STEPS):
+            if not live.size:
                 break
-        else:
-            # mem_e[o, i, a]: member a's energy after swapping out member o for site i
-            mem_e = (
-                cur_e[members][None, None, :]
-                - K[np.ix_(members, members)].T[:, None, :]
-                + K_mn.T[None, :, :]
-            )
-            ar = np.arange(len(members))
-            mem_e[ar, :, ar] = -np.inf
-            # the incoming site's energy; K[i, i] is zero
-            in_e = cur_e[non][None, :] - K_mn
-            new_max = np.maximum(mem_e.max(axis=2), in_e)
-            flat = int(np.lexsort((new_tot.ravel(), new_max.ravel()))[0])
-            o_i, i_i = divmod(flat, len(non))
-            candidate = (float(new_max[o_i, i_i]), float(new_tot[o_i, i_i]))
-            if not candidate < (e_max, e_tot):
-                break
-        out_site, in_site = int(members[o_i]), int(non[i_i])
-        cur_e = cur_e - K[:, out_site] + K[:, in_site]
-        in_set[out_site] = False
-        in_set[in_site] = True
-        members = np.flatnonzero(in_set)
-        non = np.flatnonzero(~in_set)
-    e_tot = float(cur_e[members].sum()) if len(members) else 0.0
-    e_max = float(cur_e[members].max()) if len(members) else 0.0
-    return members, e_max, e_tot
+            step = np.arange(live.size)
+            at = step[:, None]
+            non = np.nonzero(~in_set)[1].reshape(live.size, q)
+            cur_m, cur_n = cur_e[at, members], cur_e[at, non]
+            e_tot, e_max = cur_m.sum(axis=1), cur_m.max(axis=1)
+            K_mn = K[members[:, :, None], non[:, None, :]]
+            # candidate totals for every (out, in) pair: e_tot + 2 ((c_i - c_o) - K[o, i])
+            new_tot = np.subtract(cur_n[:, None, :], cur_m[:, :, None])
+            new_tot -= K_mn
+            new_tot *= 2.0
+            new_tot += e_tot[:, None, None]
+            flat_tot = new_tot.reshape(live.size, p * q)
+            if objective == "total":
+                flat = flat_tot.argmin(axis=1)
+                moves = flat_tot[step, flat] < e_tot
+            else:
+                # the incoming site's energy, then each staying member's; K[i, i] is zero
+                new_max = cur_n[:, None, :] - K_mn
+                stay = np.empty_like(new_max)
+                for a in range(p):
+                    v = cur_m[:, a, None] - K[members[:, a, None], members]
+                    v[:, a] = -np.inf
+                    np.add(v[:, :, None], K_mn[:, a, None, :], out=stay)
+                    np.maximum(new_max, stay, out=new_max)
+                flat_max = new_max.reshape(live.size, p * q)
+                least_max = flat_max.min(axis=1)
+                ties = flat_max == least_max[:, None]
+                least_tot = np.where(ties, flat_tot, np.inf).min(axis=1)
+                flat = (ties & (flat_tot == least_tot[:, None])).argmax(axis=1)
+                moves = (least_max < e_max) | ((least_max == e_max) & (least_tot < e_tot))
+            o_i, i_i = np.divmod(flat, q)
+            out_site, in_site = members[step, o_i][moves], non[step, i_i][moves]
+            stop = ~moves
+            out_members[live[stop]] = members[stop]
+            out_max[live[stop]], out_tot[live[stop]] = e_max[stop], e_tot[stop]
+            live, in_set = live[moves], in_set[moves]
+            cur_e = cur_e[moves] - K[out_site] + K[in_site]
+            kept = np.arange(live.size)
+            in_set[kept, out_site] = False
+            in_set[kept, in_site] = True
+            members = np.nonzero(in_set)[1].reshape(live.size, p)
+    if p and live.size:  # the rows that ran out of steps, or every row when nothing can swap
+        cur_m = cur_e[np.arange(live.size)[:, None], members]
+        out_members[live], out_max[live], out_tot[live] = members, cur_m.max(axis=1), cur_m.sum(axis=1)
+    return out_members, out_max, out_tot
 
 
 def local_search(
@@ -492,8 +521,14 @@ def local_search(
 ) -> SearchHit:
     """Repeated single-swap hill descent from uniform random p-subsets.
 
-    Deterministic for a fixed seed.  Returns the best configuration seen
-    across restarts, with its energies() value; no optimality claim is made.
+    Deterministic for a fixed seed.  The starts are drawn one restart after
+    another from one generator and descend in batches of
+    _BATCH_PAIRS // (p (|G| - p)) restarts, at least one (|G| stands in for
+    p (|G| - p) where it is larger), so a batch's score arrays hold about
+    _BATCH_PAIRS entries however many restarts run.  Every restart's
+    descent is the one it would take alone.  Returns the best configuration
+    seen, the first restart of least key (e_tot, or (e_max, e_tot) for the
+    max objective), with its energies() value; no optimality claim is made.
     """
     if objective not in ("total", "max"):
         raise ValueError(f"objective must be 'total' or 'max', got {objective!r}")
@@ -501,7 +536,8 @@ def local_search(
         raise ValueError(f"particle count {p} out of range 0..{dims.order}")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    # the max objective's descent scores every swap on a p x (|G| - p) x p tensor
+    # a max-objective step scores each of the p x (|G| - p) swaps against p members:
+    # bound that p^2 (|G| - p) work per step and restart
     if objective == "max" and p * p * (dims.order - p) > _MAX_MATRIX_SITES**2:
         raise BudgetExceededError(
             f"refusing a {p} x {dims.order - p} x {p} swap tensor for the max objective "
@@ -510,15 +546,18 @@ def local_search(
     kernel = build_kernel(dims, metric, f)
     K = kernel_matrix(kernel)
     rng = np.random.default_rng(rng_seed)
+    # |G| also bounds a batch's (restarts, |G|) site arrays when p or |G| - p is 0
+    size = max(1, _BATCH_PAIRS // max(p * (dims.order - p), dims.order))
     best_key: tuple[float, ...] | None = None
     best_members: np.ndarray | None = None
-    for _ in range(restarts):
-        start = rng.choice(dims.order, size=p, replace=False)
-        members, e_max, e_tot = _descend(K, np.asarray(start), objective)
-        key = (e_tot,) if objective == "total" else (e_max, e_tot)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_members = members
+    for first in range(0, restarts, size):
+        count = min(size, restarts - first)
+        starts = np.array([rng.choice(dims.order, size=p, replace=False) for _ in range(count)])
+        members, e_max, e_tot = _descend(K, starts.reshape(count, p), objective)
+        keys = zip(e_tot.tolist()) if objective == "total" else zip(e_max.tolist(), e_tot.tolist())
+        for row, key in zip(members, keys):
+            if best_key is None or key < best_key:
+                best_key, best_members = key, row
     assert best_members is not None
     config = Configuration(dims, best_members)
     report = energies(config, kernel)

@@ -204,6 +204,80 @@ def brute_min_total(dims: GridDims, metric: Metric, f, p: int) -> float:
     return 0.0 if p <= 1 else best
 
 
+def descent_oracle(K: np.ndarray, members, objective: str):
+    """One restart's best-improvement single-swap descent; returns members, e_max, e_tot.
+
+    The definition the stacked descent in `configs.local_search` must match
+    bit for bit: per-site energies kept incrementally, every swap scored on
+    its own (for the max objective on the full p x (|G| - p) x p tensor of
+    member energies after the swap), the least key (e_tot, or (e_max, e_tot))
+    picked by a lexicographic sort, first in (member, non-member) order on
+    ties, and a swap taken only when its key is strictly lower.
+    """
+    order = K.shape[0]
+    members = np.sort(np.asarray(members, dtype=np.int64))
+    in_set = np.zeros(order, dtype=bool)
+    in_set[members] = True
+    non = np.flatnonzero(~in_set)
+    cur_e = K[:, members].sum(axis=1) if len(members) else np.zeros(order)
+    for _ in range(10_000):
+        if len(members) == 0 or len(non) == 0:
+            break
+        e_tot = float(cur_e[members].sum())
+        e_max = float(cur_e[members].max())
+        K_mn = K[np.ix_(members, non)]
+        # candidate totals for every (out, in) pair
+        new_tot = e_tot + 2.0 * (cur_e[non][None, :] - cur_e[members][:, None] - K_mn)
+        if objective == "total":
+            flat = int(new_tot.argmin())
+            o_i, i_i = divmod(flat, len(non))
+            if not float(new_tot[o_i, i_i]) < e_tot:
+                break
+        else:
+            # mem_e[o, i, a]: member a's energy after swapping out member o for site i
+            mem_e = (
+                cur_e[members][None, None, :]
+                - K[np.ix_(members, members)].T[:, None, :]
+                + K_mn.T[None, :, :]
+            )
+            ar = np.arange(len(members))
+            mem_e[ar, :, ar] = -np.inf
+            # the incoming site's energy; K[i, i] is zero
+            in_e = cur_e[non][None, :] - K_mn
+            new_max = np.maximum(mem_e.max(axis=2), in_e)
+            flat = int(np.lexsort((new_tot.ravel(), new_max.ravel()))[0])
+            o_i, i_i = divmod(flat, len(non))
+            candidate = (float(new_max[o_i, i_i]), float(new_tot[o_i, i_i]))
+            if not candidate < (e_max, e_tot):
+                break
+        out_site, in_site = int(members[o_i]), int(non[i_i])
+        cur_e = cur_e - K[:, out_site] + K[:, in_site]
+        in_set[out_site] = False
+        in_set[in_site] = True
+        members = np.flatnonzero(in_set)
+        non = np.flatnonzero(~in_set)
+    e_tot = float(cur_e[members].sum()) if len(members) else 0.0
+    e_max = float(cur_e[members].max()) if len(members) else 0.0
+    return members, e_max, e_tot
+
+
+def local_search_oracle(K: np.ndarray, p: int, objective: str, restarts: int, rng_seed: int):
+    """Members of the first restart of least key, one descent_oracle call per restart.
+
+    Starts are drawn as `local_search` draws them: one rng.choice per
+    restart, in order, from a generator seeded with rng_seed.
+    """
+    rng = np.random.default_rng(rng_seed)
+    best_key, best_members = None, None
+    for _ in range(restarts):
+        start = rng.choice(K.shape[0], size=p, replace=False)
+        members, e_max, e_tot = descent_oracle(K, start, objective)
+        key = (e_tot,) if objective == "total" else (e_max, e_tot)
+        if best_key is None or key < best_key:
+            best_key, best_members = key, members
+    return best_members
+
+
 def tabulated_from_instance(dims: GridDims, metric: Metric, base) -> Tabulated:
     """A table covering exactly the attainable nonzero distances of an instance."""
     attained = sorted(set(distance_table(dims, metric).ravel().tolist()) - {0})

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from toric_lab import configs
 from toric_lab.configs import (
     BudgetExceededError,
     Configuration,
@@ -25,9 +26,11 @@ from support import (
     brute_min_total,
     coords_array,
     cosets_of,
+    descent_oracle,
     enumerate_subgroups,
     enumerate_sites,
     full_kernel,
+    local_search_oracle,
     translate_oracle,
 )
 
@@ -561,6 +564,88 @@ class TestLocalSearch:
         )
         assert result.value < board.e_max - 1e-9
         assert result.config.p == 18
+
+    def test_stacked_descent_is_the_oracle(self):
+        # every row of a batch descends as descent_oracle descends that start alone:
+        # members, e_max and e_tot bit for bit; 1 to 3 axes and 1 to 30 sites, p from 0 to |G|
+        rng = np.random.default_rng(1515)
+        profiles = [HARMONIC, InversePower(0.3), InversePower(2.0), ExponentialAtom(1.05),
+                    ExponentialAtom(2.0, "distance_squared"), math.cos]
+        for case in range(320):
+            sizes = (31,)
+            while math.prod(sizes) > 30:
+                sizes = tuple(int(n) for n in rng.integers(1, 9, size=1 + case % 3))
+            dims, kernel = harmonic_kernel(sizes, list(Metric)[case % len(Metric)],
+                                           profiles[case % len(profiles)])
+            order = dims.order
+            if case % 5 < 2:  # the edges: nothing to swap, or one member or non-member
+                p = int(rng.choice([0, 1, order - 1, order]))
+            else:
+                p = int(rng.integers(0, order + 1))
+            objective = ("total", "max")[case // len(Metric) % 2]
+            restarts = int(rng.integers(1, 12))
+            starts = np.array([rng.choice(order, size=p, replace=False)
+                               for _ in range(restarts)]).reshape(restarts, p)
+            K = kernel_matrix(kernel)
+            members, e_max, e_tot = configs._descend(K, starts, objective)
+            for row, start in enumerate(starts):
+                want = descent_oracle(K, start, objective)
+                got = (members[row], float(e_max[row]), float(e_tot[row]))
+                where = (sizes, case, p, objective, row)
+                assert np.array_equal(got[0], want[0]), where
+                assert (got[1].hex(), got[2].hex()) == (want[1].hex(), want[2].hex()), where
+
+    @pytest.mark.parametrize("batch_pairs", [1, 40, 200])
+    def test_winner_across_batches(self, batch_pairs, monkeypatch):
+        # batches of one to a few restarts: the winner is still the first restart of
+        # least key, as one descent per restart finds it
+        monkeypatch.setattr(configs, "_BATCH_PAIRS", batch_pairs)
+        rng = np.random.default_rng(batch_pairs)
+        for case in range(24):
+            sizes = ((3, 4), (5, 5), (2, 2, 3), (13,))[case % 4]
+            metric = list(Metric)[case % len(Metric)]
+            dims, kernel = harmonic_kernel(sizes, metric)
+            p = int(rng.integers(0, dims.order + 1))
+            objective = ("total", "max")[case // 4 % 2]
+            restarts, seed = int(rng.integers(1, 14)), int(rng.integers(2**31))
+            hit = local_search(dims, metric, HARMONIC, p, objective, restarts, seed)
+            want = local_search_oracle(kernel_matrix(kernel), p, objective, restarts, seed)
+            assert hit.config.indices() == tuple(want.tolist()), (sizes, p, objective, restarts)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7])
+    @pytest.mark.parametrize(
+        "sizes, metric, p, objective, restarts",
+        [
+            ((6, 6), Metric.CHEBYSHEV, 18, "max", 200),
+            ((12, 12), Metric.CHEBYSHEV, 72, "max", 5),
+            ((16, 16), Metric.LEE, 64, "total", 10),
+        ],
+    )
+    def test_benchmark_instances(self, sizes, metric, p, objective, restarts, seed):
+        # the local instances of the benchmark's search workload
+        dims, kernel = harmonic_kernel(sizes, metric)
+        hit = local_search(dims, metric, HARMONIC, p, objective, restarts, seed)
+        want = local_search_oracle(kernel_matrix(kernel), p, objective, restarts, seed)
+        assert hit.config.indices() == tuple(want.tolist())
+        report = energies(hit.config, kernel)
+        assert hit.value == (report.e_tot if objective == "total" else report.e_max)
+
+    def test_memory_does_not_grow_with_restarts(self, monkeypatch):
+        # each batch holds at most _BATCH_PAIRS // (p (|G| - p)) = 12 restarts of
+        # 12x12 p = 72, so 500 restarts peak about where 5 do.  Batches of all 500
+        # would hold 500 x 72 x 72 score entries, 20 MB per array.  One step per
+        # descent allocates every array a step does, in a second.
+        monkeypatch.setattr(configs, "_MAX_DESCENT_STEPS", 1)
+        args = (GridDims.of(12, 12), Metric.CHEBYSHEV, HARMONIC, 72)
+        peaks = {}
+        for restarts in (5, 500):
+            tracemalloc.start()
+            try:
+                local_search(*args, objective="max", restarts=restarts, rng_seed=0)
+                peaks[restarts] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[500] <= peaks[5] + 4 * 2**20, peaks
 
     def test_max_swap_tensor_refused(self):
         # 512 x 512 x 512 float64 entries per descent step would need 1 GiB
