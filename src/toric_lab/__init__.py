@@ -2,7 +2,6 @@
 
 from .analysis import (
     FactorCurve,
-    SweepRecord,
     bernstein_sweep,
     dirichlet_sin_sum,
     factor_closed_form,

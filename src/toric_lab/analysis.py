@@ -25,7 +25,6 @@ __all__ = [
     "FactorCurve",
     "factor_curve",
     "factor_closed_form",
-    "SweepRecord",
     "bernstein_sweep",
     "dirichlet_sin_sum",
 ]
@@ -125,6 +124,18 @@ class FactorCurve:
     def value_at(self, k: int) -> float:
         return float(self.values[k % self.n])
 
+    @property
+    def min_value(self) -> float:
+        """The least value over the nonzero indices."""
+        return float(self.values[1:].min())
+
+    @property
+    def is_minus_one_strict_min(self) -> bool:
+        """Whether n/2, the root -1, is the only index at the minimum.
+
+        Never for odd n, where argmin pairs each k with n - k."""
+        return self.argmin == (self.n // 2,)
+
 
 def factor_curve(n: int, a: float, distance_power: int = 1) -> FactorCurve:
     """Evaluate one factor curve by direct summation.
@@ -180,38 +191,19 @@ def factor_closed_form(n: int, a: float, k: int) -> float:
     return lead * one_minus_a2 / denom
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    a: float
-    argmin: tuple[int, ...]
-    is_minus_one_strict_min: bool
-    min_value: float
-
-
-def bernstein_sweep(n: int, metric_power: int, a_grid: Iterable[float]) -> list[SweepRecord]:
-    """Factor curves for a range of bases, flagging where -1 is the strict minimum.
+def bernstein_sweep(n: int, metric_power: int, a_grid: Iterable[float]) -> list[FactorCurve]:
+    """Factor curves for a range of bases; is_minus_one_strict_min flags where -1 is the strict minimum.
 
     For n divisible by 4 at power 1 every base passes; for n = 2 mod 4 (n
     at least 6) the minimum migrates away from -1 for small bases, and the
-    records expose the witnessing a.
+    curves expose the witnessing a.
     """
     if n < 2 or n % 2:
         raise ValueError(f"sweep needs even n >= 2, got {n}")
     grid = [float(a) for a in a_grid]
     if not grid:
         raise ValueError("a_grid must be nonempty")
-    records = []
-    for a in grid:
-        curve = factor_curve(n, a, metric_power)
-        records.append(
-            SweepRecord(
-                a=a,
-                argmin=curve.argmin,
-                is_minus_one_strict_min=curve.argmin == (n // 2,),
-                min_value=float(curve.values[1:].min()),
-            )
-        )
-    return records
+    return [factor_curve(n, a, metric_power) for a in grid]
 
 
 def dirichlet_sin_sum(m: int, x: float) -> float:

@@ -90,12 +90,20 @@ def parse_energy(text: str) -> EnergyFunction:
     raise SpecError(f"unknown energy function kind {head!r} (expected inverse-power, exp, table)")
 
 
+def _content_lines(path: Path) -> Iterator[tuple[int, str, str]]:
+    """Line number, raw text and content of each line whose content is not blank.
+
+    The content is the text ahead of any `#` comment, stripped.
+    """
+    for number, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        content = raw.split("#", 1)[0].strip()
+        if content:
+            yield number, raw, content
+
+
 def _read_table(path: Path) -> dict[float, float]:
     table: dict[float, float] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for _, _, line in _content_lines(path):
         x_text, _, v_text = line.partition(",")
         x = float(x_text)
         if x in table:
@@ -143,7 +151,7 @@ def _render_ascii(config: Configuration) -> str:
     """One line of 0s and 1s per row of the grid; digit i is site i, row-major."""
     order, width = config.dims.order, config.dims.sizes[-1]
     cells = bytearray(b"0") * order
-    for i in config.indices():
+    for i in config.members:
         cells[i] = ord("1")
     return "\n".join(cells[start:start + width].decode() for start in range(0, order, width))
 
@@ -151,10 +159,7 @@ def _render_ascii(config: Configuration) -> str:
 def _read_sites(path: Path, dims: GridDims) -> list[tuple[int, ...]]:
     """The sites of a configuration file, each on the grid and listed once."""
     line_of: dict[tuple[int, ...], int] = {}
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for number, _, line in _content_lines(path):
         site = tuple(int(c) for c in line.split(","))
         if len(site) != dims.ndim or not all(0 <= c < n for c, n in zip(site, dims.sizes)):
             raise SpecError(f"line {number}: {line!r} is not a site of the {dims} grid")
@@ -377,7 +382,7 @@ def _cmd_factor_curve(args: argparse.Namespace) -> int:
         "a": curve.a,
         "power": curve.distance_power,
         "argmin": list(curve.argmin),
-        "min_value": float(curve.values[1:].min()),
+        "min_value": curve.min_value,
     }
     print(json.dumps(summary, indent=2), file=sys.stdout if args.out is not None else sys.stderr)
     return EXIT_OK
@@ -385,12 +390,12 @@ def _cmd_factor_curve(args: argparse.Namespace) -> int:
 
 def _cmd_bernstein(args: argparse.Namespace) -> int:
     a_grid = [float(x) for x in _list_entries(args.a_grid, ",", "--a-grid")]
-    records = analysis.bernstein_sweep(args.n, args.power, a_grid)
+    curves = analysis.bernstein_sweep(args.n, args.power, a_grid)
     header = ["a", "argmin", "is_minus_one_strict_min", "min_value"]
     rows = [
-        [_fmt(r.a), ";".join(map(str, r.argmin)),
-         "true" if r.is_minus_one_strict_min else "false", _fmt(r.min_value)]
-        for r in records
+        [_fmt(c.a), ";".join(map(str, c.argmin)),
+         "true" if c.is_minus_one_strict_min else "false", _fmt(c.min_value)]
+        for c in curves
     ]
     _write_csv(args.out, header, rows)
     return EXIT_OK
@@ -465,26 +470,27 @@ _COMMANDS: dict[str, _Command] = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's parser by command name."""
     parser = argparse.ArgumentParser(
         prog="toric-lab",
         description="Spectral certificates and configuration search for repelling particles on toric grids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, command in _COMMANDS.items():
         # no abbreviations, so that sweep refuses --dims rather than read it as --dims-list
-        p_cmd = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        p_cmd = commands[name] = sub.add_parser(name, help=command.help, allow_abbrev=False)
         for flag in command.flags:
             options = dict(_FLAGS[flag])
             if flag == "--format":
                 options.update(choices=command.formats, default=command.formats[0])
             p_cmd.add_argument(flag, **options)
-    return parser
+    return parser, commands
 
 
 # built once; main parses each command line with its command's own parser
-_PARSER = _build_parser()
-(_COMMAND_PARSERS,) = [a.choices for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+_PARSER, _COMMAND_PARSERS = _build_parser()
 
 
 def _spec_flags(path: Path, command: str) -> list[str]:
@@ -494,10 +500,7 @@ def _spec_flags(path: Path, command: str) -> list[str]:
     `--tie-tol`); a key set twice, or naming no such flag, is refused.
     """
     keys: dict[str, str] = {}
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for _, raw, line in _content_lines(path):
         key, sep, value = line.partition("=")
         if not sep:
             raise SpecError(f"expected 'key = value', got {raw!r}")

@@ -58,7 +58,8 @@ __all__ = [
 DEFAULT_WORK_BUDGET = 10**10
 
 # Most sites of the kernel matrix, and most members of a pair difference table.
-# Its square bounds the entries of the max objective's swap tensor in local search.
+# Its square bounds the p^2 (|G| - p) swap-scoring terms of one max-objective
+# descent step in local search.
 _MAX_MATRIX_SITES = 2048
 
 # Most entries exhaustive search gathers at once: leaf rows x p^2, or prefix rows x |G|.
@@ -109,11 +110,8 @@ class Configuration:
     def p(self) -> int:
         return len(self.members)
 
-    def indices(self) -> tuple[int, ...]:
-        return self.members
-
     def sites(self) -> tuple[Site, ...]:
-        return tuple(index_to_site(self.dims, i) for i in self.indices())
+        return tuple(index_to_site(self.dims, i) for i in self.members)
 
     def __contains__(self, site: Sequence[int]) -> bool:
         return site_index(self.dims, site) in self.members
@@ -140,7 +138,7 @@ class Configuration:
         return self.dims.order // int((rows == rows[0]).all(axis=1).sum())
 
     def _zero_translates(self) -> np.ndarray:
-        diff = _pair_differences(self.dims, np.array(self.indices(), dtype=np.int64))
+        diff = _pair_differences(self.dims, np.array(self.members, dtype=np.int64))
         return _zero_translates(np.ravel_multi_index(diff, self.dims.sizes))
 
 
@@ -221,7 +219,7 @@ def energies(config: Configuration, kernel: KernelTable) -> EnergyReport:
         raise ValueError("configuration and kernel live on different grids")
     if config.p == 0:
         return EnergyReport(per_site={}, e_max=0.0, e_tot=0.0, is_equienergetic=True, is_empty=True)
-    idx = np.array(config.indices(), dtype=np.int64)
+    idx = np.array(config.members, dtype=np.int64)
     per = _pair_kernel(kernel, _pair_differences(config.dims, idx)).sum(axis=1)
     e_max = float(per.max())
     e_tot = float(per.sum())
@@ -540,8 +538,8 @@ def local_search(
     # bound that p^2 (|G| - p) work per step and restart
     if objective == "max" and p * p * (dims.order - p) > _MAX_MATRIX_SITES**2:
         raise BudgetExceededError(
-            f"refusing a {p} x {dims.order - p} x {p} swap tensor for the max objective "
-            f"(limit {_MAX_MATRIX_SITES ** 2} entries)"
+            f"refusing the max objective: one descent step scores {p} x {dims.order - p} x {p} "
+            f"swap terms (limit {_MAX_MATRIX_SITES ** 2} terms)"
         )
     kernel = build_kernel(dims, metric, f)
     K = kernel_matrix(kernel)

@@ -217,8 +217,6 @@ class SignReport:
 
     status: str
     violations: tuple[SignViolation, ...]
-    orders_checked: int
-    points_checked: int
 
     @property
     def passed(self) -> bool:
@@ -228,13 +226,6 @@ class SignReport:
     def consistent(self) -> bool:
         """True unless a clear violation was found (proxy-style reading)."""
         return self.status != "fail"
-
-    @property
-    def first_violation(self) -> SignViolation | None:
-        return self.violations[0] if self.violations else None
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def _sign_report(
@@ -260,12 +251,7 @@ def _sign_report(
         status = "inconclusive"
     else:
         status = "pass"
-    return SignReport(
-        status=status,
-        violations=tuple(violations),
-        orders_checked=max_order + 1,
-        points_checked=(max_order + 1) * len(xs),
-    )
+    return SignReport(status=status, violations=tuple(violations))
 
 
 def check_alternating_differences(

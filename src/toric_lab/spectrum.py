@@ -25,7 +25,6 @@ transformed and scanned on the fundamental block of wraps 0..n_i // 2, about
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -66,13 +65,13 @@ class EigenTable:
     depends only on its per-axis wraps: `block` holds the eigenvalue at
     wraps 0..n_i // 2, in an array of shape `block_shape(dims)`.  `values`
     is the table over all |G| characters, in the same mixed-radix order as
-    sites, expanded from the block on first use and kept.
+    sites, expanded from the block on each read.
     """
 
     dims: GridDims
     block: np.ndarray = field(repr=False)
 
-    @functools.cached_property
+    @property
     def values(self) -> np.ndarray:
         """The eigenvalues of all |G| characters, in site-index order."""
         return expand_block(self.dims, self.block).ravel()
@@ -272,9 +271,9 @@ def checkerboard_certificate(
         )
     else:
         conclusion = (
-            "not certified: the non-trivial eigenvalue minimum is attained at "
-            f"{list(offenders)} (gap from (-1, ..., -1) to the minimum: {gap:.6g}); "
-            "the relaxation does not single out the checkerboards."
+            "not certified: the non-trivial eigenvalue minimum is attained at characters other "
+            f"than (-1, ..., -1) (offenders: {len(offenders)}; gap from (-1, ..., -1) to the "
+            f"minimum: {gap:.6g}); the relaxation does not single out the checkerboards."
         )
     return CheckerboardCertificate(
         dims=dims,

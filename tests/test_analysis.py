@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from toric_lab.analysis import (
+    FactorCurve,
     bernstein_sweep,
     dirichlet_sin_sum,
     factor_closed_form,
@@ -175,6 +177,18 @@ class TestFactorCurve:
         for power in (1, 2):
             assert factor_curve(n, 1.01, power).values.tolist() == oracle[power].tolist()
 
+    @pytest.mark.parametrize("n", [2, 5, 6, 7, 8, 9, 12])
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_min_value_and_strict_minimum_flag(self, n, power):
+        for a in (1.01, 1.05, 2.0):
+            curve = factor_curve(n, a, power)
+            assert curve.min_value == float(curve.values[1:].min())
+            assert curve.is_minus_one_strict_min is (curve.argmin == (n // 2,))
+            if n % 2:
+                assert not curve.is_minus_one_strict_min
+        assert factor_curve(8, 1.05, 1).is_minus_one_strict_min
+        assert not factor_curve(8, 1.05, 2).is_minus_one_strict_min
+
     def test_squared_euclid_migrated_minimum(self):
         curve = factor_curve(8, 1.05, 2)
         assert curve.argmin == (2, 6)
@@ -235,6 +249,22 @@ class TestBernsteinSweep:
         by_a = {r.a: r for r in records}
         assert by_a[1.05].argmin == (2, 4)
         assert by_a[5.0].is_minus_one_strict_min
+
+    @pytest.mark.parametrize("n, power", [(6, 1), (8, 1), (8, 2), (10, 2)])
+    def test_returns_the_factor_curves(self, n, power):
+        grid = [1.001, 1.05, 2.0, 5.0]
+        curves = bernstein_sweep(n, power, grid)
+        assert len(curves) == len(grid)
+        for curve, a in zip(curves, grid):
+            want = factor_curve(n, a, power)
+            assert type(curve) is FactorCurve
+            for name in (f.name for f in dataclasses.fields(FactorCurve)):
+                got, expected = getattr(curve, name), getattr(want, name)
+                if name == "values":
+                    assert got.dtype == expected.dtype
+                    assert got.tolist() == expected.tolist()
+                else:
+                    assert got == expected, name
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import io
 import json
@@ -308,6 +307,20 @@ class TestCertifyCommand:
             assert code == EXIT_SPEC
             assert stdout == ""
             assert "tie_tol must be finite and >= 0" in err
+
+    def test_zero_tie_tol_output_matches_schemas(self, capsys, tmp_path):
+        # --tie-tol accepts 0, so the schemas must accept the 0.0 it writes
+        code, stdout, _ = run(capsys, "certify", "--dims", "4,4", "--tie-tol", "0")
+        assert code == EXIT_OK
+        doc = json.loads(stdout)
+        assert doc["tie_tol"] == 0.0
+        jsonschema.validate(doc, load_schema("certificate.schema.json"))
+        out = tmp_path / "e.csv"
+        code, stdout, _ = run(capsys, "eigs", "--dims", "4,4", "--tie-tol", "0", "--out", str(out))
+        assert code == EXIT_OK
+        summary = json.loads(stdout)
+        assert summary["tie_tol"] == 0.0
+        jsonschema.validate(summary, load_schema("eigs-summary.schema.json"))
 
     def test_out_file_written(self, capsys, tmp_path):
         out = tmp_path / "cert.json"
@@ -682,11 +695,10 @@ REMOVED_FLAGS = [
 
 class TestCommandFlags:
     def test_option_sets_match_table(self):
-        parser = _build_parser()
-        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        _, commands = _build_parser()
         options = {
             name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
-            for name, p in sub.choices.items()
+            for name, p in commands.items()
         }
         assert options == COMMAND_FLAGS
         assert sum(len(flags) for flags in options.values()) == 47
@@ -750,7 +762,7 @@ class TestCommandFlags:
         )
         assert code == EXIT_BUDGET
         assert stdout == ""
-        assert "swap tensor" in err
+        assert "swap terms" in err
 
 
 def test_eigs_csv_rows_in_site_order(capsys, tmp_path):

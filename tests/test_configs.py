@@ -71,7 +71,7 @@ class TestConfiguration:
         idx = np.random.default_rng(0).choice(dims.order, size=2048, replace=False)
         tracemalloc.start()
         try:
-            indices = Configuration.from_indices(dims, idx).indices()
+            indices = Configuration.from_indices(dims, idx).members
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -84,7 +84,7 @@ class TestConfiguration:
         shifted = config.translate((2, 1))
         assert shifted.p == config.p
         assert shifted.canonical() == config.canonical()
-        assert config.canonical().indices()[0] == 0 or config.p == 0
+        assert config.canonical().members[0] == 0 or config.p == 0
 
     def test_translate_wraps_each_axis(self):
         dims = GridDims.of(4, 4)
@@ -193,7 +193,7 @@ class TestEnergies:
         report = energies(config, kernel)
         K = kernel_matrix(kernel)
         x = np.zeros(dims.order)
-        x[list(config.indices())] = 1.0
+        x[list(config.members)] = 1.0
         assert report.e_tot == pytest.approx(float(x @ K @ x), rel=1e-12)
 
     def test_oversized_pair_table_refused(self):
@@ -461,7 +461,7 @@ def ranking_oracle(dims, kernel, p, objective, reduce, top_k):
 def assert_definitional_ranking(sizes, metric, f, p, objective, reduce, top_k):
     dims, kernel = harmonic_kernel(sizes, metric, f)
     hits = brute_force(dims, metric, f, p, objective=objective, top_k=top_k, reduce=reduce)
-    assert [(h.value, h.config.indices(), h.orbit_size) for h in hits] == ranking_oracle(
+    assert [(h.value, h.config.members, h.orbit_size) for h in hits] == ranking_oracle(
         dims, kernel, p, objective, reduce, top_k
     ), (sizes, metric, f, p, objective, reduce, top_k)
 
@@ -610,7 +610,7 @@ class TestLocalSearch:
             restarts, seed = int(rng.integers(1, 14)), int(rng.integers(2**31))
             hit = local_search(dims, metric, HARMONIC, p, objective, restarts, seed)
             want = local_search_oracle(kernel_matrix(kernel), p, objective, restarts, seed)
-            assert hit.config.indices() == tuple(want.tolist()), (sizes, p, objective, restarts)
+            assert hit.config.members == tuple(want.tolist()), (sizes, p, objective, restarts)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 7])
     @pytest.mark.parametrize(
@@ -626,7 +626,7 @@ class TestLocalSearch:
         dims, kernel = harmonic_kernel(sizes, metric)
         hit = local_search(dims, metric, HARMONIC, p, objective, restarts, seed)
         want = local_search_oracle(kernel_matrix(kernel), p, objective, restarts, seed)
-        assert hit.config.indices() == tuple(want.tolist())
+        assert hit.config.members == tuple(want.tolist())
         report = energies(hit.config, kernel)
         assert hit.value == (report.e_tot if objective == "total" else report.e_max)
 
@@ -648,7 +648,7 @@ class TestLocalSearch:
         assert peaks[500] <= peaks[5] + 4 * 2**20, peaks
 
     def test_max_swap_tensor_refused(self):
-        # 512 x 512 x 512 float64 entries per descent step would need 1 GiB
+        # one descent step would score 512 x 512 x 512 swap terms, 32 times the 2048^2 limit
         with pytest.raises(BudgetExceededError, match="512 x 512 x 512"):
             local_search(GridDims.of(32, 32), Metric.LEE, HARMONIC, 512, objective="max")
 

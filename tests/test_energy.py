@@ -210,8 +210,7 @@ class TestAlternatingDifferences:
         report = check_alternating_differences(InversePower(1.0), 8, range(1, 21))
         assert report.passed
         assert report.status == "pass"
-        assert bool(report)
-        assert report.first_violation is None
+        assert report.violations == ()
 
     def test_exponential_passes(self):
         report = check_alternating_differences(ExponentialAtom(2.0, "distance"), 6, range(0, 11))

@@ -44,6 +44,12 @@ class TestEigenTable:
         got = 12.0 * table.values.reshape(4, 4)
         np.testing.assert_allclose(got, TWELVE_LAMBDA_4X4, rtol=0, atol=1e-12)
 
+    def test_values_not_kept(self):
+        # the |G| table is expanded from the block on each read, not cached on the table
+        table = eigen_table(harmonic_4x4()[1])
+        assert table.values.shape == (16,)
+        assert "values" not in vars(table)
+
     def test_named_entry(self):
         dims, kernel = harmonic_4x4()
         table = eigen_table(kernel)
@@ -322,6 +328,15 @@ class TestCertificates:
         assert cert.offenders == ((2,), (6,))
         assert cert.gap_to_minus_one > 0
         assert "not certified" in cert.conclusion
+
+    def test_refused_conclusion_counts_offenders(self):
+        # 2660 offenders; listing them made the conclusion 26161 characters long
+        cert = checkerboard_certificate(GridDims.of(64, 64), Metric.LEE, ExponentialAtom(1.0001))
+        assert not cert.certified
+        assert len(cert.offenders) == 2660
+        assert "not certified" in cert.conclusion
+        assert str(len(cert.offenders)) in cert.conclusion
+        assert len(cert.conclusion) <= 300
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ValueError):
