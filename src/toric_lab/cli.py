@@ -114,6 +114,14 @@ def _read_table(path: Path) -> dict[float, float]:
     return table
 
 
+def _tie_tol(text: str) -> float:
+    """The --tie-tol flag's type: a float that spectrum.check_tie_tol accepts."""
+    try:
+        return spectrum.check_tie_tol(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _instance(args: argparse.Namespace) -> tuple[GridDims, Metric, EnergyFunction]:
     return GridDims(parse_dims(args.dims)), Metric(args.metric), parse_energy(args.f)
 
@@ -409,7 +417,7 @@ _FLAGS: dict[str, dict] = {
     "--f": dict(type=str, default="inverse-power:1",
                 help="energy function: inverse-power:A | exp:A[:sq] | table:PATH"),
     "--p": dict(type=int, required=True, help="particle count"),
-    "--tie-tol": dict(type=float, help="eigenvalue tie tolerance (default: scaled 1e-9)"),
+    "--tie-tol": dict(type=_tie_tol, help="eigenvalue tie tolerance (default: scaled 1e-9)"),
     "--budget": dict(type=int, help="work budget in member pairs (exhaustive method)"),
     "--seed": dict(type=int, help="random seed (local method; default 0)"),
     "--format": dict(type=str, help="output format (default: the first choice)"),

@@ -12,10 +12,10 @@ optimum is
 
     lambda(one) * p^2 / |G|  +  lambda_min * (p - p^2 / |G|).
 
-When p = |G|/2, all sizes are even, and the non-trivial minimum is attained
-only at the character (-1, ..., -1), the only optimisers are the two
-checkerboard characteristic vectors, which certifies them as the unique
-minimisers of total energy, and (being cosets) of maximal energy as well.
+A checkerboard certificate is this relaxation at half filling, p = |G|/2.
+When all sizes are even and the non-trivial minimum is attained only at
+(-1, ..., -1), its only optimisers are the two checkerboards, which are
+then the unique minimisers of total energy and (as cosets) of maximal energy.
 
 Every metric depends on a site only through its per-axis wraps, so the
 kernel and its eigenvalue table are even in every axis.  Both are built,
@@ -46,6 +46,7 @@ __all__ = [
     "EigenTable",
     "eigen_table",
     "default_tie_tol",
+    "check_tie_tol",
     "min_nontrivial",
     "RelaxationSolution",
     "solve_relaxation",
@@ -115,6 +116,13 @@ def default_tie_tol(lambda_min: float) -> float:
     return 1e-9 * (1.0 + abs(lambda_min))
 
 
+def check_tie_tol(tie_tol: float) -> float:
+    """tie_tol itself if it is finite and non-negative; a ValueError otherwise."""
+    if not (math.isfinite(tie_tol) and tie_tol >= 0):
+        raise ValueError(f"tie_tol must be finite and >= 0, got {tie_tol!r}")
+    return tie_tol
+
+
 def _reflection_index(dims: GridDims, hits: np.ndarray) -> np.ndarray:
     """Sorted site indices of every character whose per-axis wraps are those of a block index in hits.
 
@@ -148,8 +156,8 @@ def min_nontrivial(eigs: EigenTable, tie_tol: float | None = None) -> tuple[floa
     """
     if eigs.dims.order < 2:
         raise ValueError("need at least two sites for a non-trivial character")
-    if tie_tol is not None and not (math.isfinite(tie_tol) and tie_tol >= 0):
-        raise ValueError(f"tie_tol must be finite and >= 0, got {tie_tol!r}")
+    if tie_tol is not None:
+        check_tie_tol(tie_tol)
     vals = eigs.block.ravel()
     lam_min = float(vals[1:].min())
     if tie_tol is None:
@@ -185,8 +193,6 @@ def solve_relaxation(eigs: EigenTable, p: int, tie_tol: float | None = None) -> 
     dims = eigs.dims
     if not 0 <= p <= dims.order:
         raise ValueError(f"particle count {p} out of range 0..{dims.order}")
-    if dims.order < 2:
-        raise ValueError("relaxation needs at least two sites")
     lam_triv = float(eigs.block.flat[0])
     lam_min, argmin = min_nontrivial(eigs, tie_tol)
     if tie_tol is None:
@@ -214,8 +220,8 @@ def solve_relaxation(eigs: EigenTable, p: int, tie_tol: float | None = None) -> 
 
 
 @dataclass(frozen=True)
-class CheckerboardCertificate:
-    """Outcome of the spectral certificate at half filling.
+class CheckerboardCertificate(RelaxationSolution):
+    """The relaxation at half filling, p = |G|/2, and what it says about the checkerboards.
 
     When certified, the two checkerboards are the unique minimisers of
     fractional energy, hence of total energy, hence (as cosets, whose
@@ -226,19 +232,18 @@ class CheckerboardCertificate:
     """
 
     dims: GridDims
-    p: int
-    certified: bool
-    lambda_trivial: float
-    lambda_min: float
-    argmin_characters: tuple[Character, ...]
     offenders: tuple[Character, ...]
     gap_to_minus_one: float
-    multiplicity: int
-    optimal_value: float
-    checkerboard_e_tot: float
     checkerboard_e_max: float
-    tie_tol: float
     conclusion: str
+
+    @property
+    def certified(self) -> bool:
+        return self.is_checkerboard_certified
+
+    @property
+    def checkerboard_e_tot(self) -> float:
+        return self.p * self.checkerboard_e_max
 
 
 def checkerboard_certificate(
@@ -247,7 +252,7 @@ def checkerboard_certificate(
     f: EnergyFunction,
     tie_tol: float | None = None,
 ) -> CheckerboardCertificate:
-    """Build the kernel, transform it, and certify the checkerboards at p = |G|/2."""
+    """Build the kernel, transform it, and read the checkerboards off the relaxation at p = |G|/2."""
     if not dims.all_even():
         odd = [n for n in dims.sizes if n % 2]
         raise ValueError(f"certificate needs all even sizes, got odd {odd} in {dims.sizes}")
@@ -258,9 +263,6 @@ def checkerboard_certificate(
     lam_minus_one = eigs.value_at(minus_one)
     gap = lam_minus_one - sol.lambda_min
     offenders = tuple(chi for chi in sol.argmin_characters if chi != minus_one)
-    # the checkerboard indicator is (1 + chi_minus_one) / 2, so every member
-    # experiences the same energy (lambda(one) + lambda(minus_one)) / 2
-    e_max = (sol.lambda_trivial + lam_minus_one) / 2.0
     if sol.is_checkerboard_certified:
         conclusion = (
             "certified: the non-trivial eigenvalue minimum is attained only at "
@@ -275,19 +277,13 @@ def checkerboard_certificate(
             f"than (-1, ..., -1) (offenders: {len(offenders)}; gap from (-1, ..., -1) to the "
             f"minimum: {gap:.6g}); the relaxation does not single out the checkerboards."
         )
+    # the checkerboard indicator is (1 + chi_minus_one) / 2, so every member
+    # experiences the same energy (lambda(one) + lambda(minus_one)) / 2
     return CheckerboardCertificate(
+        **vars(sol),
         dims=dims,
-        p=sol.p,
-        certified=sol.is_checkerboard_certified,
-        lambda_trivial=sol.lambda_trivial,
-        lambda_min=sol.lambda_min,
-        argmin_characters=sol.argmin_characters,
         offenders=offenders,
         gap_to_minus_one=float(gap),
-        multiplicity=sol.multiplicity,
-        optimal_value=sol.optimal_value,
-        checkerboard_e_tot=sol.p * e_max,
-        checkerboard_e_max=e_max,
-        tie_tol=sol.tie_tol,
+        checkerboard_e_max=(sol.lambda_trivial + lam_minus_one) / 2.0,
         conclusion=conclusion,
     )

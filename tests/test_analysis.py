@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -285,3 +286,19 @@ class TestDirichletSinSum:
     def test_pole_rejected(self):
         with pytest.raises(ValueError):
             dirichlet_sin_sum(3, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: kappa(7, 1.0), "cycle length must be even and at least 2, got 7"),
+        (lambda: kappa_prime(7, 1.0), "cycle length must be even and at least 2, got 7"),
+        (lambda: hypercube_gap(0, HARMONIC, 0), "dimension must be positive, got 0"),
+        (lambda: factor_closed_form(8, 1.0, 1), "base must exceed 1, got 1.0"),
+        (lambda: dirichlet_sin_sum(-1, 1.0), "m must be non-negative, got -1"),
+    ],
+    ids=["kappa-odd-n", "kappa-prime-odd-n", "hypercube-gap-d0", "closed-form-a1", "dirichlet-m-1"],
+)
+def test_domain_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

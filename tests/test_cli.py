@@ -168,6 +168,11 @@ class TestSpecFile:
         assert stdout == ""
         assert named in err
 
+    def test_spec_without_path_exit_2(self, capsys):
+        code, stdout, err = run(capsys, "certify", "--dims", "4,4", "--spec")
+        assert (code, stdout) == (EXIT_SPEC, "")
+        assert "--spec: expected one argument" in err
+
     def test_missing_spec_file_exit_4(self, capsys, tmp_path):
         code, stdout, _ = run(capsys, "certify", "--spec", str(tmp_path / "nope.spec"))
         assert code == EXIT_IO
@@ -235,6 +240,13 @@ class TestEigsCommand:
         # without --out the summary still appears, on the other stream
         assert json.loads(err)["lambda_min"] == pytest.approx(-1.0)
 
+    def test_summary_beside_out_without_csv_suffix(self, capsys, tmp_path):
+        out = tmp_path / "t.txt"
+        code, stdout, _ = run(capsys, "eigs", "--dims", "4,4", "--out", str(out))
+        assert code == EXIT_OK
+        assert (tmp_path / "t.txt.summary.json").read_text(encoding="utf-8") == stdout
+        assert out.read_text(encoding="utf-8").startswith("j1,j2,lambda\n")
+
     def test_invalid_metric_exits_2(self, capsys):
         code, _, _ = run(capsys, "eigs", "--dims", "4,4", "--metric", "manhattan")
         assert code == EXIT_SPEC
@@ -293,14 +305,27 @@ class TestCertifyCommand:
         assert stdout == ""
         assert "repeats distance '1'" in err
 
+    def test_empty_table_exit_2(self, capsys, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text("# distance, value\n\n", encoding="utf-8")
+        code, stdout, err = run(capsys, "certify", "--dims", "4,4", "--f", f"table:{table}")
+        assert (code, stdout) == (EXIT_SPEC, "")
+        assert f"energy table {table} is empty" in err
+
     def test_odd_dims_exit_2(self, capsys):
         code, _, err = run(capsys, "certify", "--dims", "3,4", "--f", "inverse-power:1")
         assert code == EXIT_SPEC
         assert "even" in err
 
     @pytest.mark.parametrize("command", ["certify", "eigs", "sweep"])
-    @pytest.mark.parametrize("tie_tol", ["-1", "nan"])
-    def test_bad_tie_tol_exit_2(self, capsys, tmp_path, command, tie_tol):
+    @pytest.mark.parametrize("tie_tol", ["-1", "nan", "inf"])
+    def test_bad_tie_tol_exit_2(self, capsys, tmp_path, monkeypatch, command, tie_tol):
+        # refused when the flags are parsed, before any kernel is built
+        def refuse(*args):
+            raise AssertionError("kernel built for a refused --tie-tol")
+
+        monkeypatch.setattr(cli, "build_kernel", refuse)
+        monkeypatch.setattr(spectrum, "build_kernel", refuse)
         grid = ("--dims-list", "4,4") if command == "sweep" else ("--dims", "4,4")
         for source in (("--tie-tol", tie_tol), ("--spec", write_spec(tmp_path, f"tie_tol = {tie_tol}\n"))):
             code, stdout, err = run(capsys, command, *grid, *source)
@@ -514,6 +539,10 @@ class TestSweepCommand:
         states = {r[0]: r[1] for r in rows[1:]}
         assert states["8"] == "false"
 
+    def test_blank_dims_list_exit_2(self, capsys):
+        code, stdout, err = run(capsys, "sweep", "--dims-list", " ")
+        assert (code, stdout, err) == (EXIT_SPEC, "", "error: sweep needs at least one dims entry\n")
+
     def test_dims_flag_rejected(self, capsys):
         code, stdout, err = run(
             capsys, "sweep", "--dims", "4,4", "--dims-list", "2,2", "--f", "inverse-power:1",
@@ -595,6 +624,14 @@ class TestSpecFileFlow:
             "--out", str(tmp_path / "missing-dir" / "cert.json"),
         )
         assert code == EXIT_IO
+
+    def test_memory_error_exit_3(self, capsys, monkeypatch):
+        def exhaust(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(spectrum, "eigen_table", exhaust)
+        code, stdout, err = run(capsys, "certify", "--dims", "4,4")
+        assert (code, stdout, err) == (EXIT_BUDGET, "", "error: allocation refused\n")
 
     def test_no_command_exit_2(self, capsys):
         assert main([]) == EXIT_SPEC

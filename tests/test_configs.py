@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -103,6 +104,11 @@ class TestConfiguration:
         assert checkerboard(dims).orbit_size() == 2
         row = Configuration.from_sites(dims, ROW_CONFIG_4X4)
         assert row.orbit_size() == 4
+
+    def test_empty_configuration_is_its_own_orbit(self):
+        empty = Configuration(GridDims.of(4, 4), ())
+        assert empty.canonical() == empty
+        assert empty.orbit_size() == 1
 
 
 def assert_matches_translate_oracle(config):
@@ -364,6 +370,19 @@ class TestBruteForce:
     def test_p_out_of_range(self):
         with pytest.raises(ValueError):
             brute_force(GridDims.of(2, 2), Metric.LEE, HARMONIC, 5)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(objective="mean"), "objective must be 'total' or 'max', got 'mean'"),
+            (dict(reduce="rotations"), "reduce must be 'none' or 'translations', got 'rotations'"),
+            (dict(top_k=0), "top_k must be at least 1, got 0"),
+        ],
+        ids=["objective", "reduce", "top-k"],
+    )
+    def test_bad_arguments(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            brute_force(GridDims.of(4, 2), Metric.LEE, HARMONIC, 3, **kwargs)
 
     def test_deterministic_ordering(self):
         dims = GridDims.of(4, 4)

@@ -265,3 +265,13 @@ class TestMonotonicityProxy:
             check_complete_monotonicity_proxy(InversePower(1.0), 2, [0.0, 1.0], 1e-3)
         with pytest.raises(ValueError):
             check_complete_monotonicity_proxy(InversePower(1.0), 2, [1.0], 0.0)
+
+
+@pytest.mark.parametrize(
+    "check, args",
+    [(check_alternating_differences, (range(1, 5),)), (check_complete_monotonicity_proxy, ([1.0], 1e-3))],
+    ids=["alternating-differences", "monotonicity-proxy"],
+)
+def test_negative_max_order_rejected(check, args):
+    with pytest.raises(ValueError, match="max_order must be non-negative, got -1"):
+        check(InversePower(1.0), -1, *args)

@@ -153,6 +153,10 @@ class TestDistance:
                 wraps = tuple(wrap_abs(c, n) for c, n in zip(s, dims.sizes))
                 assert table[wraps] == pytest.approx(distance(m, origin, s, dims))
 
+    def test_distance_table_refuses_non_metric(self):
+        with pytest.raises(ValueError, match="unknown metric 'lee'"):
+            distance_table(GridDims.of(4, 4), "lee")
+
 
 class TestIndexing:
     def test_row_major_order(self):

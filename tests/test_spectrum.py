@@ -13,6 +13,7 @@ from toric_lab.grid import (
     site_index,
 )
 from toric_lab.spectrum import (
+    RelaxationSolution,
     checkerboard_certificate,
     default_tie_tol,
     eigen_table,
@@ -250,6 +251,11 @@ class TestMinNontrivial:
         with pytest.raises(ValueError):
             min_nontrivial(eigen_table(kernel))
 
+    def test_relaxation_needs_two_sites(self):
+        table = eigen_table(build_kernel(GridDims.of(1), Metric.LEE, HARMONIC))
+        with pytest.raises(ValueError, match="at least two sites"):
+            solve_relaxation(table, 1)
+
 
 class TestSolveRelaxation:
     def test_half_filling_4x4(self):
@@ -341,6 +347,20 @@ class TestCertificates:
     def test_odd_dims_rejected(self):
         with pytest.raises(ValueError):
             checkerboard_certificate(GridDims.of(3, 4), Metric.LEE, HARMONIC)
+
+    @pytest.mark.parametrize(
+        "sizes, metric, f",
+        [((4, 4), Metric.LEE, HARMONIC), ((8,), Metric.EUCLIDEAN_SQUARED, ExponentialAtom(1.05, "distance"))],
+        ids=["4x4-lee-certified", "8-euclid-sq-refused"],
+    )
+    def test_is_the_relaxation_at_half_filling(self, sizes, metric, f):
+        dims = GridDims(sizes)
+        cert = checkerboard_certificate(dims, metric, f)
+        sol = solve_relaxation(eigen_table(build_kernel(dims, metric, f)), dims.order // 2)
+        assert isinstance(cert, RelaxationSolution)
+        for name in (field.name for field in dataclasses.fields(RelaxationSolution)):
+            assert getattr(cert, name) == getattr(sol, name), name
+        assert cert.certified is sol.is_checkerboard_certified
 
     @pytest.mark.parametrize("sizes", [(2, 2), (4, 4), (2, 4), (4, 8), (2, 2, 4), (8, 8)])
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 0.3])
