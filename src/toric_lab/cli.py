@@ -150,9 +150,19 @@ def _emit_json(doc: dict, path: Path | None) -> None:
 
 
 def _check_format(fmt: str, dims: GridDims) -> None:
-    """Refuse an output format that cannot show the grid, before any work."""
-    if fmt == "ascii-grid" and dims.ndim > 2:
+    """Refuse an output format that cannot show the grid, before any work.
+
+    The ascii-grid picture holds one byte per site, so it is refused above
+    the square of the pair-table row limit, as a pair table would be.
+    """
+    if fmt != "ascii-grid":
+        return
+    if dims.ndim > 2:
         raise SpecError("ascii-grid output supports 1- and 2-dimensional grids only")
+    if dims.order > configs._MAX_MATRIX_SITES**2:
+        raise BudgetExceededError(
+            f"refusing ascii-grid output of {dims.order} cells (limit {configs._MAX_MATRIX_SITES ** 2} cells)"
+        )
 
 
 def _render_ascii(config: Configuration) -> str:
@@ -324,7 +334,7 @@ def _cmd_energy(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SpecError(f"bad configuration file {args.config}: {exc}") from None
     config = Configuration.from_sites(dims, sites)
-    report = configs.energies(config, build_kernel(dims, metric, f))
+    report = configs.energies(config, metric, f)
     if args.format == "ascii-grid":
         text = (
             _render_ascii(config)

@@ -2,17 +2,19 @@
 
 A configuration is the strictly increasing tuple of its site indices.
 Energies and translation structure come from one table of per-axis member
-differences s_a - s_b: pair energies read the kernel block at its wraps,
-and its sorted columns, raveled to site indices, are the p translates
-through site 0, which hold the canonical translate, the stabiliser and the
-coset test.  Exhaustive search is a depth-first, batched branch and bound
-over sorted prefixes: a prefix is pruned only when a lower bound on every
-subset below it exceeds the top_k-th best value found so far by more than a
-rounding slack, and each subset reached reads its member pairs by the same
-_pair_kernel call as energies(), so hits are ranked by (value, member
-tuple) exactly as a full enumeration ranks them.  It refuses a worst-case
-work estimate beyond a budget, before any work, instead of running for
-hours.  Local search keeps per-site energies
+differences s_a - s_b: energies() turns it in place into the pairs'
+integer distance keys and evaluates f once per distinct key, so its cost
+grows with p^2 and not with |G|, and its sorted columns, raveled to site
+indices, are the p translates through site 0, which hold the canonical
+translate, the stabiliser and the coset test.  Exhaustive search is a
+depth-first, batched branch and bound over sorted prefixes: a prefix is
+pruned only when a lower bound on every subset below it exceeds the
+top_k-th best value found so far by more than a rounding slack, and each
+subset reached reads its member pairs off the kernel block, whose entries
+are f at the same keys, so hits are ranked by (value, member tuple)
+exactly as a full enumeration of energies() values ranks them.  It
+refuses a worst-case work estimate beyond a budget, before any work,
+instead of running for hours.  Local search keeps per-site energies
 incrementally: a swap costs O(|G|) to apply, and scoring a step's swaps
 O(p (|G| - p)) for the total objective and O(p^2 (|G| - p)) for the max.
 Its restarts descend together in batches of about _BATCH_PAIRS / (p (|G| - p))
@@ -30,13 +32,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .energy import EnergyFunction, KernelTable, build_kernel
+from .energy import EnergyFunction, KernelTable, _tabulate, build_kernel
 from .grid import (
     GridDims,
     Metric,
     Site,
     _check_site,
-    axis_wraps,
+    distance_key,
     index_to_site,
     site_index,
 )
@@ -185,14 +187,22 @@ def _pair_differences(dims: GridDims, idx: np.ndarray) -> tuple[np.ndarray, ...]
     return tuple((c[..., :, None] - c[..., None, :]) % n for c, n in zip(coords, dims.sizes))
 
 
+def _wraps(sizes: Sequence[int], diff: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Per-axis differences d mod n_i, overwritten by their wraps min(d, n_i - d).
+
+    Nothing of size n_i is built, so the cost does not grow with the grid.
+    """
+    return tuple(np.minimum(d, n - d, out=d) for d, n in zip(diff, sizes))
+
+
 def _pair_kernel(kernel: KernelTable, diff: tuple[np.ndarray, ...]) -> np.ndarray:
     """u at per-axis site differences, already reduced mod n_i and broadcast together.
 
-    The one read of the kernel block at site differences: energies(), the
-    exhaustive leaves and kernel_matrix all gather here.  Each axis's
-    differences are overwritten by their wraps, so no second table is built.
+    The one read of the kernel block at site differences: the exhaustive
+    leaves and kernel_matrix gather here.  energies() takes f at the same
+    differences' keys without the block, and gets the same floats.
     """
-    return kernel.block[tuple(np.take(axis_wraps(n), d, out=d) for d, n in zip(diff, kernel.dims.sizes))]
+    return kernel.block[_wraps(kernel.dims.sizes, diff)]
 
 
 def _zero_translates(differences: np.ndarray) -> np.ndarray:
@@ -209,18 +219,24 @@ def _least_rows(rows: np.ndarray) -> np.ndarray:
     return live.argmax(axis=-1)
 
 
-def energies(config: Configuration, kernel: KernelTable) -> EnergyReport:
-    """Energy experienced by each member, from kernel values over member pairs.
+def energies(config: Configuration, metric: Metric, f: EnergyFunction) -> EnergyReport:
+    """Energy experienced by each member: u = f(distance) over its member pairs, summed.
 
-    An empty configuration has no energies; zeros are returned with the
-    is_empty flag set.
+    The p x p per-axis member differences become their wraps and then the
+    pairs' integer distance keys in place, and f is evaluated once per
+    distinct nonzero key, in increasing order, as build_kernel evaluates it
+    over the block; no kernel block is built, so the cost grows with p^2
+    and not with |G|, and f need only be defined at the members' distances.
+    Each pair value is the kernel block's entry at that difference, bit for
+    bit.  An empty configuration has no energies; zeros are returned with
+    the is_empty flag set.
     """
-    if kernel.dims != config.dims:
-        raise ValueError("configuration and kernel live on different grids")
     if config.p == 0:
         return EnergyReport(per_site={}, e_max=0.0, e_tot=0.0, is_equienergetic=True, is_empty=True)
     idx = np.array(config.members, dtype=np.int64)
-    per = _pair_kernel(kernel, _pair_differences(config.dims, idx)).sum(axis=1)
+    # the other axes' tables are freed before f is tabulated at the keys
+    key = distance_key(metric, _wraps(config.dims.sizes, _pair_differences(config.dims, idx)))
+    per = _tabulate(key, metric, f).sum(axis=1)
     e_max = float(per.max())
     e_tot = float(per.sum())
     spread = float(per.max() - per.min())
@@ -315,8 +331,10 @@ def brute_force(
     product r(r-1) min u.  So no leaf whose value ties or beats T is ever
     pruned, and without pruning the search is the full enumeration.
 
-    Each leaf batch's member pairs are read by the same _pair_kernel call
-    as energies(), so every value equals the energies() value of its
+    Each leaf batch's member pairs are read off the kernel block by
+    _pair_kernel; a block entry is f at its distance key, as energies()
+    takes it at a pair's key, and both sum a member's p pair values in the
+    same order, so every value equals the energies() value of its
     configuration bit for bit.  Hits are ranked by (value, member tuple).
     With reduce="translations" only the lexicographically least translate of
     each orbit is kept, so the result is one row per translation orbit.
@@ -558,5 +576,5 @@ def local_search(
                 best_key, best_members = key, row
     assert best_members is not None
     config = Configuration(dims, best_members)
-    report = energies(config, kernel)
+    report = energies(config, metric, f)
     return SearchHit(config, report.e_tot if objective == "total" else report.e_max, orbit_size=1)

@@ -2,10 +2,13 @@
 
 The kernel is stored on its fundamental block, the per-axis wraps
 0..n_i // 2, with the origin entry forced to zero: every metric depends on a
-site only through those wraps, so the block fixes the kernel, and readers
-index it at the wraps of the sites they need.  The discrete Fourier
-transform of the kernel over all sites is exactly the eigenvalue table of
-the convolution operator it defines.
+site only through those wraps, so the block fixes the kernel.  The spectrum,
+the kernel matrix and the exhaustive leaves read it; configuration energies
+do not, since they need f only at the member pairs' distance keys.  Both
+take f through `_tabulate`, one evaluation per distinct integer key, so a
+block entry and a pair energy at the same key are the same float.  The
+discrete Fourier transform of the kernel over all sites is exactly the
+eigenvalue table of the convolution operator it defines.
 
 Two diagnostic checks live here as well: the alternating sign of integer
 forward differences, and a finite-difference proxy for alternating
@@ -48,9 +51,10 @@ STRICTNESS_RTOL = 1e-12
 # above 1e-6 relative for every a below 5e5.
 TABLE_KEY_RTOL = 1e-9
 
-# build_kernel marks the distance keys present in a table indexed by the key
-# when the largest key is below this many times the block's entry count;
-# sparser keys (squared distances on one axis or on skewed grids) are sorted.
+# _tabulate marks the distance keys present in a table indexed by the key
+# when the largest key is below this many times the number of keys given;
+# sparser keys (squared distances on one axis or on skewed grids, or a few
+# member pairs on a large grid) are sorted.
 KEY_TABLE_FACTOR = 2
 
 
@@ -158,15 +162,26 @@ class KernelTable:
 def build_kernel(dims: GridDims, metric: Metric, f: EnergyFunction | Callable[[float], float]) -> KernelTable:
     """Tabulate f over the nonzero distances of the fundamental block.
 
-    Every metric's distance is a function of an integer key over the block:
-    the distance itself for Lee, Chebyshev and squared Euclid, and the square
-    root of the squared Euclidean distance for Euclid.  f is evaluated once
-    per distinct nonzero key, in increasing order, so tabulated profiles only
-    need keys for distances that actually occur.  Dense keys (every Lee and
-    Chebyshev grid, and most squared ones of two or more axes) are marked in
-    a table indexed by the key; sparse ones are found by sorting.
+    The block's integer distance keys (see `distance_key`) go through
+    `_tabulate`, so f is evaluated once per distinct nonzero key, in
+    increasing order, and tabulated profiles only need keys for distances
+    that actually occur on the grid.
     """
     key = distance_table(dims, Metric.EUCLIDEAN_SQUARED if metric is Metric.EUCLIDEAN else metric)
+    return KernelTable(dims=dims, block=_tabulate(key, metric, f))
+
+
+def _tabulate(key: np.ndarray, metric: Metric, f: EnergyFunction | Callable[[float], float]) -> np.ndarray:
+    """f at the distance of every entry of an integer key array, and 0 where the key is 0.
+
+    The distance of a key is the key itself, or its square root for Euclid.
+    f is evaluated once per distinct nonzero key, in increasing order, so a
+    profile that fails at some distances fails first at the least of them.
+    Dense keys (every Lee and Chebyshev array, and most squared ones of two
+    or more axes) are marked in a table indexed by the key; sparse ones are
+    found by sorting.  Both the kernel block and the member-pair energies
+    come from here, so they hold the same value at the same key.
+    """
     to_distance = math.sqrt if metric is Metric.EUCLIDEAN else int
 
     def tabulate(keys: np.ndarray) -> np.ndarray:
@@ -181,11 +196,9 @@ def build_kernel(dims: GridDims, metric: Metric, f: EnergyFunction | Callable[[f
         keys = np.flatnonzero(present)
         per_key = np.zeros(top + 1, dtype=np.float64)
         per_key[keys] = tabulate(keys)
-        block = per_key[key]
-    else:
-        keys, inverse = np.unique(key.ravel(), return_inverse=True)
-        block = tabulate(keys)[inverse].reshape(key.shape)
-    return KernelTable(dims=dims, block=block)
+        return per_key[key]
+    keys, inverse = np.unique(key.ravel(), return_inverse=True)
+    return tabulate(keys)[inverse].reshape(key.shape)
 
 
 def forward_difference(f: Callable[[float], float], m: int, x: float) -> float:

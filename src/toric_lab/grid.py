@@ -7,7 +7,8 @@ matches numpy's C-order `reshape`, so numpy index arithmetic lists sites.
 Tables that depend on a site only through its per-axis wraps (distances,
 kernels, eigenvalues) are stored on the fundamental block of wraps
 0..n_i // 2, of shape `block_shape`: `axis_wraps` is the wrap of each
-coordinate, `distance_table` the metric over the block, and `expand_block`
+coordinate, `distance_key` the one integer key of every metric at given
+wraps, `distance_table` the metric over the block, and `expand_block`
 gives a block's full table.
 """
 
@@ -29,6 +30,7 @@ __all__ = [
     "Metric",
     "GridDims",
     "distance_table",
+    "distance_key",
     "axis_wraps",
     "block_shape",
     "expand_block",
@@ -113,6 +115,37 @@ def expand_block(dims: GridDims, block: np.ndarray) -> np.ndarray:
     return block[np.ix_(*[axis_wraps(n) for n in dims.sizes])]
 
 
+def distance_key(metric: Metric, wraps: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """Integer distance key at per-axis wraps, written into out and returned.
+
+    The key is the sum of the wraps for Lee, the sum of their squares for
+    both Euclidean metrics (the Euclidean distance is its square root) and
+    their maximum for Chebyshev.  The wraps broadcast to out's shape; out
+    defaults to wraps[0], so the keys of a difference table are made in its
+    own memory.  The Euclidean metrics square the wraps in place, and refuse
+    wraps whose squares could overflow out's integer type.
+    """
+    if out is None:
+        out = wraps[0]
+    if metric is Metric.LEE:
+        combine = np.add
+    elif metric is Metric.CHEBYSHEV:
+        combine = np.maximum
+    elif metric in (Metric.EUCLIDEAN_SQUARED, Metric.EUCLIDEAN):
+        if sum(int(w.max()) ** 2 for w in wraps) > np.iinfo(out.dtype).max:
+            raise ValueError(f"squared distances overflow {out.dtype} keys on this grid")
+        combine = np.add
+        for w in wraps:
+            np.multiply(w, w, out=w)
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    if out is not wraps[0]:
+        out[...] = wraps[0]
+    for w in wraps[1:]:
+        combine(out, w, out=out)
+    return out
+
+
 def distance_table(dims: GridDims, metric: Metric) -> np.ndarray:
     """Distance to the origin over the fundamental block, an array of shape `block_shape(dims)`.
 
@@ -120,20 +153,9 @@ def distance_table(dims: GridDims, metric: Metric) -> np.ndarray:
     entry at wraps (w1, ..., wd) is the distance of every site with those
     wraps; `expand_block` gives the table over all sites.
     """
-    axes = np.ix_(*[np.arange(m) for m in block_shape(dims)])
-    if metric is Metric.LEE:
-        out = sum(axes)
-    elif metric is Metric.EUCLIDEAN_SQUARED:
-        out = sum(a * a for a in axes)
-    elif metric is Metric.EUCLIDEAN:
-        out = np.sqrt(sum(a * a for a in axes))
-    elif metric is Metric.CHEBYSHEV:
-        out = axes[0]
-        for a in axes[1:]:
-            out = np.maximum(out, a)
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    return np.broadcast_to(out, block_shape(dims)).copy()
+    shape = block_shape(dims)
+    key = distance_key(metric, np.ix_(*[np.arange(m) for m in shape]), np.empty(shape, dtype=np.int64))
+    return np.sqrt(key) if metric is Metric.EUCLIDEAN else key
 
 
 def site_index(dims: GridDims, site: Sequence[int]) -> int:

@@ -55,8 +55,7 @@ def test_criterion_01_eigen_table_4x4():
 def test_criterion_02_row_configuration_energy():
     with criterion(2, "row configuration on 4x4 has total energy 10", 1.0):
         dims = GridDims.of(4, 4)
-        kernel = build_kernel(dims, Metric.LEE, HARMONIC)
-        report = energies(Configuration.from_sites(dims, ROW_CONFIG_4X4), kernel)
+        report = energies(Configuration.from_sites(dims, ROW_CONFIG_4X4), Metric.LEE, HARMONIC)
         assert abs(report.e_tot - 10.0) <= 1e-12
 
 
@@ -74,7 +73,6 @@ def test_criterion_03_half_filling_brute_force():
 def test_criterion_04_quarter_filling_orbits():
     with criterion(4, "4x4 exhaustive search at p=4: three optimal orbits with the known structure", 1.0):
         dims = GridDims.of(4, 4)
-        kernel = build_kernel(dims, Metric.LEE, HARMONIC)
         hits = brute_force(dims, Metric.LEE, HARMONIC, 4, objective="total",
                            top_k=8, reduce="translations")
         optima = [h for h in hits if h.value <= hits[0].value + 1e-9]
@@ -85,7 +83,7 @@ def test_criterion_04_quarter_filling_orbits():
         }
         assert {h.config.members for h in optima} == expected
         assert sorted(is_coset(h.config).is_coset for h in optima) == [False, True, True]
-        assert all(energies(h.config, kernel).is_equienergetic for h in optima)
+        assert all(energies(h.config, Metric.LEE, HARMONIC).is_equienergetic for h in optima)
 
 
 def test_criterion_05_weak_power_argmin():
@@ -201,8 +199,7 @@ def test_criterion_11_oracle_equivalence():
 def test_criterion_12_chebyshev_counterexample():
     with criterion(12, "6x6 Chebyshev search beats the checkerboard's maximal energy", 60.0):
         dims = GridDims.of(6, 6)
-        kernel = build_kernel(dims, Metric.CHEBYSHEV, HARMONIC)
-        board = energies(checkerboard(dims), kernel)
+        board = energies(checkerboard(dims), Metric.CHEBYSHEV, HARMONIC)
         result = local_search(dims, Metric.CHEBYSHEV, HARMONIC, 18,
                               objective="max", restarts=200, rng_seed=0)
         assert result.config.p == 18

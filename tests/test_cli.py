@@ -1,12 +1,13 @@
 import csv
 import io
 import json
+import tracemalloc
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from toric_lab import cli, spectrum
+from toric_lab import cli, energy, spectrum
 from toric_lab.cli import (
     EXIT_BUDGET,
     EXIT_IO,
@@ -23,7 +24,7 @@ from toric_lab.energy import ExponentialAtom, InversePower, Tabulated, build_ker
 from toric_lab.grid import GridDims, Metric
 from toric_lab.spectrum import eigen_table
 
-from support import eigs_csv_oracle, eigs_summary_oracle
+from support import distance, eigs_csv_oracle, eigs_summary_oracle
 
 
 def load_schema(name):
@@ -517,6 +518,74 @@ class TestEnergyCommand:
         code, stdout, _ = run(capsys, "energy", "--dims", "6", "--config", str(config), "--format", "ascii-grid")
         assert code == EXIT_OK
         assert stdout.startswith("100001\ne_tot=")
+
+    @pytest.mark.parametrize("command", ["energy", "search"])
+    def test_ascii_grid_above_limit_exit_3_before_reading(self, capsys, tmp_path, command):
+        # one byte per cell: 4096^2 cells exceed the 2048^2 limit; the configuration
+        # file is never read, and search never reaches its budget or kernel
+        flags = ("--config", str(tmp_path / "nope.txt")) if command == "energy" else ("--p", "1")
+        code, stdout, err = run(capsys, command, "--dims", "4096,4096", *flags, "--format", "ascii-grid")
+        assert (code, stdout) == (EXIT_BUDGET, "")
+        assert "refusing ascii-grid output of 16777216 cells (limit 4194304 cells)" in err
+
+    def test_ascii_grid_at_limit_renders(self, capsys, tmp_path):
+        config = tmp_path / "corners.txt"
+        config.write_text("0,0\n2047,2047\n", encoding="utf-8")
+        code, stdout, _ = run(capsys, "energy", "--dims", "2048,2048", "--config", str(config), "--format", "ascii-grid")
+        assert code == EXIT_OK
+        lines = stdout.split("\n")
+        assert lines[0] == "1" + "0" * 2047 and lines[2047] == "0" * 2047 + "1"
+        assert lines[2048].startswith("e_tot=")
+
+    def test_table_needs_only_member_distances(self, capsys, tmp_path):
+        # (0,0) and (0,3) lie at Lee distance 1 on 4x4, which also has distances 2, 3 and 4
+        config, table = tmp_path / "sites.txt", tmp_path / "t.csv"
+        config.write_text("0,0\n0,3\n", encoding="utf-8")
+        table.write_text("1,1.5\n", encoding="utf-8")
+        argv = ("energy", "--dims", "4,4", "--f", f"table:{table}", "--config", str(config))
+        code, stdout, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(stdout)["e_tot"] == 3.0
+        # (2,2) lies at distance 3 from (0,3) and 4 from (0,0): the least missing one is named
+        config.write_text("0,0\n0,3\n2,2\n", encoding="utf-8")
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (EXIT_SPEC, "")
+        assert err == "error: no tabulated value at distance 3\n"
+
+    FOUR_SITES = ((0, 0), (0, 3), (1000, 2047), (4095, 17))
+
+    def four_site_request(self, tmp_path, metric):
+        config = tmp_path / "four.txt"
+        config.write_text("".join(f"{r},{c}\n" for r, c in self.FOUR_SITES), encoding="utf-8")
+        return ("energy", "--dims", "4096,4096", "--metric", metric, "--config", str(config))
+
+    @pytest.mark.parametrize("metric", ["lee", "euclid"])
+    def test_large_grid_builds_no_kernel(self, capsys, tmp_path, monkeypatch, metric):
+        def refuse(*args, **kwargs):
+            raise AssertionError("energy built a kernel block")
+
+        monkeypatch.setattr(cli, "build_kernel", refuse)
+        monkeypatch.setattr(energy, "build_kernel", refuse)
+        code, stdout, _ = run(capsys, *self.four_site_request(tmp_path, metric))
+        assert code == EXIT_OK
+        dims = GridDims.of(4096, 4096)
+        want = sum(1 / distance(Metric(metric), g, h, dims)
+                   for g in self.FOUR_SITES for h in self.FOUR_SITES if g != h)
+        assert json.loads(stdout)["e_tot"] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("metric", ["lee", "euclid"])
+    def test_large_grid_peak(self, capsys, tmp_path, metric):
+        # the kernel block alone would take 32 MiB at 4096^2
+        argv = self.four_site_request(tmp_path, metric)
+        tracemalloc.start()
+        try:
+            code = main(list(argv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert peak < 2**20
 
 
 class TestSweepCommand:

@@ -32,6 +32,7 @@ from support import (
     enumerate_sites,
     full_kernel,
     local_search_oracle,
+    tabulated_from_instance,
     translate_oracle,
 )
 
@@ -152,27 +153,27 @@ class TestTranslateOracle:
 class TestEnergies:
     def test_row_configuration_total(self):
         dims, kernel = harmonic_kernel((4, 4))
-        report = energies(Configuration.from_sites(dims, ROW_CONFIG_4X4), kernel)
+        report = energies(Configuration.from_sites(dims, ROW_CONFIG_4X4), Metric.LEE, HARMONIC)
         assert report.e_tot == pytest.approx(10.0, rel=1e-12)
         assert report.is_equienergetic
 
     def test_singleton(self):
         dims, kernel = harmonic_kernel((4, 4))
-        report = energies(Configuration.from_sites(dims, [(1, 2)]), kernel)
+        report = energies(Configuration.from_sites(dims, [(1, 2)]), Metric.LEE, HARMONIC)
         assert report.e_tot == 0.0
         assert report.e_max == 0.0
         assert not report.is_empty
 
     def test_empty_flagged(self):
         dims, kernel = harmonic_kernel((4, 4))
-        report = energies(Configuration.from_indices(dims, []), kernel)
+        report = energies(Configuration.from_indices(dims, []), Metric.LEE, HARMONIC)
         assert report.is_empty
         assert report.e_tot == 0.0
         assert report.per_site == {}
 
     def test_checkerboard_4x4(self):
         dims, kernel = harmonic_kernel((4, 4))
-        report = energies(checkerboard(dims), kernel)
+        report = energies(checkerboard(dims), Metric.LEE, HARMONIC)
         assert report.e_tot == pytest.approx(26.0, rel=1e-12)
         assert report.is_equienergetic
         for value in report.per_site.values():
@@ -183,10 +184,10 @@ class TestEnergies:
         rng = np.random.default_rng(9)
         sites = list(enumerate_sites(dims))
         config = Configuration.from_sites(dims, [sites[i] for i in rng.choice(len(sites), 7, replace=False)])
-        base = energies(config, kernel)
+        base = energies(config, Metric.EUCLIDEAN, HARMONIC)
         for _ in range(25):
             shift = sites[rng.integers(len(sites))]
-            moved = energies(config.translate(shift), kernel)
+            moved = energies(config.translate(shift), Metric.EUCLIDEAN, HARMONIC)
             assert moved.e_tot == pytest.approx(base.e_tot, rel=1e-12)
             assert moved.e_max == pytest.approx(base.e_max, rel=1e-12)
             assert sorted(moved.per_site.values()) == pytest.approx(
@@ -196,7 +197,7 @@ class TestEnergies:
     def test_pairwise_equals_quadratic_form(self):
         dims, kernel = harmonic_kernel((4, 5), Metric.CHEBYSHEV)
         config = Configuration.from_sites(dims, [(0, 0), (1, 2), (2, 4), (3, 1), (0, 3)])
-        report = energies(config, kernel)
+        report = energies(config, Metric.CHEBYSHEV, HARMONIC)
         K = kernel_matrix(kernel)
         x = np.zeros(dims.order)
         x[list(config.members)] = 1.0
@@ -205,7 +206,7 @@ class TestEnergies:
     def test_oversized_pair_table_refused(self):
         dims, kernel = harmonic_kernel((64, 64))
         with pytest.raises(BudgetExceededError, match="2049 x 2049"):
-            energies(Configuration.from_indices(dims, range(2049)), kernel)
+            energies(Configuration.from_indices(dims, range(2049)), Metric.LEE, HARMONIC)
 
     def test_half_filling_64x64_peak(self):
         # two int64 p x p difference tables, overwritten in place by their wraps,
@@ -214,7 +215,7 @@ class TestEnergies:
         config = checkerboard(dims)
         tracemalloc.start()
         try:
-            report = energies(config, kernel)
+            report = energies(config, Metric.LEE, HARMONIC)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -222,25 +223,65 @@ class TestEnergies:
         assert peak <= 3 * config.p**2 * 8 + 2**20
 
     def test_large_grid_reads_only_member_pairs(self):
-        # pair energies come off the kernel block; expanding the full 1024^2
-        # table (8 MiB of doubles) would break the bound
+        # pair energies come from the member pairs' keys; building the 1024^2
+        # kernel, or expanding it to all sites (8 MiB of doubles), would break the bound
         dims, kernel = harmonic_kernel((1024, 1024))
         rng = np.random.default_rng(3)
         config = Configuration.from_indices(dims, rng.choice(dims.order, 64, replace=False))
         tracemalloc.start()
         try:
-            report = energies(config, kernel)
+            report = energies(config, Metric.LEE, HARMONIC)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(report.per_site) == 64
         assert peak < 2 * 2**20
 
-    def test_grid_mismatch(self):
-        dims, kernel = harmonic_kernel((4, 4))
-        other = Configuration.from_indices(GridDims.of(2, 2), [0])
-        with pytest.raises(ValueError):
-            energies(other, kernel)
+    def test_pair_values_are_the_kernel_block_entries(self):
+        # each member's energy is the row sum of the kernel block read at the pairs'
+        # differences, bit for bit, for every metric and profile, u of either sign too
+        rng = np.random.default_rng(18)
+        profiles = [
+            InversePower(1.0), InversePower(0.3), InversePower(2.0), ExponentialAtom(1.05),
+            ExponentialAtom(2.0, "distance_squared"), math.cos, lambda x: -3.0 * math.cos(x), None,
+        ]
+        for case in range(560):
+            sizes = tuple(int(n) for n in rng.integers(1, 10, size=1 + case % 3))
+            dims = GridDims(sizes)
+            metric = list(Metric)[case % len(Metric)]
+            f = profiles[rng.integers(len(profiles))]
+            if f is None:
+                f = tabulated_from_instance(dims, metric, lambda x: 1.0 / (1.0 + x))
+            p = int(rng.integers(1, min(dims.order, 30) + 1))
+            idx = np.sort(rng.choice(dims.order, size=p, replace=False))
+            report = energies(Configuration(dims, idx), metric, f)
+            diff = configs._pair_differences(dims, idx)
+            want = configs._pair_kernel(build_kernel(dims, metric, f), diff).sum(axis=1)
+            got = np.array(list(report.per_site.values()))
+            assert got.tobytes() == want.tobytes(), (sizes, metric, f, idx)
+            assert (report.e_max, report.e_tot) == (float(want.max()), float(want.sum()))
+
+    def test_long_ring_builds_nothing_of_its_size(self):
+        # two sites half of a 10^10-site ring apart; a table over the ring would take
+        # 40 GB.  Their squared distance, 2.5e19, does not fit a 64-bit key: refused
+        dims = GridDims.of(10**10)
+        config = Configuration.from_sites(dims, [(0,), (5 * 10**9,)])
+        assert energies(config, Metric.LEE, HARMONIC).e_tot == pytest.approx(2 / (5 * 10**9), rel=1e-15)
+        for metric in (Metric.EUCLIDEAN_SQUARED, Metric.EUCLIDEAN):
+            with pytest.raises(ValueError, match="squared distances overflow int64 keys"):
+                energies(config, metric, HARMONIC)
+
+    def test_profile_called_once_per_member_distance_in_increasing_order(self):
+        # 4x4 Lee has distances 1..4; these members lie at 1 (twice), 3 and 4 from each other
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0 / x
+
+        report = energies(Configuration.from_sites(GridDims.of(4, 4), [(0, 0), (0, 3), (2, 2)]), Metric.LEE, f)
+        assert calls == [1, 3, 4]
+        assert report.e_tot == pytest.approx(2 * (1 + 1 / 3 + 1 / 4), rel=1e-15)
 
 
 class TestKernelMatrix:
@@ -297,7 +338,7 @@ class TestIsCoset:
             for coset in cosets_of(dims, subgroup):
                 config = Configuration.from_sites(dims, coset)
                 assert is_coset(config).is_coset
-                assert energies(config, kernel).is_equienergetic
+                assert energies(config, Metric.LEE, HARMONIC).is_equienergetic
 
 
 class TestBruteForce:
@@ -322,11 +363,10 @@ class TestBruteForce:
             for pattern in P4_OPTIMAL_PATTERNS
         }
         assert {h.config.members for h in optima} == expected
-        kernel = build_kernel(dims, Metric.LEE, HARMONIC)
         coset_flags = sorted(is_coset(h.config).is_coset for h in optima)
         assert coset_flags == [False, True, True]
         for h in optima:
-            assert energies(h.config, kernel).is_equienergetic
+            assert energies(h.config, Metric.LEE, HARMONIC).is_equienergetic
 
     def test_full_grid_single_configuration(self):
         dims = GridDims.of(2, 3)
@@ -456,12 +496,12 @@ class TestBruteForce:
         assert max_optima == boards
 
 
-def ranking_oracle(dims, kernel, p, objective, reduce, top_k):
+def ranking_oracle(dims, metric, f, p, objective, reduce, top_k):
     """First top_k subsets by (energies() value, member tuple); canonical translates only
     under reduce="translations", with their orbit sizes."""
     ranked = []
     for members in itertools.combinations(range(dims.order), p):
-        report = energies(Configuration.from_indices(dims, members), kernel)
+        report = energies(Configuration.from_indices(dims, members), metric, f)
         ranked.append((report.e_tot if objective == "total" else report.e_max, members))
     ranked.sort()
     out = []
@@ -478,10 +518,10 @@ def ranking_oracle(dims, kernel, p, objective, reduce, top_k):
 
 
 def assert_definitional_ranking(sizes, metric, f, p, objective, reduce, top_k):
-    dims, kernel = harmonic_kernel(sizes, metric, f)
+    dims = GridDims(sizes)
     hits = brute_force(dims, metric, f, p, objective=objective, top_k=top_k, reduce=reduce)
     assert [(h.value, h.config.members, h.orbit_size) for h in hits] == ranking_oracle(
-        dims, kernel, p, objective, reduce, top_k
+        dims, metric, f, p, objective, reduce, top_k
     ), (sizes, metric, f, p, objective, reduce, top_k)
 
 
@@ -576,8 +616,7 @@ class TestLocalSearch:
 
     def test_chebyshev_beats_checkerboard_6x6(self):
         dims = GridDims.of(6, 6)
-        kernel = build_kernel(dims, Metric.CHEBYSHEV, HARMONIC)
-        board = energies(checkerboard(dims), kernel)
+        board = energies(checkerboard(dims), Metric.CHEBYSHEV, HARMONIC)
         result = local_search(
             dims, Metric.CHEBYSHEV, HARMONIC, 18, objective="max", restarts=200, rng_seed=0
         )
@@ -646,7 +685,7 @@ class TestLocalSearch:
         hit = local_search(dims, metric, HARMONIC, p, objective, restarts, seed)
         want = local_search_oracle(kernel_matrix(kernel), p, objective, restarts, seed)
         assert hit.config.members == tuple(want.tolist())
-        report = energies(hit.config, kernel)
+        report = energies(hit.config, metric, HARMONIC)
         assert hit.value == (report.e_tot if objective == "total" else report.e_max)
 
     def test_memory_does_not_grow_with_restarts(self, monkeypatch):

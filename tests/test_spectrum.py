@@ -380,7 +380,7 @@ class TestCertificates:
         # the pairwise sum over members must agree
         dims = GridDims.of(4, 8)
         cert = checkerboard_certificate(dims, metric, f)
-        report = energies(checkerboard(dims), build_kernel(dims, metric, f))
+        report = energies(checkerboard(dims), metric, f)
         assert cert.checkerboard_e_tot == pytest.approx(report.e_tot, rel=1e-12)
         assert cert.checkerboard_e_max == pytest.approx(report.e_max, rel=1e-12)
 
