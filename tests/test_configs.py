@@ -152,27 +152,27 @@ class TestTranslateOracle:
 
 class TestEnergies:
     def test_row_configuration_total(self):
-        dims, kernel = harmonic_kernel((4, 4))
+        dims = GridDims.of(4, 4)
         report = energies(Configuration.from_sites(dims, ROW_CONFIG_4X4), Metric.LEE, HARMONIC)
         assert report.e_tot == pytest.approx(10.0, rel=1e-12)
         assert report.is_equienergetic
 
     def test_singleton(self):
-        dims, kernel = harmonic_kernel((4, 4))
+        dims = GridDims.of(4, 4)
         report = energies(Configuration.from_sites(dims, [(1, 2)]), Metric.LEE, HARMONIC)
         assert report.e_tot == 0.0
         assert report.e_max == 0.0
         assert not report.is_empty
 
     def test_empty_flagged(self):
-        dims, kernel = harmonic_kernel((4, 4))
+        dims = GridDims.of(4, 4)
         report = energies(Configuration.from_indices(dims, []), Metric.LEE, HARMONIC)
         assert report.is_empty
         assert report.e_tot == 0.0
         assert report.per_site == {}
 
     def test_checkerboard_4x4(self):
-        dims, kernel = harmonic_kernel((4, 4))
+        dims = GridDims.of(4, 4)
         report = energies(checkerboard(dims), Metric.LEE, HARMONIC)
         assert report.e_tot == pytest.approx(26.0, rel=1e-12)
         assert report.is_equienergetic
@@ -180,7 +180,7 @@ class TestEnergies:
             assert value == pytest.approx(13.0 / 4.0, rel=1e-12)
 
     def test_translation_invariance(self):
-        dims, kernel = harmonic_kernel((4, 6), Metric.EUCLIDEAN)
+        dims = GridDims.of(4, 6)
         rng = np.random.default_rng(9)
         sites = list(enumerate_sites(dims))
         config = Configuration.from_sites(dims, [sites[i] for i in rng.choice(len(sites), 7, replace=False)])
@@ -204,14 +204,15 @@ class TestEnergies:
         assert report.e_tot == pytest.approx(float(x @ K @ x), rel=1e-12)
 
     def test_oversized_pair_table_refused(self):
-        dims, kernel = harmonic_kernel((64, 64))
+        dims = GridDims.of(64, 64)
         with pytest.raises(BudgetExceededError, match="2049 x 2049"):
             energies(Configuration.from_indices(dims, range(2049)), Metric.LEE, HARMONIC)
 
     def test_half_filling_64x64_peak(self):
-        # two int64 p x p difference tables, overwritten in place by their wraps,
-        # and the float gather; wraps as new arrays would add a p x p table per axis
-        dims, kernel = harmonic_kernel((64, 64))
+        # two int64 p x p difference tables, overwritten in place by their wraps and
+        # the first by the distance keys, and the p x p floats read off the per-key
+        # table; wraps or keys as new arrays would add a p x p table each
+        dims = GridDims.of(64, 64)
         config = checkerboard(dims)
         tracemalloc.start()
         try:
@@ -225,7 +226,7 @@ class TestEnergies:
     def test_large_grid_reads_only_member_pairs(self):
         # pair energies come from the member pairs' keys; building the 1024^2
         # kernel, or expanding it to all sites (8 MiB of doubles), would break the bound
-        dims, kernel = harmonic_kernel((1024, 1024))
+        dims = GridDims.of(1024, 1024)
         rng = np.random.default_rng(3)
         config = Configuration.from_indices(dims, rng.choice(dims.order, 64, replace=False))
         tracemalloc.start()
@@ -236,6 +237,25 @@ class TestEnergies:
             tracemalloc.stop()
         assert len(report.per_site) == 64
         assert peak < 2 * 2**20
+
+    def test_grid_mismatch(self):
+        # energies take the grid from the configuration alone: the same member
+        # indices on two grids get each grid's own energies, its kernel block's entries
+        members = [0, 3, 5]
+        totals = []
+        for dims in (GridDims.of(4, 4), GridDims.of(2, 3), GridDims.of(6)):
+            idx = np.array(members)
+            report = energies(Configuration(dims, idx), Metric.EUCLIDEAN, HARMONIC)
+            want = configs._pair_kernel(
+                build_kernel(dims, Metric.EUCLIDEAN, HARMONIC), configs._pair_differences(dims, idx)
+            ).sum(axis=1)
+            assert np.array(list(report.per_site.values())).tobytes() == want.tobytes(), dims
+            totals.append(report.e_tot)
+        # (0,0),(0,3),(1,1) on 4x4; (0,0),(1,0),(1,2) on 2x3; 0, 3, 5 on a 6-ring
+        assert totals == pytest.approx(
+            [2 * (1 + 1 / math.sqrt(2) + 1 / math.sqrt(5)), 2 * (1 + 1 / math.sqrt(2) + 1), 2 * (1 / 3 + 1 + 1 / 2)],
+            rel=1e-15,
+        )
 
     def test_pair_values_are_the_kernel_block_entries(self):
         # each member's energy is the row sum of the kernel block read at the pairs'
@@ -333,7 +353,7 @@ class TestIsCoset:
 
     @pytest.mark.parametrize("sizes", [(12,), (6, 6), (2, 2, 2), (8, 8)])
     def test_cosets_are_equienergetic(self, sizes):
-        dims, kernel = harmonic_kernel(sizes)
+        dims = GridDims(sizes)
         for subgroup in enumerate_subgroups(dims):
             for coset in cosets_of(dims, subgroup):
                 config = Configuration.from_sites(dims, coset)

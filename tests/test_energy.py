@@ -116,7 +116,7 @@ class TestBuildKernel:
 
     # Lee and Chebyshev keys always fit the key table (their largest key is
     # below the block's entry count).  The squared keys of euclid-sq and
-    # euclid take the np.unique branch on (7,), (1, 6) and (2, 40), whose
+    # euclid take the sorting branch on (7,), (1, 6) and (2, 40), whose
     # largest key is at least twice the block's entry count (401 against 42
     # entries at (2, 40)), and the key table on the other sizes (72 against
     # 49 entries at (12, 12)).
@@ -129,13 +129,13 @@ class TestBuildKernel:
     @pytest.mark.parametrize("metric", list(Metric))
     def test_branch_taken(self, sizes, metric, monkeypatch):
         sorts = []
-        unique = np.unique
+        sort = np.sort
 
-        def counting_unique(*args, **kwargs):
+        def counting_sort(*args, **kwargs):
             sorts.append(args)
-            return unique(*args, **kwargs)
+            return sort(*args, **kwargs)
 
-        monkeypatch.setattr(np, "unique", counting_unique)
+        monkeypatch.setattr(np, "sort", counting_sort)
         build_kernel(GridDims(sizes), metric, InversePower(0.7))
         squared = metric in (Metric.EUCLIDEAN_SQUARED, Metric.EUCLIDEAN)
         assert bool(sorts) == (squared and sizes in self.SORTED_KEYS)
