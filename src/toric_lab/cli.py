@@ -193,6 +193,36 @@ def _summary_path(out: Path) -> Path:
     return out.with_name(out.name + ".summary.json")
 
 
+def _write_eigen_csv(path: Path | None, table: spectrum.EigenTable) -> None:
+    """The `eigs` CSV: a header, then one `j1,...,jd,lambda` line per character, row-major.
+
+    Each block entry is formatted once (`_fmt`, on floats already).  A block
+    row of the leading axes becomes one text, its last axis laid out at the
+    wraps as "j,value" lines, and serves the mirrored rows c and n - c of
+    each leading axis.  So every text is held until the last row is
+    written, about 6x the block's bytes; holding one CSV row at a time
+    would format each entry 2^(d-1) times.
+    """
+    dims = table.dims
+    leading = dims.sizes[:-1]
+    columns = [f"{j}," for j in range(dims.sizes[-1])]
+    column_wraps = axis_wraps(dims.sizes[-1]).tolist()
+    bodies = []
+    for values in table.block.reshape(-1, table.block.shape[-1]):
+        texts = [format(v, ".17g") for v in values.tolist()]
+        bodies.append("\n".join([column + texts[w] for column, w in zip(columns, column_wraps)]))
+    # the block row of each leading coordinate tuple, in row-major order
+    body_at = [0]
+    for n, half in zip(leading, table.block.shape):
+        body_at = [at * half + w for at in body_at for w in axis_wraps(n).tolist()]
+    with _out_stream(path) as handle:
+        handle.write(",".join([f"j{i + 1}" for i in range(dims.ndim)] + ["lambda"]) + "\n")
+        # rows in row-major character order, the order of itertools.product
+        for lead, at in zip(itertools.product(*map(range, leading)), body_at):
+            prefix = "".join(f"{c}," for c in lead)
+            handle.write(prefix + bodies[at].replace("\n", "\n" + prefix) + "\n")
+
+
 def _cmd_eigs(args: argparse.Namespace) -> int:
     dims, metric, f = _instance(args)
     table = spectrum.eigen_table(build_kernel(dims, metric, f))
@@ -206,21 +236,7 @@ def _cmd_eigs(args: argparse.Namespace) -> int:
         "argmin": [list(c) for c in argmin],
         "tie_tol": args.tie_tol if args.tie_tol is not None else spectrum.default_tie_tol(lam_min),
     }
-    last = dims.sizes[-1]
-    columns = [f"{j}," for j in range(last)]
-    column_wraps = axis_wraps(last).tolist()
-    with _out_stream(args.out) as handle:
-        handle.write(",".join([f"j{i + 1}" for i in range(dims.ndim)] + ["lambda"]) + "\n")
-        # rows in row-major character order, the order of itertools.product; a
-        # row's values are the block row at its leading wraps, read at the
-        # wraps of the last axis, so each block value is formatted once per row
-        leading = itertools.product(*(range(n) for n in dims.sizes[:-1]))
-        leading_wraps = itertools.product(*(axis_wraps(n).tolist() for n in dims.sizes[:-1]))
-        for lead, wraps in zip(leading, leading_wraps):
-            prefix = "".join(f"{c}," for c in lead)
-            texts = [format(v, ".17g") for v in table.block[wraps].tolist()]  # _fmt, on floats already
-            cells = [column + texts[w] for column, w in zip(columns, column_wraps)]
-            handle.write(prefix + ("\n" + prefix).join(cells) + "\n")
+    _write_eigen_csv(args.out, table)
     if args.out is not None:
         _summary_path(args.out).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
         print(json.dumps(summary, indent=2))

@@ -18,6 +18,7 @@ derivative signs of the smooth profiles.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -182,11 +183,14 @@ def _tabulate(key: np.ndarray, metric: Metric, f: EnergyFunction | Callable[[flo
     found by sorting.  Both the kernel block and the member-pair energies
     come from here, so they hold the same value at the same key.
     """
-    to_distance = math.sqrt if metric is Metric.EUCLIDEAN else int
-
     def tabulate(keys: np.ndarray) -> np.ndarray:
+        # keys are distinct and increasing, so a zero key can only come first
+        start = int(keys[0] == 0)
+        distances = keys[start:].tolist()
+        if metric is Metric.EUCLIDEAN:
+            distances = map(math.sqrt, distances)
+        values = itertools.chain([0.0] * start, map(f, distances))
         # filled as f returns, without a list of Python floats: up to ~10^5 keys at 1024^2 euclid
-        values = (0.0 if k == 0 else float(f(to_distance(k))) for k in keys.tolist())
         return np.fromiter(values, dtype=np.float64, count=len(keys))
 
     top = int(key.max())

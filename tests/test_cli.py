@@ -881,7 +881,10 @@ def test_eigs_csv_rows_in_site_order(capsys, tmp_path):
     assert out.read_bytes() == eigs_csv_oracle(table).encode("utf-8")
 
 
-EIGS_GRIDS = [(1,), (2,), (9,), (1, 6), (5, 2, 7), (3, 3, 3), (4, 2, 6), (10, 10)]
+# (6, 1) and (3, 4, 1): a last axis of one site, so a block row's text is one line;
+# (2, 2, 2): every axis its own mirror; (4, 17): a longer odd last axis
+EIGS_GRIDS = [(1,), (2,), (9,), (1, 6), (5, 2, 7), (3, 3, 3), (4, 2, 6), (10, 10),
+              (6, 1), (3, 4, 1), (2, 2, 2), (4, 17)]
 
 
 class TestEigsBytes:
@@ -933,3 +936,39 @@ class TestEigsBytes:
         argv = ("eigs", "--dims", "4,2,6", "--metric", "lee", "--f", self.F, "--out", str(out))
         assert run(capsys, *argv) == (EXIT_OK, summary, "")
         assert out.read_bytes() == csv_text.encode("utf-8")
+
+    @pytest.mark.parametrize("sizes", [(6, 5), (4, 3, 6)])
+    def test_each_block_entry_formatted_once(self, capsys, monkeypatch, sizes):
+        # a block row serves the mirrored rows of every leading axis, but its
+        # values are turned into text once
+        csv_text, summary = self.expected(sizes, "lee")
+        calls = []
+
+        def counting_format(value, spec):
+            calls.append(value)
+            return format(value, spec)
+
+        monkeypatch.setattr(cli, "format", counting_format, raising=False)
+        argv = ("eigs", "--dims", ",".join(map(str, sizes)), "--metric", "lee", "--f", self.F)
+        assert run(capsys, *argv) == (EXIT_OK, csv_text, summary)
+        block = eigen_table(build_kernel(GridDims(sizes), Metric.LEE, InversePower(0.7))).block
+        assert sorted(calls) == sorted(block.ravel().tolist())
+
+    def test_writer_peak_is_a_multiple_of_the_block(self, capsys, tmp_path, monkeypatch):
+        # the writer holds one text per block row, about 6x the block's bytes; the
+        # whole CSV held at once would be about 12x at 128^2
+        dims = GridDims((128, 128))
+        table = eigen_table(build_kernel(dims, Metric.LEE, InversePower(0.7)))
+        monkeypatch.setattr(cli, "build_kernel", lambda *args: None)
+        monkeypatch.setattr(spectrum, "eigen_table", lambda kernel: table)
+        out = tmp_path / "e.csv"
+        tracemalloc.start()
+        try:
+            code = main(["eigs", "--dims", "128,128", "--f", self.F, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert out.read_bytes() == eigs_csv_oracle(table).encode("utf-8")
+        assert peak < 8 * table.block.nbytes
