@@ -146,8 +146,8 @@ def factor_curve(n: int, a: float, distance_power: int = 1) -> FactorCurve:
     """
     if n < 2:
         raise ValueError(f"cycle length must be at least 2, got {n}")
-    if not a > 1:
-        raise ValueError(f"base must exceed 1, got {a}")
+    if not 1 < a < math.inf:
+        raise ValueError(f"base must {'be finite' if a > 1 else 'exceed 1'}, got {a}")
     if distance_power not in (1, 2):
         raise ValueError(f"distance power must be 1 or 2, got {distance_power}")
     g = np.arange(n)
@@ -176,8 +176,8 @@ def factor_closed_form(n: int, a: float, k: int) -> float:
     """
     if n < 2 or n % 2:
         raise ValueError(f"closed form needs even n >= 2, got {n}")
-    if not a > 1:
-        raise ValueError(f"base must exceed 1, got {a}")
+    if not 1 < a < math.inf:
+        raise ValueError(f"base must {'be finite' if a > 1 else 'exceed 1'}, got {a}")
     q = a - 1.0
     ln_a = math.log1p(q)
     half = n // 2

@@ -10,7 +10,7 @@ translate, the stabiliser and the coset test.  Exhaustive search is a
 depth-first, batched branch and bound over sorted prefixes: a prefix is
 pruned only when a lower bound on every subset below it exceeds the
 top_k-th best value found so far by more than a rounding slack, and each
-subset reached reads its member pairs off the kernel block, whose entries
+subset reached reads its member pairs off the kernel matrix, whose entries
 are f at the same keys, so hits are ranked by (value, member tuple)
 exactly as a full enumeration of energies() values ranks them.  It
 refuses a worst-case work estimate beyond a budget, before any work,
@@ -129,19 +129,15 @@ class Configuration:
         """Lexicographically least translate (the orbit representative used everywhere)."""
         if self.p == 0:
             return self
-        rows = self._zero_translates()
+        rows = _zero_translates(self.dims, np.array(self.members, dtype=np.int64))
         return Configuration(self.dims, rows[_least_rows(rows)])
 
     def orbit_size(self) -> int:
         """Number of distinct translates: |G| over the size of the stabiliser."""
         if self.p == 0:
             return 1
-        rows = self._zero_translates()
+        rows = _zero_translates(self.dims, np.array(self.members, dtype=np.int64))
         return self.dims.order // int((rows == rows[0]).all(axis=1).sum())
-
-    def _zero_translates(self) -> np.ndarray:
-        diff = _pair_differences(self.dims, np.array(self.members, dtype=np.int64))
-        return _zero_translates(np.ravel_multi_index(diff, self.dims.sizes))
 
 
 def checkerboard(dims: GridDims, parity: str = "even") -> Configuration:
@@ -195,18 +191,9 @@ def _wraps(sizes: Sequence[int], diff: tuple[np.ndarray, ...]) -> tuple[np.ndarr
     return tuple(np.minimum(d, n - d, out=d) for d, n in zip(diff, sizes))
 
 
-def _pair_kernel(kernel: KernelTable, diff: tuple[np.ndarray, ...]) -> np.ndarray:
-    """u at per-axis site differences, already reduced mod n_i and broadcast together.
-
-    The one read of the kernel block at site differences: the exhaustive
-    leaves and kernel_matrix gather here.  energies() takes f at the same
-    differences' keys without the block, and gets the same floats.
-    """
-    return kernel.block[_wraps(kernel.dims.sizes, diff)]
-
-
-def _zero_translates(differences: np.ndarray) -> np.ndarray:
-    """Row b: sorted S - s_b from T[..., a, b] = index(s_a - s_b); the least translate is a row."""
+def _zero_translates(dims: GridDims, idx: np.ndarray) -> np.ndarray:
+    """Row b: the sorted site indices of S - s_b, S = idx[..., :]; the least translate is a row."""
+    differences = np.ravel_multi_index(_pair_differences(dims, idx), dims.sizes)
     return np.sort(differences.swapaxes(-1, -2), axis=-1)
 
 
@@ -265,7 +252,7 @@ def is_coset(config: Configuration) -> CosetCheck:
     """
     if config.p == 0:
         raise ValueError("empty configuration is not a coset")
-    rows = config._zero_translates()
+    rows = _zero_translates(config.dims, np.array(config.members, dtype=np.int64))
     if not (rows == rows[0]).all():
         return CosetCheck(is_coset=False, subgroup=None)
     subgroup = tuple(index_to_site(config.dims, int(i)) for i in rows[0])
@@ -275,14 +262,15 @@ def is_coset(config: Configuration) -> CosetCheck:
 def kernel_matrix(kernel: KernelTable) -> np.ndarray:
     """Dense |G| x |G| matrix K[i, j] = u(site_i - site_j); diagonal is zero.
 
-    Axis a's differences are one n_a x n_a table on open-grid axes a and d + a;
-    they broadcast in the gather, so no |G| x |G| index array is built.
+    The one read of the kernel block at site differences.  Axis a's
+    differences are one n_a x n_a table on open-grid axes a and d + a; they
+    broadcast in the gather, so no |G| x |G| index array is built.
     """
     sizes, order = kernel.dims.sizes, kernel.dims.order
     _check_rows(order)
     grids = np.ix_(*[np.arange(n) for n in sizes * 2])
     diff = tuple((grids[a] - grids[a + len(sizes)]) % n for a, n in enumerate(sizes))
-    return _pair_kernel(kernel, diff).reshape(order, order)
+    return kernel.block[_wraps(sizes, diff)].reshape(order, order)
 
 
 @dataclass(frozen=True)
@@ -331,11 +319,12 @@ def brute_force(
     product r(r-1) min u.  So no leaf whose value ties or beats T is ever
     pruned, and without pruning the search is the full enumeration.
 
-    Each leaf batch's member pairs are read off the kernel block by
-    _pair_kernel; a block entry is f at its distance key, as energies()
-    takes it at a pair's key, and both sum a member's p pair values in the
-    same order, so every value equals the energies() value of its
-    configuration bit for bit.  Hits are ranked by (value, member tuple).
+    Each leaf batch's member pairs are read off the kernel matrix, whose
+    entries are the block's at the pairs' wraps: f at the distance key where
+    energies() takes it, summed over a member's p pairs in the same order,
+    so every value equals the energies() value of its configuration bit for
+    bit.  Hits are ranked by (value, member tuple): leaves not above the
+    limit wait until top_k of them do, then are ranked with the top_k kept.
     With reduce="translations" only the lexicographically least translate of
     each orbit is kept, so the result is one row per translation orbit.
     That translate contains site 0, so only prefixes through site 0 are
@@ -368,7 +357,7 @@ def brute_force(
     if p == 0:
         return [SearchHit(config=Configuration(dims, ()), value=0.0, orbit_size=1)]
     K = kernel_matrix(kernel)
-    best_values, best = _branch_and_bound(kernel, K, p, objective, top_k, reduce == "translations")
+    best_values, best = _branch_and_bound(dims, K, p, objective, top_k, reduce == "translations")
     hits = []
     for value, members in zip(best_values.tolist(), best.tolist()):
         config = Configuration(dims, members)
@@ -377,12 +366,19 @@ def brute_force(
     return hits
 
 
+def _rank(seen: list[tuple[np.ndarray, np.ndarray]], top_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The top_k of the (leaf values, member rows) batches seen, by (value, member tuple)."""
+    values, rows = map(np.concatenate, zip(*seen))
+    ranked = np.lexsort((*rows.T[::-1], values))[:top_k]
+    return values[ranked], rows[ranked]
+
+
 def _branch_and_bound(
-    kernel: KernelTable, K: np.ndarray, p: int, objective: str, top_k: int, translations: bool
+    dims: GridDims, K: np.ndarray, p: int, objective: str, top_k: int, translations: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """The top_k leaf values and member rows of brute_force's search tree, ranked."""
-    dims, order = kernel.dims, K.shape[0]
-    off_diagonal = kernel.block.flat[1:]  # u at every nonzero displacement
+    order = K.shape[0]
+    off_diagonal = K[0, 1:]  # u at every nonzero displacement
     min_u = float(off_diagonal.min()) if off_diagonal.size else 0.0
     largest = float(np.abs(off_diagonal).max()) if off_diagonal.size else 0.0
     gamma = p * p * _UNIT_ROUNDOFF / (1 - p * p * _UNIT_ROUNDOFF)
@@ -403,24 +399,24 @@ def _branch_and_bound(
     # the first members: any site that leaves room for p - 1 more, or site 0 alone
     firsts = sites[: 1 if translations else order - p + 1]
     push(firsts[:, None], np.zeros(len(firsts)), np.zeros((1, order)), np.zeros(len(firsts), dtype=np.int64))
-    best_values, best = np.empty(0), np.empty((0, p), dtype=np.int64)
+    # the ranked top_k so far, then the batches of leaves since, none above the limit
+    seen, waiting = [(np.empty(0), np.empty((0, p), dtype=np.int64))], 0
     limit = np.inf  # incumbent plus slack: a bound above it prunes
     while stack:
         prefixes, keys, parent, rows = stack.pop()
         r = p - prefixes.shape[1]
         if r == 0:
             batch = prefixes[~(keys > limit)]
-            diff = _pair_differences(dims, batch)
             if translations:
-                keep = _least_rows(_zero_translates(np.ravel_multi_index(diff, dims.sizes))) == 0
-                batch, diff = batch[keep], tuple(d[keep] for d in diff)
-            per = _pair_kernel(kernel, diff).sum(axis=2)
-            values = per.sum(axis=1) if objective == "total" else per.max(axis=1)
-            values, batch = np.concatenate((best_values, values)), np.concatenate((best, batch))
-            ranked = np.lexsort((*batch.T[::-1], values))[:top_k]
-            best_values, best = values[ranked], batch[ranked]
-            if len(best_values) == top_k:
-                limit = best_values[-1] + slack
+                batch = batch[_least_rows(_zero_translates(dims, batch)) == 0]
+            per = K[batch[:, :, None], batch[:, None, :]].sum(axis=2)
+            leaf = per.sum(axis=1) if objective == "total" else per.max(axis=1)
+            kept = ~(leaf > limit)
+            seen.append((leaf[kept], batch[kept]))
+            waiting += int(kept.sum())
+            if waiting >= top_k:  # rank once top_k wait: the rows sorted stay about twice the leaves
+                seen, waiting = [_rank(seen, top_k)], 0
+                limit = seen[0][0][-1] + slack
             continue
         E = parent[rows] + K[prefixes[:, -1]]
         after = sites > prefixes[:, -1:]
@@ -444,7 +440,7 @@ def _branch_and_bound(
         ranked = np.argsort(child_keys, kind="stable")
         rows, js = rows[ranked], js[ranked]
         push(np.concatenate((prefixes[rows], js[:, None]), axis=1), child_keys[ranked], E, rows)
-    return best_values, best
+    return _rank(seen, top_k)
 
 
 def _descend(

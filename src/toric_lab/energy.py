@@ -2,13 +2,13 @@
 
 The kernel is stored on its fundamental block, the per-axis wraps
 0..n_i // 2, with the origin entry forced to zero: every metric depends on a
-site only through those wraps, so the block fixes the kernel.  The spectrum,
-the kernel matrix and the exhaustive leaves read it; configuration energies
-do not, since they need f only at the member pairs' distance keys.  Both
-take f through `_tabulate`, one evaluation per distinct integer key, so a
-block entry and a pair energy at the same key are the same float.  The
-discrete Fourier transform of the kernel over all sites is exactly the
-eigenvalue table of the convolution operator it defines.
+site only through those wraps, so the block fixes the kernel.  The spectrum
+and the kernel matrix, the one table the exhaustive leaves read, read it;
+configuration energies do not, since they need f only at the member pairs'
+distance keys.  Both take f through `_tabulate`, one evaluation per
+distinct integer key, so a block entry and a pair energy at the same key
+are the same float.  The discrete Fourier transform of the kernel over all
+sites is exactly the eigenvalue table of the convolution operator it defines.
 
 Two diagnostic checks live here as well: the alternating sign of integer
 forward differences, and a finite-difference proxy for alternating

@@ -296,8 +296,14 @@ class TestDirichletSinSum:
         (lambda: hypercube_gap(0, HARMONIC, 0), "dimension must be positive, got 0"),
         (lambda: factor_closed_form(8, 1.0, 1), "base must exceed 1, got 1.0"),
         (lambda: dirichlet_sin_sum(-1, 1.0), "m must be non-negative, got -1"),
+        # a base of inf has no curve: summaries would print Infinity, which is not JSON
+        (lambda: factor_closed_form(8, math.inf, 1), "base must be finite, got inf"),
+        (lambda: factor_curve(8, math.inf), "base must be finite, got inf"),
+        (lambda: factor_curve(8, math.nan), "base must exceed 1, got nan"),
+        (lambda: factor_curve(8, -math.inf), "base must exceed 1, got -inf"),
     ],
-    ids=["kappa-odd-n", "kappa-prime-odd-n", "hypercube-gap-d0", "closed-form-a1", "dirichlet-m-1"],
+    ids=["kappa-odd-n", "kappa-prime-odd-n", "hypercube-gap-d0", "closed-form-a1", "dirichlet-m-1",
+         "closed-form-a-inf", "curve-a-inf", "curve-a-nan", "curve-a-minus-inf"],
 )
 def test_domain_refusals(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -653,6 +653,8 @@ class TestCurveCommands:
             (("bernstein", "--n", "8", "--power", "1", "--a-grid", ""), "a_grid must be nonempty"),
             (("bernstein", "--n", "8", "--power", "1", "--a-grid", "abc"),
              "could not convert string to float: 'abc'"),
+            (("factor-curve", "--n", "8", "--a", "inf"), "base must be finite, got inf"),
+            (("bernstein", "--n", "8", "--a-grid", "1.5,inf"), "base must be finite, got inf"),
         ],
     )
     def test_library_value_errors_exit_2(self, capsys, argv, message):

@@ -246,9 +246,8 @@ class TestEnergies:
         for dims in (GridDims.of(4, 4), GridDims.of(2, 3), GridDims.of(6)):
             idx = np.array(members)
             report = energies(Configuration(dims, idx), Metric.EUCLIDEAN, HARMONIC)
-            want = configs._pair_kernel(
-                build_kernel(dims, Metric.EUCLIDEAN, HARMONIC), configs._pair_differences(dims, idx)
-            ).sum(axis=1)
+            at = np.ravel_multi_index(configs._pair_differences(dims, idx), dims.sizes)
+            want = full_kernel(build_kernel(dims, Metric.EUCLIDEAN, HARMONIC))[at].sum(axis=1)
             assert np.array(list(report.per_site.values())).tobytes() == want.tobytes(), dims
             totals.append(report.e_tot)
         # (0,0),(0,3),(1,1) on 4x4; (0,0),(1,0),(1,2) on 2x3; 0, 3, 5 on a 6-ring
@@ -275,8 +274,8 @@ class TestEnergies:
             p = int(rng.integers(1, min(dims.order, 30) + 1))
             idx = np.sort(rng.choice(dims.order, size=p, replace=False))
             report = energies(Configuration(dims, idx), metric, f)
-            diff = configs._pair_differences(dims, idx)
-            want = configs._pair_kernel(build_kernel(dims, metric, f), diff).sum(axis=1)
+            at = np.ravel_multi_index(configs._pair_differences(dims, idx), dims.sizes)
+            want = full_kernel(build_kernel(dims, metric, f))[at].sum(axis=1)
             got = np.array(list(report.per_site.values()))
             assert got.tobytes() == want.tobytes(), (sizes, metric, f, idx)
             assert (report.e_max, report.e_tot) == (float(want.max()), float(want.sum()))
@@ -503,6 +502,38 @@ class TestBruteForce:
         # entries each (about 4.4 MiB in all measured)
         assert max(peaks.values()) <= dims.order**2 * 8 + 8 * 2**20
 
+    @pytest.mark.parametrize("objective", ["total", "max"])
+    def test_plain_leaves_build_no_difference_table(self, monkeypatch, objective):
+        # without translations a leaf is read off the kernel matrix alone: no per-axis
+        # member difference table is built, and the hits are still the definitional ranking
+        dims = GridDims.of(3, 4)
+        want = ranking_oracle(dims, Metric.EUCLIDEAN, math.cos, 4, objective, "none", 30)
+
+        def refuse(*args):
+            raise AssertionError("a member difference table was built")
+
+        monkeypatch.setattr(configs, "_pair_differences", refuse)
+        hits = brute_force(dims, Metric.EUCLIDEAN, math.cos, 4, objective=objective, top_k=30)
+        assert [(h.value, h.config.members, h.orbit_size) for h in hits] == want
+
+    def test_large_top_k_ranks_each_leaf_about_twice(self, monkeypatch):
+        # top_k above the C(25, 4) = 12 650 subsets of 5x5: the leaves wait and are
+        # ranked once, not re-sorted with every kept row at each batch (333 318 rows)
+        dims = GridDims.of(5, 5)
+        sorted_rows = []
+        lexsort = np.lexsort
+
+        def counting(keys):
+            sorted_rows.append(len(keys[-1]))
+            return lexsort(keys)
+
+        monkeypatch.setattr(np, "lexsort", counting)
+        hits = brute_force(dims, Metric.LEE, HARMONIC, 4, top_k=10**6)
+        ranking = [(h.value, h.config.members) for h in hits]
+        assert ranking == sorted(ranking)
+        assert len({members for _, members in ranking}) == math.comb(25, 4)
+        assert sum(sorted_rows) <= 2 * math.comb(25, 4)
+
     def test_max_objective_checkerboard_logic(self):
         # unique total-energy optima that are cosets force the same optima for
         # maximal energy; exhaustive max search must agree end to end
@@ -563,6 +594,8 @@ class TestRankingOracle:
             ((2, 3), Metric.CHEBYSHEV, 5, "total", "none", 7),
             ((2, 3), Metric.EUCLIDEAN_SQUARED, 6, "total", "none", 2),
             ((2, 3), Metric.LEE, 6, "max", "translations", 2),
+            # top_k above the 126 subsets: every leaf is ranked, once
+            ((3, 3), Metric.LEE, 4, "total", "none", 500),
         ],
     )
     def test_hits_are_the_definitional_ranking(self, sizes, metric, p, objective, reduce, top_k):
