@@ -365,10 +365,7 @@ def _cmd_energy(args: argparse.Namespace) -> int:
         "metric": args.metric,
         "f": args.f,
         "p": config.p,
-        "per_site": [
-            {"site": list(site), "energy": value}
-            for site, value in sorted(report.per_site.items())
-        ],
+        "per_site": [{"site": list(site), "energy": value} for site, value in report.per_site.items()],
         "e_max": report.e_max,
         "e_tot": report.e_tot,
         "is_equienergetic": report.is_equienergetic,

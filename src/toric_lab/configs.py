@@ -158,7 +158,11 @@ def checkerboard(dims: GridDims, parity: str = "even") -> Configuration:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Per-site energies of a configuration plus their maximum and sum."""
+    """Per-site energies of a configuration plus their maximum and sum.
+
+    per_site iterates in site-index order, which is the sites' lexicographic
+    order: the members are stored sorted.
+    """
 
     per_site: dict[Site, float]
     e_max: float

@@ -7,8 +7,11 @@ and the kernel matrix, the one table the exhaustive leaves read, read it;
 configuration energies do not, since they need f only at the member pairs'
 distance keys.  Both take f through `_tabulate`, one evaluation per
 distinct integer key, so a block entry and a pair energy at the same key
-are the same float.  The discrete Fourier transform of the kernel over all
-sites is exactly the eigenvalue table of the convolution operator it defines.
+are the same float.  The built-in profiles evaluate a whole array of
+distances by libm `pow`, mapped from C over a list of floats; any other
+callable f is called once per distance.  The discrete Fourier transform of
+the kernel over all sites is exactly the eigenvalue table of the
+convolution operator it defines.
 
 Two diagnostic checks live here as well: the alternating sign of integer
 forward differences, and a finite-difference proxy for alternating
@@ -22,7 +25,7 @@ import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -66,6 +69,10 @@ class EnergyFunction(ABC):
     def __call__(self, x: float) -> float:
         """Evaluate f at a distance value."""
 
+    def over(self, x: np.ndarray) -> Iterator[float]:
+        """f(x_i) for each distance x_i of a 1-D array, in order, bit for bit as f(x_i) gives it."""
+        return map(self, x.tolist())
+
 
 @dataclass(frozen=True)
 class InversePower(EnergyFunction):
@@ -80,7 +87,11 @@ class InversePower(EnergyFunction):
     def __call__(self, x: float) -> float:
         if x <= 0:
             raise ValueError(f"inverse power undefined at x = {x}")
-        return float(x) ** -self.alpha
+        return math.pow(x, -self.alpha)
+
+    def over(self, x: np.ndarray) -> Iterator[float]:
+        # __call__'s math.pow, mapped from C; _tabulate gives positive distances only
+        return map(math.pow, x.tolist(), itertools.repeat(-self.alpha))
 
 
 @dataclass(frozen=True)
@@ -100,7 +111,14 @@ class ExponentialAtom(EnergyFunction):
         if x < 0:
             raise ValueError(f"exponential atom undefined at x = {x}")
         e = float(x) if self.exponent_of == "distance" else float(x) * float(x)
-        return self.a ** -e
+        return math.pow(self.a, -e)
+
+    def over(self, x: np.ndarray) -> Iterator[float]:
+        # __call__'s exponent and math.pow, in float64 and mapped from C
+        e = x.astype(np.float64)
+        if self.exponent_of == "distance_squared":
+            e *= e
+        return map(math.pow, itertools.repeat(self.a), np.negative(e, out=e).tolist())
 
 
 @dataclass(frozen=True)
@@ -165,8 +183,9 @@ def build_kernel(dims: GridDims, metric: Metric, f: EnergyFunction | Callable[[f
 
     The block's integer distance keys (see `distance_key`) go through
     `_tabulate`, so f is evaluated once per distinct nonzero key, in
-    increasing order, and tabulated profiles only need keys for distances
-    that actually occur on the grid.
+    increasing order: a built-in profile by libm `pow` over the whole key
+    array, any other callable by one call per key.  Tabulated profiles only
+    need keys for distances that actually occur on the grid.
     """
     key = distance_table(dims, Metric.EUCLIDEAN_SQUARED if metric is Metric.EUCLIDEAN else metric)
     return KernelTable(dims=dims, block=_tabulate(key, metric, f))
@@ -175,23 +194,29 @@ def build_kernel(dims: GridDims, metric: Metric, f: EnergyFunction | Callable[[f
 def _tabulate(key: np.ndarray, metric: Metric, f: EnergyFunction | Callable[[float], float]) -> np.ndarray:
     """f at the distance of every entry of an integer key array, and 0 where the key is 0.
 
-    The distance of a key is the key itself, or its square root for Euclid.
-    f is evaluated once per distinct nonzero key, in increasing order, so a
-    profile that fails at some distances fails first at the least of them.
-    Dense keys (every Lee and Chebyshev array, and most squared ones of two
-    or more axes) are marked in a table indexed by the key; sparse ones are
-    found by sorting.  Both the kernel block and the member-pair energies
-    come from here, so they hold the same value at the same key.
+    The distance of a key is the key itself, or its square root for Euclid
+    (`np.sqrt`, correctly rounded like `math.sqrt`).  f is evaluated once per
+    distinct nonzero key, in increasing order, so a profile that fails at
+    some distances fails first at the least of them.  A profile evaluates
+    the distinct distances through `EnergyFunction.over`: `InversePower` and
+    `ExponentialAtom` map `math.pow` over them from C, with no Python frame
+    per key, and give the same floats as their `__call__`; a `Tabulated`
+    profile or any other callable f is called once per distance, with ints
+    (floats for Euclid).  Dense keys (every Lee and Chebyshev array, and
+    most squared ones of two or more axes) are marked in a table indexed by
+    the key; sparse ones are found by sorting.  Both the kernel block and
+    the member-pair energies come from here, so they hold the same value at
+    the same key.
     """
     def tabulate(keys: np.ndarray) -> np.ndarray:
         # keys are distinct and increasing, so a zero key can only come first
         start = int(keys[0] == 0)
-        distances = keys[start:].tolist()
-        if metric is Metric.EUCLIDEAN:
-            distances = map(math.sqrt, distances)
-        values = itertools.chain([0.0] * start, map(f, distances))
-        # filled as f returns, without a list of Python floats: up to ~10^5 keys at 1024^2 euclid
-        return np.fromiter(values, dtype=np.float64, count=len(keys))
+        over = f.over if isinstance(f, EnergyFunction) else lambda x: map(f, x.tolist())
+        # the distance array is a temporary that over() turns into a list, so one
+        # Python list is held while f runs
+        values = over(np.sqrt(keys[start:]) if metric is Metric.EUCLIDEAN else keys[start:])
+        # filled as f returns, without a list of result floats: up to ~10^5 keys at 1024^2 euclid
+        return np.fromiter(itertools.chain([0.0] * start, values), dtype=np.float64, count=len(keys))
 
     top = int(key.max())
     if top < KEY_TABLE_FACTOR * key.size:

@@ -28,6 +28,7 @@ from support import (
     coords_array,
     cosets_of,
     descent_oracle,
+    distance,
     enumerate_subgroups,
     enumerate_sites,
     full_kernel,
@@ -301,6 +302,42 @@ class TestEnergies:
         report = energies(Configuration.from_sites(GridDims.of(4, 4), [(0, 0), (0, 3), (2, 2)]), Metric.LEE, f)
         assert calls == [1, 3, 4]
         assert report.e_tot == pytest.approx(2 * (1 + 1 / 3 + 1 / 4), rel=1e-15)
+
+    @pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.EUCLIDEAN_SQUARED])
+    def test_sparse_keys_equal_pairwise_definition(self, metric, monkeypatch):
+        # 40 members of 4096^2 have squared distances up to 2 * 2048^2, far more
+        # than their 1600 pairs, so the distinct keys are found by sorting; each
+        # member's energy is the row sum of f(distance) over the pairs, bit for bit
+        dims = GridDims.of(4096, 4096)
+        rng = np.random.default_rng(21)
+        config = Configuration.from_indices(dims, rng.choice(dims.order, 40, replace=False))
+        sites = config.sites()
+        sorts = []
+        sort = np.sort
+
+        def counting_sort(*args, **kwargs):
+            sorts.append(args)
+            return sort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting_sort)
+        profiles = [
+            InversePower(0.3), InversePower(1), InversePower(2), InversePower(3.5),
+            ExponentialAtom(1.0001), ExponentialAtom(1.0001, "distance_squared"), ExponentialAtom(1.05),
+        ]
+        for f in profiles:
+            report = energies(config, metric, f)
+            pairs = np.array([[f(distance(metric, a, b, dims)) if a != b else 0.0 for b in sites] for a in sites])
+            assert list(report.per_site) == list(sites)
+            assert np.array(list(report.per_site.values())).tobytes() == pairs.sum(axis=1).tobytes(), f
+        assert len(sorts) == len(profiles)
+
+    def test_per_site_iterates_in_site_order(self):
+        # the members are stored sorted, so per_site needs no sorting for output
+        dims = GridDims.of(5, 3, 4)
+        rng = np.random.default_rng(4)
+        config = Configuration.from_indices(dims, rng.choice(dims.order, 17, replace=False))
+        report = energies(config, Metric.LEE, HARMONIC)
+        assert list(report.per_site) == sorted(report.per_site) == list(config.sites())
 
 
 class TestKernelMatrix:

@@ -16,6 +16,20 @@ from toric_lab.grid import GridDims, Metric, site_index
 
 from support import distance, enumerate_sites, full_kernel, negate_site, tabulated_from_instance
 
+# Every built-in profile whose whole key array is evaluated by math.pow from C
+BUILT_IN_PROFILES = [
+    InversePower(0.3), InversePower(0.7), InversePower(1), InversePower(2), InversePower(3.5),
+    *(ExponentialAtom(a, kind) for a in (1.0001, 1.05, 2) for kind in ("distance", "distance_squared")),
+]
+
+
+def power_definition(f, x):
+    """x ** -alpha, or a ** -x (a ** -(x * x)), in Python floats."""
+    x = float(x)
+    if isinstance(f, InversePower):
+        return x ** -f.alpha
+    return f.a ** -(x if f.exponent_of == "distance" else x * x)
+
 
 class TestEvaluate:
     def test_inverse_power(self):
@@ -142,17 +156,20 @@ class TestBuildKernel:
 
     @pytest.mark.parametrize("sizes", KEY_BRANCH_SIZES)
     @pytest.mark.parametrize("metric", list(Metric))
-    def test_values_equal_pointwise_definition(self, sizes, metric):
+    @pytest.mark.parametrize("f", BUILT_IN_PROFILES, ids=repr)
+    def test_values_equal_pointwise_definition(self, sizes, metric, f):
         # the full table is expanded from the fundamental block; every site
-        # must read f at its own distance, bit for bit
+        # must read f at its own distance, bit for bit, whether f maps over the
+        # whole key array or is called at one distance
         dims = GridDims(sizes)
-        f = InversePower(0.7)
         kernel = build_kernel(dims, metric, f)
         origin = (0,) * dims.ndim
-        expected = [
-            0.0 if s == origin else f(distance(metric, origin, s, dims)) for s in enumerate_sites(dims)
-        ]
-        assert full_kernel(kernel).tolist() == expected
+        # only the origin is at distance 0
+        distances = [distance(metric, origin, s, dims) for s in enumerate_sites(dims)]
+        expected = np.array([f(x) if x else 0.0 for x in distances])
+        assert full_kernel(kernel).tobytes() == expected.tobytes()
+        # and f's one-distance form is its definition with Python's **
+        assert [f(x) for x in distances if x] == [power_definition(f, x) for x in distances if x]
 
     @pytest.mark.parametrize("sizes", [(7,), (2, 40), (12, 12), (3, 3, 3)])
     @pytest.mark.parametrize("metric", list(Metric))
