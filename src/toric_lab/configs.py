@@ -1,15 +1,15 @@
 """Exact configuration energies, exhaustive and stochastic search over p-subsets.
 
 A configuration is the strictly increasing tuple of its site indices.
-Energies and translation structure come from one table of per-axis member
-differences s_a - s_b: energies() turns it in place into the pairs'
+Energies and translation structure come from one table of signed per-axis
+member differences s_a - s_b: energies() folds it in place into the pairs'
 integer distance keys and evaluates f once per distinct key, so its cost
 grows with p^2 and not with |G|, and its sorted columns, raveled to site
-indices, are the p translates through site 0, which hold the canonical
-translate, the stabiliser and the coset test.  Exhaustive search is a
-depth-first, batched branch and bound over sorted prefixes: a prefix is
-pruned only when a lower bound on every subset below it exceeds the
-top_k-th best value found so far by more than a rounding slack, and each
+indices with mode="wrap", are the p translates through site 0, which hold
+the canonical translate, the stabiliser and the coset test.  Exhaustive
+search is a depth-first, batched branch and bound over sorted prefixes: a
+prefix is pruned only when a lower bound on every subset below it exceeds
+the top_k-th best value found so far by more than a rounding slack, and each
 subset reached reads its member pairs off the kernel matrix, whose entries
 are f at the same keys, so hits are ranked by (value, member tuple)
 exactly as a full enumeration of energies() values ranks them.  It
@@ -39,7 +39,7 @@ from .grid import (
     Site,
     _check_site,
     distance_key,
-    index_to_site,
+    index_to_sites,
     site_index,
 )
 
@@ -113,7 +113,7 @@ class Configuration:
         return len(self.members)
 
     def sites(self) -> tuple[Site, ...]:
-        return tuple(index_to_site(self.dims, i) for i in self.members)
+        return tuple(index_to_sites(self.dims, self.members))
 
     def __contains__(self, site: Sequence[int]) -> bool:
         return site_index(self.dims, site) in self.members
@@ -122,8 +122,8 @@ class Configuration:
         _check_site(self.dims, shift, "shift")
         sizes = self.dims.sizes
         coords = np.unravel_index(np.array(self.members, dtype=np.int64), sizes)
-        moved = tuple((c + s % n) % n for c, s, n in zip(coords, shift, sizes))
-        return Configuration(self.dims, np.sort(np.ravel_multi_index(moved, sizes)))
+        moved = tuple(c + s % n for c, s, n in zip(coords, shift, sizes))
+        return Configuration(self.dims, np.sort(np.ravel_multi_index(moved, sizes, mode="wrap")))
 
     def canonical(self) -> Configuration:
         """Lexicographically least translate (the orbit representative used everywhere)."""
@@ -181,23 +181,30 @@ def _check_rows(rows: int) -> None:
 
 
 def _pair_differences(dims: GridDims, idx: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per axis, D[..., a, b] = coordinate of site idx[..., a] - site idx[..., b], mod n."""
+    """Per axis, D[..., a, b] = coordinate of site idx[..., a] - site idx[..., b], in -(n-1)..n-1.
+
+    Nothing is reduced mod n: `_wraps` and `_zero_translates` fold the signs themselves.
+    """
     _check_rows(idx.shape[-1])
     coords = np.unravel_index(idx, dims.sizes)
-    return tuple((c[..., :, None] - c[..., None, :]) % n for c, n in zip(coords, dims.sizes))
+    return tuple(c[..., :, None] - c[..., None, :] for c in coords)
 
 
 def _wraps(sizes: Sequence[int], diff: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """Per-axis differences d mod n_i, overwritten by their wraps min(d, n_i - d).
+    """Signed per-axis differences d, overwritten in place by their wraps min(|d|, n_i - |d|).
 
-    Nothing of size n_i is built, so the cost does not grow with the grid.
+    |d| is taken in place before n_i - |d|; nothing of size n_i is built, so
+    the cost does not grow with the grid.
     """
-    return tuple(np.minimum(d, n - d, out=d) for d, n in zip(diff, sizes))
+    return tuple(np.minimum(np.abs(d, out=d), n - d, out=d) for d, n in zip(diff, sizes))
 
 
 def _zero_translates(dims: GridDims, idx: np.ndarray) -> np.ndarray:
-    """Row b: the sorted site indices of S - s_b, S = idx[..., :]; the least translate is a row."""
-    differences = np.ravel_multi_index(_pair_differences(dims, idx), dims.sizes)
+    """Row b: the sorted site indices of S - s_b, S = idx[..., :]; the least translate is a row.
+
+    The C-order ravel reduces the signed member differences mod n itself (mode="wrap").
+    """
+    differences = np.ravel_multi_index(_pair_differences(dims, idx), dims.sizes, mode="wrap")
     return np.sort(differences.swapaxes(-1, -2), axis=-1)
 
 
@@ -231,11 +238,8 @@ def energies(config: Configuration, metric: Metric, f: EnergyFunction) -> Energy
     e_max = float(per.max())
     e_tot = float(per.sum())
     spread = float(per.max() - per.min())
-    report = {
-        index_to_site(config.dims, int(i)): float(v) for i, v in zip(idx, per)
-    }
     return EnergyReport(
-        per_site=report,
+        per_site=dict(zip(index_to_sites(config.dims, idx), per.tolist())),
         e_max=e_max,
         e_tot=e_tot,
         is_equienergetic=spread <= _EQUIENERGY_RTOL * (1.0 + abs(e_max)),
@@ -259,8 +263,7 @@ def is_coset(config: Configuration) -> CosetCheck:
     rows = _zero_translates(config.dims, np.array(config.members, dtype=np.int64))
     if not (rows == rows[0]).all():
         return CosetCheck(is_coset=False, subgroup=None)
-    subgroup = tuple(index_to_site(config.dims, int(i)) for i in rows[0])
-    return CosetCheck(is_coset=True, subgroup=subgroup)
+    return CosetCheck(is_coset=True, subgroup=tuple(index_to_sites(config.dims, rows[0])))
 
 
 def kernel_matrix(kernel: KernelTable) -> np.ndarray:
@@ -273,7 +276,7 @@ def kernel_matrix(kernel: KernelTable) -> np.ndarray:
     sizes, order = kernel.dims.sizes, kernel.dims.order
     _check_rows(order)
     grids = np.ix_(*[np.arange(n) for n in sizes * 2])
-    diff = tuple((grids[a] - grids[a + len(sizes)]) % n for a, n in enumerate(sizes))
+    diff = tuple(grids[a] - grids[a + len(sizes)] for a in range(len(sizes)))
     return kernel.block[_wraps(sizes, diff)].reshape(order, order)
 
 

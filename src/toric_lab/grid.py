@@ -1,9 +1,9 @@
 """Toric grid model: the product group Z/n1 x ... x Z/nd, its characters, and its metrics.
 
 Sites and characters are plain integer tuples.  Every table over the grid
-is indexed by the row-major mixed-radix site index fixed by `site_index`
-(last coordinate fastest); all modules share this convention, which also
-matches numpy's C-order `reshape`, so numpy index arithmetic lists sites.
+is indexed by the row-major site index (last coordinate fastest), numpy's
+C-order ravel: all modules do site arithmetic with `np.ravel_multi_index`
+and `np.unravel_index`, and `index_to_sites` unravels indices into sites.
 Tables that depend on a site only through its per-axis wraps (distances,
 kernels, eigenvalues) are stored on the fundamental block of wraps
 0..n_i // 2, of shape `block_shape`: `axis_wraps` is the wrap of each
@@ -35,7 +35,7 @@ __all__ = [
     "block_shape",
     "expand_block",
     "site_index",
-    "index_to_site",
+    "index_to_sites",
     "minus_one_character",
 ]
 
@@ -159,7 +159,7 @@ def distance_table(dims: GridDims, metric: Metric) -> np.ndarray:
 
 
 def site_index(dims: GridDims, site: Sequence[int]) -> int:
-    """Row-major mixed-radix index of a site (last coordinate fastest)."""
+    """Row-major index of a site; coordinates of any size are reduced in Python, not by an int64 ravel."""
     _check_site(dims, site, "site")
     idx = 0
     for c, n in zip(site, dims.sizes):
@@ -167,15 +167,10 @@ def site_index(dims: GridDims, site: Sequence[int]) -> int:
     return idx
 
 
-def index_to_site(dims: GridDims, index: int) -> Site:
-    """Inverse of `site_index`."""
-    if not 0 <= index < dims.order:
-        raise ValueError(f"site index {index} out of range for |G| = {dims.order}")
-    coords = []
-    for n in reversed(dims.sizes):
-        index, c = divmod(index, n)
-        coords.append(c)
-    return tuple(reversed(coords))
+def index_to_sites(dims: GridDims, indices: Sequence[int] | np.ndarray) -> list[Site]:
+    """Inverse of `site_index` over an array, by one `np.unravel_index`; ValueError outside 0..|G|-1."""
+    coords = np.unravel_index(np.asarray(indices, dtype=np.int64), dims.sizes)
+    return list(zip(*(c.tolist() for c in coords)))
 
 
 def minus_one_character(dims: GridDims) -> Character:

@@ -39,6 +39,7 @@ from .grid import (
     axis_wraps,
     block_shape,
     expand_block,
+    index_to_sites,
     minus_one_character,
 )
 
@@ -163,8 +164,7 @@ def min_nontrivial(eigs: EigenTable, tie_tol: float | None = None) -> tuple[floa
     if tie_tol is None:
         tie_tol = default_tie_tol(lam_min)
     hits = np.flatnonzero(vals[1:] <= lam_min + tie_tol) + 1
-    coords = np.unravel_index(_reflection_index(eigs.dims, hits), eigs.dims.sizes)
-    return lam_min, list(zip(*(c.tolist() for c in coords)))
+    return lam_min, index_to_sites(eigs.dims, _reflection_index(eigs.dims, hits))
 
 
 @dataclass(frozen=True)

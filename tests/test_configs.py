@@ -35,6 +35,7 @@ from support import (
     local_search_oracle,
     tabulated_from_instance,
     translate_oracle,
+    wrap_abs,
 )
 
 HARMONIC = InversePower(1.0)
@@ -95,6 +96,12 @@ class TestConfiguration:
         assert config.translate((1, 3)).sites() == ((0, 1), (1, 3))
         assert config.translate((-3, 7)) == config.translate((1, 3))
 
+    def test_translate_takes_shifts_of_any_size(self):
+        # each shift is reduced mod n in Python before the int64 ravel
+        config = Configuration.from_sites(GridDims.of(4, 4), [(0, 0), (0, 1), (3, 2)])
+        assert config.translate((10**20 + 1, -7)) == config.translate((1, 1))
+        assert config.translate((1, 1)).sites() == ((0, 3), (1, 1), (1, 2))
+
     @pytest.mark.parametrize("shift", [(1, 2, 3), (1,)], ids=["too-long", "too-short"])
     def test_translate_refuses_wrong_length_shift(self, shift):
         config = Configuration.from_sites(GridDims.of(4, 4), ROW_CONFIG_4X4)
@@ -120,6 +127,22 @@ def assert_matches_translate_oracle(config):
     check = is_coset(config)
     assert check.is_coset == (subgroup is not None)
     assert check.subgroup == subgroup
+
+
+class TestSignedDifferences:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_wraps_fold_every_signed_difference(self, n):
+        # a member difference on an n-axis lies in -(n-1)..n-1; each becomes its wrap, in place
+        d = np.arange(-(n - 1), n)
+        folded = configs._wraps((n,), (d,))[0]
+        assert folded is d
+        assert folded.tolist() == [wrap_abs(int(a), n) for a in range(-(n - 1), n)]
+
+    def test_differences_are_signed(self):
+        dims = GridDims.of(3, 4)
+        # sites (0, 1) and (2, 3): each axis's table is antisymmetric, not reduced mod n
+        axis0, axis1 = configs._pair_differences(dims, np.array([1, 11]))
+        assert axis0.tolist() == axis1.tolist() == [[0, -2], [2, 0]]
 
 
 class TestTranslateOracle:
@@ -247,7 +270,7 @@ class TestEnergies:
         for dims in (GridDims.of(4, 4), GridDims.of(2, 3), GridDims.of(6)):
             idx = np.array(members)
             report = energies(Configuration(dims, idx), Metric.EUCLIDEAN, HARMONIC)
-            at = np.ravel_multi_index(configs._pair_differences(dims, idx), dims.sizes)
+            at = np.ravel_multi_index(configs._pair_differences(dims, idx), dims.sizes, mode="wrap")
             want = full_kernel(build_kernel(dims, Metric.EUCLIDEAN, HARMONIC))[at].sum(axis=1)
             assert np.array(list(report.per_site.values())).tobytes() == want.tobytes(), dims
             totals.append(report.e_tot)
@@ -275,7 +298,7 @@ class TestEnergies:
             p = int(rng.integers(1, min(dims.order, 30) + 1))
             idx = np.sort(rng.choice(dims.order, size=p, replace=False))
             report = energies(Configuration(dims, idx), metric, f)
-            at = np.ravel_multi_index(configs._pair_differences(dims, idx), dims.sizes)
+            at = np.ravel_multi_index(configs._pair_differences(dims, idx), dims.sizes, mode="wrap")
             want = full_kernel(build_kernel(dims, metric, f))[at].sum(axis=1)
             got = np.array(list(report.per_site.values()))
             assert got.tobytes() == want.tobytes(), (sizes, metric, f, idx)

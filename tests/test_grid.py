@@ -12,7 +12,7 @@ from toric_lab.grid import (
     Metric,
     axis_wraps,
     distance_table,
-    index_to_site,
+    index_to_sites,
     minus_one_character,
     site_index,
 )
@@ -169,9 +169,22 @@ class TestIndexing:
 
     def test_index_round_trip(self):
         dims = GridDims.of(3, 4, 2)
+        sites = index_to_sites(dims, np.arange(dims.order))
         for i, s in enumerate(enumerate_sites(dims)):
             assert site_index(dims, s) == i
-            assert index_to_site(dims, i) == s
+            assert sites[i] == s
+
+    @pytest.mark.parametrize("sizes", [(1,), (5,), (6, 1), (1, 1, 3), (3, 4, 2)])
+    def test_index_to_sites_is_the_enumeration(self, sizes):
+        # the C-order unravel, as Python int tuples, in the order the indices are given
+        dims = GridDims(sizes)
+        sites = list(enumerate_sites(dims))
+        got = index_to_sites(dims, np.arange(dims.order))
+        assert got == sites
+        assert all(type(c) is int for s in got for c in s)
+        shuffled = np.random.default_rng(dims.order).permutation(dims.order)
+        assert index_to_sites(dims, shuffled) == [sites[i] for i in shuffled]
+        assert index_to_sites(dims, tuple(range(dims.order))) == sites
 
     def test_index_reduces_modulo(self):
         dims = GridDims.of(4, 4)
@@ -185,7 +198,15 @@ class TestIndexing:
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
-            index_to_site(GridDims.of(4), 4)
+            index_to_sites(GridDims.of(4), [4])
+
+    def test_index_to_sites_bounds(self):
+        dims = GridDims.of(3, 4, 2)
+        assert index_to_sites(dims, np.array([], dtype=np.int64)) == []
+        assert index_to_sites(dims, []) == []
+        for bad in (-1, dims.order):
+            with pytest.raises(ValueError):
+                index_to_sites(dims, [0, bad])
 
 
 class TestCharacters:

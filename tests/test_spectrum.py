@@ -9,7 +9,7 @@ from toric_lab.energy import ExponentialAtom, InversePower, KernelTable, build_k
 from toric_lab.grid import (
     GridDims,
     Metric,
-    index_to_site,
+    index_to_sites,
     site_index,
 )
 from toric_lab.spectrum import (
@@ -108,8 +108,7 @@ class TestEigenTable:
         dims = GridDims.of(5, 4)
         kernel = build_kernel(dims, Metric.EUCLIDEAN, InversePower(1.3))
         table = eigen_table(kernel)
-        for i in range(dims.order):
-            chi = index_to_site(dims, i)
+        for i, chi in enumerate(index_to_sites(dims, np.arange(dims.order))):
             j = site_index(dims, conjugate_character(dims, chi))
             assert table.values[i] == table.values[j]
 
