@@ -10,11 +10,12 @@ the canonical translate, the stabiliser and the coset test.  Exhaustive
 search is a depth-first, batched branch and bound over sorted prefixes: a
 prefix is pruned only when a lower bound on every subset below it exceeds
 the top_k-th best value found so far by more than a rounding slack, and each
-subset reached reads its member pairs off the kernel matrix, whose entries
-are f at the same keys, so hits are ranked by (value, member tuple)
-exactly as a full enumeration of energies() values ranks them.  It
-refuses a worst-case work estimate beyond a budget, before any work,
-instead of running for hours.  Local search keeps per-site energies
+subset reached reads its member pairs off the kernel matrix, whose entries are
+f at the same keys, so hits are ranked by (value, member tuple) exactly as a
+full enumeration of energies() values ranks them, with orbit sizes from the
+translates the leaves were filtered by.  It refuses a worst-case work estimate
+beyond a budget, before any work, instead of running for hours.  Local search
+reads its winner's value off the same matrix and keeps per-site energies
 incrementally: a swap costs O(|G|) to apply, and scoring a step's swaps
 O(p (|G| - p)) for the total objective and O(p^2 (|G| - p)) for the max.
 Its restarts descend together in batches of about _BATCH_PAIRS / (p (|G| - p))
@@ -122,7 +123,7 @@ class Configuration:
         _check_site(self.dims, shift, "shift")
         sizes = self.dims.sizes
         coords = np.unravel_index(np.array(self.members, dtype=np.int64), sizes)
-        moved = tuple(c + s % n for c, s, n in zip(coords, shift, sizes))
+        moved = tuple(c - (n - s % n) for c, s, n in zip(coords, shift, sizes))  # -n..n-2: no overflow
         return Configuration(self.dims, np.sort(np.ravel_multi_index(moved, sizes, mode="wrap")))
 
     def canonical(self) -> Configuration:
@@ -287,11 +288,6 @@ class SearchHit:
     orbit_size: int
 
 
-def _leaves(order: int, p: int, reduce: str) -> int:
-    """Subsets enumerated: the C(N-1, p-1) through site 0 under translations, or all C(N, p)."""
-    return math.comb(order - 1, p - 1) if reduce == "translations" and p else math.comb(order, p)
-
-
 def brute_force(
     dims: GridDims,
     metric: Metric,
@@ -336,10 +332,11 @@ def brute_force(
     each orbit is kept, so the result is one row per translation orbit.
     That translate contains site 0, so only prefixes through site 0 are
     expanded, and each leaf is checked against its p translates through
-    site 0.  The work estimate checked against the budget, before any work,
-    is the worst case, every leaf enumerated: leaves x p^2 member pairs, so
-    pruning never turns a refusal into a run; a negative budget is a
-    ValueError.
+    site 0; its orbit size is |G| over the number of those equal to itself,
+    read off the same table, and 1 without translations.  The work estimate
+    checked against the budget, before any work, is the worst case, every
+    leaf enumerated: leaves x p^2 member pairs, so pruning never turns a
+    refusal into a run; a negative budget is a ValueError.
     """
     if objective not in ("total", "max"):
         raise ValueError(f"objective must be 'total' or 'max', got {objective!r}")
@@ -353,7 +350,7 @@ def brute_force(
         budget = DEFAULT_WORK_BUDGET
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
-    leaves = _leaves(dims.order, p, reduce)
+    leaves = math.comb(dims.order - 1, p - 1) if reduce == "translations" and p else math.comb(dims.order, p)
     work = leaves * p * p
     if work > budget:
         raise BudgetExceededError(
@@ -363,27 +360,21 @@ def brute_force(
     kernel = build_kernel(dims, metric, f)
     if p == 0:
         return [SearchHit(config=Configuration(dims, ()), value=0.0, orbit_size=1)]
-    K = kernel_matrix(kernel)
-    best_values, best = _branch_and_bound(dims, K, p, objective, top_k, reduce == "translations")
-    hits = []
-    for value, members in zip(best_values.tolist(), best.tolist()):
-        config = Configuration(dims, members)
-        size = config.orbit_size() if reduce == "translations" else 1
-        hits.append(SearchHit(config=config, value=value, orbit_size=size))
-    return hits
+    ranked = _branch_and_bound(dims, kernel_matrix(kernel), p, objective, top_k, reduce == "translations")
+    return [SearchHit(Configuration(dims, m), v, size) for v, m, size in zip(*(a.tolist() for a in ranked))]
 
 
-def _rank(seen: list[tuple[np.ndarray, np.ndarray]], top_k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The top_k of the (leaf values, member rows) batches seen, by (value, member tuple)."""
-    values, rows = map(np.concatenate, zip(*seen))
+def _rank(seen: list[tuple[np.ndarray, ...]], top_k: int) -> tuple[np.ndarray, ...]:
+    """The top_k of the (leaf values, member rows, orbit sizes) batches seen, by (value, member tuple)."""
+    values, rows, sizes = map(np.concatenate, zip(*seen))
     ranked = np.lexsort((*rows.T[::-1], values))[:top_k]
-    return values[ranked], rows[ranked]
+    return values[ranked], rows[ranked], sizes[ranked]
 
 
 def _branch_and_bound(
     dims: GridDims, K: np.ndarray, p: int, objective: str, top_k: int, translations: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """The top_k leaf values and member rows of brute_force's search tree, ranked."""
+) -> tuple[np.ndarray, ...]:
+    """The top_k leaf values, member rows and orbit sizes of brute_force's search tree, ranked."""
     order = K.shape[0]
     off_diagonal = K[0, 1:]  # u at every nonzero displacement
     min_u = float(off_diagonal.min()) if off_diagonal.size else 0.0
@@ -407,19 +398,23 @@ def _branch_and_bound(
     firsts = sites[: 1 if translations else order - p + 1]
     push(firsts[:, None], np.zeros(len(firsts)), np.zeros((1, order)), np.zeros(len(firsts), dtype=np.int64))
     # the ranked top_k so far, then the batches of leaves since, none above the limit
-    seen, waiting = [(np.empty(0), np.empty((0, p), dtype=np.int64))], 0
+    seen, waiting = [(np.empty(0), np.empty((0, p), dtype=np.int64), np.empty(0, dtype=np.int64))], 0
     limit = np.inf  # incumbent plus slack: a bound above it prunes
     while stack:
         prefixes, keys, parent, rows = stack.pop()
         r = p - prefixes.shape[1]
         if r == 0:
             batch = prefixes[~(keys > limit)]
-            if translations:
-                batch = batch[_least_rows(_zero_translates(dims, batch)) == 0]
+            sizes = np.ones(len(batch), dtype=np.int64)
+            if translations:  # each orbit's least translate, and |G| over how many translates equal it
+                translates = _zero_translates(dims, batch)
+                translates = translates[_least_rows(translates) == 0]
+                batch = translates[:, 0]  # row 0 is the leaf itself, S - 0: its first member is site 0
+                sizes = order // (translates == translates[:, :1]).all(axis=2).sum(axis=1)
             per = K[batch[:, :, None], batch[:, None, :]].sum(axis=2)
             leaf = per.sum(axis=1) if objective == "total" else per.max(axis=1)
             kept = ~(leaf > limit)
-            seen.append((leaf[kept], batch[kept]))
+            seen.append((leaf[kept], batch[kept], sizes[kept]))
             waiting += int(kept.sum())
             if waiting >= top_k:  # rank once top_k wait: the rows sorted stay about twice the leaves
                 seen, waiting = [_rank(seen, top_k)], 0
@@ -547,7 +542,8 @@ def local_search(
     _BATCH_PAIRS entries however many restarts run.  Every restart's
     descent is the one it would take alone.  Returns the best configuration
     seen, the first restart of least key (e_tot, or (e_max, e_tot) for the
-    max objective), with its energies() value; no optimality claim is made.
+    max objective), with its energies() value, bit for bit, summed off the
+    kernel matrix as a brute_force leaf sums it; no optimality claim is made.
     """
     if objective not in ("total", "max"):
         raise ValueError(f"objective must be 'total' or 'max', got {objective!r}")
@@ -562,8 +558,7 @@ def local_search(
             f"refusing the max objective: one descent step scores {p} x {dims.order - p} x {p} "
             f"swap terms (limit {_MAX_MATRIX_SITES ** 2} terms)"
         )
-    kernel = build_kernel(dims, metric, f)
-    K = kernel_matrix(kernel)
+    K = kernel_matrix(build_kernel(dims, metric, f))
     rng = np.random.default_rng(rng_seed)
     # |G| also bounds a batch's (restarts, |G|) site arrays when p or |G| - p is 0
     size = max(1, _BATCH_PAIRS // max(p * (dims.order - p), dims.order))
@@ -578,6 +573,6 @@ def local_search(
             if best_key is None or key < best_key:
                 best_key, best_members = key, row
     assert best_members is not None
-    config = Configuration(dims, best_members)
-    report = energies(config, metric, f)
-    return SearchHit(config, report.e_tot if objective == "total" else report.e_max, orbit_size=1)
+    per = K[best_members[:, None], best_members].sum(axis=1)  # read as a leaf reads its energies
+    value = float(per.sum() if objective == "total" else per.max()) if p else 0.0
+    return SearchHit(Configuration(dims, best_members), value, orbit_size=1)

@@ -197,7 +197,8 @@ def _tabulate(key: np.ndarray, metric: Metric, f: EnergyFunction | Callable[[flo
     The distance of a key is the key itself, or its square root for Euclid
     (`np.sqrt`, correctly rounded like `math.sqrt`).  f is evaluated once per
     distinct nonzero key, in increasing order, so a profile that fails at
-    some distances fails first at the least of them.  A profile evaluates
+    some distances fails first at the least of them, as an inf or NaN value
+    does (a ValueError naming that distance).  A profile evaluates
     the distinct distances through `EnergyFunction.over`: `InversePower` and
     `ExponentialAtom` map `math.pow` over them from C, with no Python frame
     per key, and give the same floats as their `__call__`; a `Tabulated`
@@ -216,7 +217,11 @@ def _tabulate(key: np.ndarray, metric: Metric, f: EnergyFunction | Callable[[flo
         # Python list is held while f runs
         values = over(np.sqrt(keys[start:]) if metric is Metric.EUCLIDEAN else keys[start:])
         # filled as f returns, without a list of result floats: up to ~10^5 keys at 1024^2 euclid
-        return np.fromiter(itertools.chain([0.0] * start, values), dtype=np.float64, count=len(keys))
+        table = np.fromiter(itertools.chain([0.0] * start, values), dtype=np.float64, count=len(keys))
+        if not (finite := np.isfinite(table)).all():
+            bad = int(keys[finite.argmin()])  # the least key where f is inf or NaN
+            raise ValueError(f"f is not finite at distance {math.sqrt(bad) if metric is Metric.EUCLIDEAN else bad}")
+        return table
 
     top = int(key.max())
     if top < KEY_TABLE_FACTOR * key.size:

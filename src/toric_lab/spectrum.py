@@ -91,23 +91,23 @@ def eigen_table(kernel: KernelTable) -> EigenTable:
     n_i through the wrap map, `rfft` along that axis, and keep the real
     part, whose n_i // 2 + 1 entries are the wraps 0..n_i // 2.  The
     imaginary parts are rounding only: a residue beyond IMAG_RTOL times
-    (1 + the sum of |u| over all |G| sites) is reported as an error.
+    (1 + the sum of |u| over all |G| sites) is an error, as is an inf or NaN.
     """
     dims = kernel.dims
     vals = kernel.block
     residue = 0.0
     for axis, n in enumerate(dims.sizes):
         spec = np.fft.rfft(np.take(vals, axis_wraps(n), axis=axis), axis=axis)
-        residue = max(residue, float(spec.imag.max()), -float(spec.imag.min()))
+        residue = float(np.max([-spec.imag.min(), spec.imag.max(), residue]))  # NaN propagates
         vals = spec.real.copy()
     # sum |u| over all sites: each block entry stands for the sites with its wraps
     abs_sum = np.abs(kernel.block)
     for n in dims.sizes:
         abs_sum = np.tensordot(np.bincount(axis_wraps(n)), abs_sum, axes=(0, 0))
     tol = IMAG_RTOL * (1.0 + float(abs_sum))
-    if residue > tol:
+    if not residue <= tol < math.inf:  # a non-finite entry makes the residue or tol inf or NaN
         raise ValueError(
-            f"kernel not symmetric: imaginary residue {residue:.3e} exceeds {tol:.3e}"
+            f"kernel not symmetric or not finite: imaginary residue {residue:.3e}, tolerance {tol:.3e}"
         )
     return EigenTable(dims=dims, block=vals)
 

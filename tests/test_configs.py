@@ -102,6 +102,14 @@ class TestConfiguration:
         assert config.translate((10**20 + 1, -7)) == config.translate((1, 1))
         assert config.translate((1, 1)).sites() == ((0, 3), (1, 1), (1, 2))
 
+    def test_translate_on_an_axis_past_2_62(self):
+        # c + s % n would leave int64 here (member 17); c - (n - s % n) stays inside it
+        n = 2**62 + 5
+        config = Configuration(GridDims.of(n), (n - 1,))
+        assert config.translate((n - 2,)).members == (4611686018427387906,)
+        assert config.translate((-1,)).members == (n - 2,)
+        assert config.translate((1,)).members == (0,)
+
     @pytest.mark.parametrize("shift", [(1, 2, 3), (1,)], ids=["too-long", "too-short"])
     def test_translate_refuses_wrong_length_shift(self, shift):
         config = Configuration.from_sites(GridDims.of(4, 4), ROW_CONFIG_4X4)
@@ -520,6 +528,24 @@ class TestBruteForce:
         plain = brute_force(dims, Metric.LEE, HARMONIC, 8, top_k=1)
         assert plain[0].orbit_size == 1
 
+    def test_orbit_sizes_come_from_the_leaf_batches(self, monkeypatch):
+        # each leaf batch's translates give its orbit sizes: no hit builds a
+        # translate table of its own, so every call sees a 2-D batch of rows
+        shapes = []
+        zero_translates = configs._zero_translates
+
+        def counting(dims, idx):
+            shapes.append(idx.shape)
+            return zero_translates(dims, idx)
+
+        monkeypatch.setattr(configs, "_zero_translates", counting)
+        hits = brute_force(GridDims.of(4, 4), Metric.LEE, HARMONIC, 8, top_k=1000, reduce="translations")
+        assert shapes and all(len(shape) == 2 for shape in shapes)
+        # the 822 orbits partition the C(16, 8) subsets, each of the size orbit_size() gives
+        assert len(hits) == 822
+        assert sum(h.orbit_size for h in hits) == math.comb(16, 8)
+        assert [h.orbit_size for h in hits] == [h.config.orbit_size() for h in hits]
+
     def test_orbit_reduction_consistent_with_posthoc_dedup(self):
         dims = GridDims.of(3, 3)
         reduced = brute_force(dims, Metric.LEE, HARMONIC, 3, top_k=50, reduce="translations")
@@ -801,6 +827,41 @@ class TestLocalSearch:
         report = energies(hit.config, metric, HARMONIC)
         assert hit.value == (report.e_tot if objective == "total" else report.e_max)
 
+    @pytest.mark.parametrize("objective", ["total", "max"])
+    def test_f_evaluated_once_per_distinct_distance(self, objective):
+        # the winner's value is read off the kernel matrix: only build_kernel calls f
+        dims = GridDims.of(5, 6)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0 / x
+
+        hit = local_search(dims, Metric.EUCLIDEAN, f, 7, objective, restarts=3, rng_seed=5)
+        origin = (0, 0)
+        assert sorted(calls) == sorted(
+            {distance(Metric.EUCLIDEAN, origin, s, dims) for s in enumerate_sites(dims)} - {0}
+        )
+        report = energies(hit.config, Metric.EUCLIDEAN, f)
+        assert hit.value.hex() == (report.e_tot if objective == "total" else report.e_max).hex()
+
+    def test_value_is_the_energies_value(self):
+        # the winner's per-member sums off K are energies()' floats, bit for bit:
+        # 1 to 3 axes, every metric, profiles of either curvature and math.cos
+        rng = np.random.default_rng(2323)
+        profiles = [HARMONIC, InversePower(0.3), InversePower(2.0), ExponentialAtom(1.05), math.cos]
+        for case in range(60):
+            sizes = (41,)
+            while math.prod(sizes) > 40:
+                sizes = tuple(int(n) for n in rng.integers(1, 9, size=1 + case % 3))
+            dims, metric, f = GridDims(sizes), list(Metric)[case % len(Metric)], profiles[case % len(profiles)]
+            p = int(rng.integers(0, dims.order + 1))
+            objective = ("total", "max")[case // len(Metric) % 2]
+            hit = local_search(dims, metric, f, p, objective, int(rng.integers(1, 5)), int(rng.integers(2**31)))
+            report = energies(hit.config, metric, f)
+            want = report.e_tot if objective == "total" else report.e_max
+            assert hit.value.hex() == want.hex(), (sizes, metric, p, objective)
+
     def test_memory_does_not_grow_with_restarts(self, monkeypatch):
         # each batch holds at most _BATCH_PAIRS // (p (|G| - p)) = 12 restarts of
         # 12x12 p = 72, so 500 restarts peak about where 5 do.  Batches of all 500
@@ -830,3 +891,23 @@ class TestLocalSearch:
             local_search(GridDims.of(2, 2), Metric.LEE, HARMONIC, 9)
         with pytest.raises(ValueError):
             local_search(GridDims.of(2, 2), Metric.LEE, HARMONIC, 1, restarts=0)
+
+
+class TestNonFiniteProfile:
+    # f(x) is inf or NaN from sqrt 2 on: refused, naming that least distance, not propagated
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_refused_by_energies_and_both_searches(self, bad):
+        dims = GridDims.of(4, 4)
+
+        def f(x):
+            return bad if x > 1.2 else 1.0 / x
+
+        message = re.escape("f is not finite at distance 1.4142135623730951")
+        with pytest.raises(ValueError, match=message):
+            energies(Configuration.from_sites(dims, [(0, 0), (1, 1)]), Metric.EUCLIDEAN, f)
+        with pytest.raises(ValueError, match=message):
+            brute_force(dims, Metric.EUCLIDEAN, f, 3)
+        with pytest.raises(ValueError, match=message):
+            local_search(dims, Metric.EUCLIDEAN, f, 3, restarts=2)
+        # a configuration at finite distances only is still evaluated
+        assert energies(Configuration.from_sites(dims, [(0, 0), (0, 1)]), Metric.EUCLIDEAN, f).e_tot == 2.0

@@ -188,6 +188,15 @@ class TestBuildKernel:
         assert sorted(calls) == distinct
         assert all(type(x) is (float if metric is Metric.EUCLIDEAN else int) for x in calls)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_non_finite_values_refused(self, metric, bad):
+        # 4x4 has distance 2 under every metric (site (1, 1) under euclid-sq); the
+        # error names the least distance where f is not finite, whatever comes after it
+        dims = GridDims.of(4, 4)
+        with pytest.raises(ValueError, match=r"f is not finite at distance 2(\.0)?$"):
+            build_kernel(dims, metric, lambda x: bad if x >= 2 else 1.0 / x)
+
     def test_tabulated_covers_instance(self):
         dims = GridDims.of(4, 6)
         f = tabulated_from_instance(dims, Metric.LEE, lambda x: 1.0 / x)

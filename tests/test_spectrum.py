@@ -130,6 +130,18 @@ class TestEigenTable:
         kernel = KernelTable(dims=GridDims.of(4, 3), block=np.zeros((3, 2)))
         assert full_kernel(kernel).shape == (12,)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("sizes, entry", [((4, 4), (0, 1)), ((5,), (2,)), ((2, 2), (1, 1))])
+    def test_non_finite_kernel_refused(self, sizes, entry, bad):
+        # a hand-built block with an inf or NaN entry gives a NaN residue (4x4 and
+        # the 5-cycle) or an inf or NaN tolerance (2x2, whose transform has no
+        # imaginary part); either is refused, not turned into NaN eigenvalues
+        block = build_kernel(GridDims(sizes), Metric.LEE, HARMONIC).block.copy()
+        block[entry] = bad
+        with pytest.raises(ValueError, match="kernel not symmetric or not finite"):
+            eigen_table(KernelTable(dims=GridDims(sizes), block=block))
+
     def test_tables_are_immutable(self):
         # a reassigned block would leave anything derived from the old one stale
         kernel = build_kernel(GridDims.of(4, 3), Metric.LEE, HARMONIC)
