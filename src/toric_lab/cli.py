@@ -9,8 +9,8 @@ are CSV (RFC 4180, LF line endings, 17-significant-digit floats) and JSON
 documents matching the schemas shipped under `toric_lab/schemas/`.
 
 Exit codes: 0 success (and certificate granted), 1 certificate refused,
-2 invalid spec or arguments, 3 work-budget or allocation refusal, 4 I/O
-failure.
+2 invalid spec or arguments, or a result holding an inf or NaN (which no
+format writes), 3 work-budget or allocation refusal, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,7 +46,9 @@ class SpecError(ValueError):
 
 
 def _fmt(v: float) -> str:
-    """17 significant digits; round-trips float64 exactly."""
+    """17 significant digits; round-trips float64 exactly.  An inf or NaN is refused."""
+    if not math.isfinite(v):
+        raise ValueError(f"cannot write the non-finite value {float(v)!r}")
     return format(float(v), ".17g")
 
 
@@ -143,7 +146,7 @@ def _write_csv(path: Path | None, header: list[str], rows: Iterable[Sequence[str
 
 
 def _emit_json(doc: dict, path: Path | None) -> None:
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc, indent=2, allow_nan=False)
     if path is not None:
         path.write_text(text + "\n", encoding="utf-8")
     print(text)
@@ -236,12 +239,13 @@ def _cmd_eigs(args: argparse.Namespace) -> int:
         "argmin": [list(c) for c in argmin],
         "tie_tol": args.tie_tol if args.tie_tol is not None else spectrum.default_tie_tol(lam_min),
     }
+    text = json.dumps(summary, indent=2, allow_nan=False)
     _write_eigen_csv(args.out, table)
     if args.out is not None:
-        _summary_path(args.out).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-        print(json.dumps(summary, indent=2))
+        _summary_path(args.out).write_text(text + "\n", encoding="utf-8")
+        print(text)
     else:
-        print(json.dumps(summary, indent=2), file=sys.stderr)
+        print(text, file=sys.stderr)
     return EXIT_OK
 
 
@@ -407,7 +411,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_factor_curve(args: argparse.Namespace) -> int:
     curve = analysis.factor_curve(args.n, args.a, args.power)
     rows = [[str(k), _fmt(curve.values[k])] for k in range(curve.n)]
-    _write_csv(args.out, ["k", "value"], rows)
     summary = {
         "n": curve.n,
         "a": curve.a,
@@ -415,7 +418,9 @@ def _cmd_factor_curve(args: argparse.Namespace) -> int:
         "argmin": list(curve.argmin),
         "min_value": curve.min_value,
     }
-    print(json.dumps(summary, indent=2), file=sys.stdout if args.out is not None else sys.stderr)
+    text = json.dumps(summary, indent=2, allow_nan=False)
+    _write_csv(args.out, ["k", "value"], rows)
+    print(text, file=sys.stdout if args.out is not None else sys.stderr)
     return EXIT_OK
 
 

@@ -176,5 +176,6 @@ def index_to_sites(dims: GridDims, indices: Sequence[int] | np.ndarray) -> list[
 def minus_one_character(dims: GridDims) -> Character:
     """The real character (-1, ..., -1); exists exactly when all sizes are even."""
     if not dims.all_even():
-        raise ValueError(f"(-1, ..., -1) requires all even sizes, got {dims.sizes}")
+        odd = [n for n in dims.sizes if n % 2]
+        raise ValueError(f"(-1, ..., -1) needs all even sizes, got odd {odd} in {dims.sizes}")
     return tuple(n // 2 for n in dims.sizes)

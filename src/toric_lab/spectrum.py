@@ -5,10 +5,10 @@ the grid group and the eigenvalue at a character chi is
 
     lambda(chi) = sum over g != 0 of u(g, 0) * chi(g),
 
-the discrete Fourier transform of the kernel table.  Minimising the
-quadratic form (x | A x) over the sphere (x | x) = (x | one) = p is solved
-exactly by the smallest eigenvalue over the non-trivial characters: the
-optimum is
+the discrete Fourier transform of the kernel table, which for a kernel even
+in every axis is a real cosine transform.  Minimising the quadratic form
+(x | A x) over the sphere (x | x) = (x | one) = p is solved exactly by the
+smallest eigenvalue over the non-trivial characters: the optimum is
 
     lambda(one) * p^2 / |G|  +  lambda_min * (p - p^2 / |G|).
 
@@ -55,10 +55,6 @@ __all__ = [
     "checkerboard_certificate",
 ]
 
-# |Im| of any transform output must stay below this times (1 + sum |u|).
-IMAG_RTOL = 1e-9
-
-
 @dataclass(frozen=True)
 class EigenTable:
     """Real eigenvalue table over characters, stored on the fundamental block.
@@ -84,32 +80,21 @@ class EigenTable:
 
 
 def eigen_table(kernel: KernelTable) -> EigenTable:
-    """Fourier-transform the kernel into its eigenvalue table, on the fundamental block.
+    """Cosine-transform the kernel into its eigenvalue table, on the fundamental block.
 
-    The kernel is even in every axis, so its transform is real, even in
-    every axis, and taken one axis at a time: mirror the block to length
-    n_i through the wrap map, `rfft` along that axis, and keep the real
-    part, whose n_i // 2 + 1 entries are the wraps 0..n_i // 2.  The
-    imaginary parts are rounding only: a residue beyond IMAG_RTOL times
-    (1 + the sum of |u| over all |G| sites) is an error, as is an inf or NaN.
+    The kernel is even in every axis, so along each axis its block entries at
+    wraps 0..n_i // 2 are the half spectrum of a Hermitian sequence of length
+    n_i.  One `hfft` per axis turns them into that sequence's real transform,
+    whose entries 0..n_i // 2 are the eigenvalues at those wraps.  An inf or
+    NaN kernel entry, or a sum that overflows, leaves a non-finite eigenvalue:
+    that is an error.
     """
-    dims = kernel.dims
     vals = kernel.block
-    residue = 0.0
-    for axis, n in enumerate(dims.sizes):
-        spec = np.fft.rfft(np.take(vals, axis_wraps(n), axis=axis), axis=axis)
-        residue = float(np.max([-spec.imag.min(), spec.imag.max(), residue]))  # NaN propagates
-        vals = spec.real.copy()
-    # sum |u| over all sites: each block entry stands for the sites with its wraps
-    abs_sum = np.abs(kernel.block)
-    for n in dims.sizes:
-        abs_sum = np.tensordot(np.bincount(axis_wraps(n)), abs_sum, axes=(0, 0))
-    tol = IMAG_RTOL * (1.0 + float(abs_sum))
-    if not residue <= tol < math.inf:  # a non-finite entry makes the residue or tol inf or NaN
-        raise ValueError(
-            f"kernel not symmetric or not finite: imaginary residue {residue:.3e}, tolerance {tol:.3e}"
-        )
-    return EigenTable(dims=dims, block=vals)
+    for axis, n in enumerate(kernel.dims.sizes):
+        vals = np.take(np.fft.hfft(vals, n, axis=axis), np.arange(n // 2 + 1), axis=axis)
+    if not np.isfinite(vals).all():
+        raise ValueError("kernel eigenvalues not finite: a kernel entry is inf or NaN, or a sum overflows")
+    return EigenTable(dims=kernel.dims, block=vals)
 
 
 def default_tie_tol(lambda_min: float) -> float:
@@ -253,13 +238,9 @@ def checkerboard_certificate(
     tie_tol: float | None = None,
 ) -> CheckerboardCertificate:
     """Build the kernel, transform it, and read the checkerboards off the relaxation at p = |G|/2."""
-    if not dims.all_even():
-        odd = [n for n in dims.sizes if n % 2]
-        raise ValueError(f"certificate needs all even sizes, got odd {odd} in {dims.sizes}")
-    kernel = build_kernel(dims, metric, f)
-    eigs = eigen_table(kernel)
+    minus_one = minus_one_character(dims)  # refuses an odd size before any work
+    eigs = eigen_table(build_kernel(dims, metric, f))
     sol = solve_relaxation(eigs, dims.order // 2, tie_tol)
-    minus_one = minus_one_character(dims)
     lam_minus_one = eigs.value_at(minus_one)
     gap = lam_minus_one - sol.lambda_min
     offenders = tuple(chi for chi in sol.argmin_characters if chi != minus_one)

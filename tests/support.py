@@ -111,19 +111,22 @@ def full_kernel(kernel: KernelTable) -> np.ndarray:
     return expand_block(kernel.dims, kernel.block).ravel()
 
 
-def direct_eigen_oracle(kernel: KernelTable) -> np.ndarray:
-    """Eigenvalues by the defining O(|G|^2) cosine double sum.
+def direct_eigen_oracle(kernel: KernelTable, dtype=np.float64) -> np.ndarray:
+    """Eigenvalues by the defining O(|G|^2) cosine double sum, computed in dtype.
 
     Phases are accumulated from exact integer products per axis, so the
-    oracle stays accurate for every grid size used in the tests.
+    oracle stays accurate for every grid size used in the tests.  With
+    np.longdouble it is an extended-precision reference on platforms whose
+    long double is wider than float64.
     """
     dims = kernel.dims
     order = dims.order
     coords = np.stack(np.unravel_index(np.arange(order), dims.sizes), axis=1)
-    phase = np.zeros((order, order))
+    phase = np.zeros((order, order), dtype=dtype)
     for axis, n in enumerate(dims.sizes):
-        phase += ((coords[:, None, axis] * coords[None, :, axis]) % n) / n
-    return (np.cos(2.0 * np.pi * phase) * full_kernel(kernel)[None, :]).sum(axis=1)
+        phase += ((coords[:, None, axis] * coords[None, :, axis]) % n).astype(dtype) / dtype(n)
+    two_pi = 8 * np.arctan(dtype(1))
+    return (np.cos(two_pi * phase) * full_kernel(kernel).astype(dtype)[None, :]).sum(axis=1)
 
 
 def full_scan_argmin(eigs, tie_tol: float) -> tuple[float, list[Site]]:

@@ -421,6 +421,21 @@ class TestSearchCommand:
         # a zero budget is still a work refusal
         assert run(capsys, "search", "--dims", "4,2", "--p", "3", "--budget", "0")[0] == EXIT_BUDGET
 
+    @pytest.mark.parametrize("argv", [
+        ("--method", "local", "--restarts", "20"),
+        (),
+    ], ids=["local", "exhaustive"])
+    def test_orbit_size_is_1_without_reduction(self, capsys, argv):
+        # the checkerboard's orbit has 2 translates, but a hit not reduced by
+        # translations reports 1, as the schema says
+        row = '"0,0;0,2;1,1;1,3;2,0;2,2;3,1;3,3"'
+        code, stdout, _ = run(capsys, "search", "--dims", "4,4", "--p", "8", "--format", "csv", *argv)
+        assert (code, stdout.splitlines()[1]) == (EXIT_OK, "1,26,1," + row)
+        code, stdout, _ = run(
+            capsys, "search", "--dims", "4,4", "--p", "8", "--format", "csv", "--reduce", "translations"
+        )
+        assert (code, stdout.splitlines()[1]) == (EXIT_OK, "1,26,2," + row)
+
     def test_ascii_grid_on_3d_grid_exit_2_before_work(self, capsys):
         # C(64, 32) * 32^2 member pairs would exceed the budget (exit 3) were the format not refused first
         code, stdout, err = run(capsys, "search", "--dims", "4,4,4", "--p", "32", "--format", "ascii-grid")
@@ -974,3 +989,50 @@ class TestEigsBytes:
         assert code == EXIT_OK
         assert out.read_bytes() == eigs_csv_oracle(table).encode("utf-8")
         assert peak < 8 * table.block.nbytes
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_fmt_refuses_non_finite(value):
+    with pytest.raises(ValueError, match=f"cannot write the non-finite value {value!r}$"):
+        cli._fmt(value)
+
+
+class TestNonFiniteResults:
+    """A profile of 1e308 at every distance overflows every sum of two or more terms.
+
+    No format may write the inf that results: each request exits 2 with an
+    error naming it, and writes nothing to stdout or to --out.
+    """
+
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "big.txt").write_text("1,1e308\n2,1e308\n3,1e308\n4,1e308\n", encoding="utf-8")
+        (tmp_path / "four.txt").write_text("0,0\n0,2\n2,0\n2,2\n", encoding="utf-8")
+        return tmp_path
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("argv, named", [
+        (("certify",), "kernel eigenvalues not finite"),
+        (("eigs",), "kernel eigenvalues not finite"),
+        (("energy", "--config", "four.txt"), "not JSON compliant: inf"),
+        (("energy", "--config", "four.txt", "--format", "ascii-grid"), "non-finite value inf"),
+        (("search", "--p", "4"), "not JSON compliant: inf"),
+        (("search", "--p", "4", "--format", "csv"), "non-finite value inf"),
+        (("search", "--p", "4", "--format", "ascii-grid"), "non-finite value inf"),
+        (("search", "--p", "4", "--method", "local"), "not JSON compliant: inf"),
+        (("search", "--p", "4", "--method", "local", "--format", "csv"), "non-finite value inf"),
+        (("search", "--p", "4", "--method", "local", "--format", "ascii-grid"), "non-finite value inf"),
+    ], ids=[
+        "certify", "eigs", "energy-json", "energy-ascii", "search-json", "search-csv", "search-ascii",
+        "local-json", "local-csv", "local-ascii",
+    ])
+    def test_refused_with_nothing_written(self, capsys, files, out, argv, named):
+        command, *flags = argv
+        extra = ["--out", "result.txt"] if out else []
+        code, stdout, err = run(capsys, command, "--dims", "4,4", "--f", "table:big.txt", *flags, *extra)
+        assert (code, stdout) == (EXIT_SPEC, "")
+        assert err.startswith("error: ") and named in err
+        assert sorted(p.name for p in files.iterdir()) == ["big.txt", "four.txt"]

@@ -214,7 +214,7 @@ class TestCharacters:
         dims = GridDims.of(4, 6)
         assert trivial_character(dims) == (0, 0)
         assert minus_one_character(dims) == (2, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"needs all even sizes, got odd \[3\] in \(4, 3\)$"):
             minus_one_character(GridDims.of(4, 3))
 
     def test_conjugation(self):

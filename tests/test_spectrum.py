@@ -131,16 +131,43 @@ class TestEigenTable:
         assert full_kernel(kernel).shape == (12,)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
     @pytest.mark.parametrize("sizes, entry", [((4, 4), (0, 1)), ((5,), (2,)), ((2, 2), (1, 1))])
     def test_non_finite_kernel_refused(self, sizes, entry, bad):
-        # a hand-built block with an inf or NaN entry gives a NaN residue (4x4 and
-        # the 5-cycle) or an inf or NaN tolerance (2x2, whose transform has no
-        # imaginary part); either is refused, not turned into NaN eigenvalues
-        block = build_kernel(GridDims(sizes), Metric.LEE, HARMONIC).block.copy()
+        # a hand-built block with an inf or NaN entry leaves inf or NaN eigenvalues,
+        # and so does a finite block of 1e308 entries, whose sums overflow; both are
+        # refused, which takes a check of the output, since the finite block would
+        # pass a check of the input
+        dims = GridDims(sizes)
+        block = build_kernel(dims, Metric.LEE, HARMONIC).block.copy()
         block[entry] = bad
-        with pytest.raises(ValueError, match="kernel not symmetric or not finite"):
-            eigen_table(KernelTable(dims=GridDims(sizes), block=block))
+        for refused in (block, np.full_like(block, 1e308)):
+            with pytest.raises(ValueError, match="kernel eigenvalues not finite"):
+                eigen_table(KernelTable(dims=dims, block=refused))
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps, reason="long double is no wider than float64"
+    )
+    @pytest.mark.parametrize(
+        "sizes", [(2,), (7,), (64,), (1, 64), (5, 8), (63, 5), (9, 1, 6), (4, 6, 3), (3, 3, 3)]
+    )
+    @pytest.mark.parametrize("metric", list(Metric))
+    @pytest.mark.parametrize("sign", ["positive", "negative", "mixed"])
+    def test_forward_error_bound(self, sizes, metric, sign):
+        # against the defining cosine sum in extended precision, every eigenvalue is
+        # within eps * log2|G| * sum |u|, whatever the signs of the kernel's entries
+        dims = GridDims(sizes)
+        block = build_kernel(dims, metric, InversePower(0.8)).block
+        if sign == "negative":
+            block = -block
+        elif sign == "mixed":
+            block = np.where(np.indices(block.shape).sum(axis=0) % 2, -block, block)
+        kernel = KernelTable(dims=dims, block=block)
+        exact = direct_eigen_oracle(kernel, np.longdouble)
+        error = float(np.abs(eigen_table(kernel).values - exact).max())
+        bound = np.finfo(np.float64).eps * np.log2(dims.order) * float(np.abs(full_kernel(kernel)).sum())
+        assert error <= bound
 
     def test_tables_are_immutable(self):
         # a reassigned block would leave anything derived from the old one stale
@@ -356,7 +383,7 @@ class TestCertificates:
         assert len(cert.conclusion) <= 300
 
     def test_odd_dims_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"needs all even sizes, got odd \[3\] in \(3, 4\)"):
             checkerboard_certificate(GridDims.of(3, 4), Metric.LEE, HARMONIC)
 
     @pytest.mark.parametrize(
