@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from . import analysis, configs, spectrum
 from .configs import BudgetExceededError, Configuration
 from .energy import EnergyFunction, ExponentialAtom, InversePower, Tabulated, build_kernel
@@ -575,7 +577,10 @@ def _parse_args(argv: list[str]) -> tuple[_Command, argparse.Namespace]:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         command, args = _parse_args(list(sys.argv[1:] if argv is None else argv))
-        return command.run(args)
+        # every non-finite result is refused by name below: numpy's warnings
+        # about the overflow behind it would only precede that one line
+        with np.errstate(all="ignore"):
+            return command.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except BudgetExceededError as exc:

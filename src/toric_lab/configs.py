@@ -236,6 +236,10 @@ def energies(config: Configuration, metric: Metric, f: EnergyFunction) -> Energy
     # the other axes' tables are freed before f is tabulated at the keys
     key = distance_key(metric, _wraps(config.dims.sizes, _pair_differences(config.dims, idx)))
     per = _tabulate(key, metric, f).sum(axis=1)
+    if not np.isfinite(per).all():
+        # f is finite at every key, so a member's sum overflowed; inf - inf
+        # would make the equienergy spread NaN and the flag read False
+        raise ValueError("member energies not finite: a member's sum of pair energies overflows")
     e_max = float(per.max())
     e_tot = float(per.sum())
     spread = float(per.max() - per.min())

@@ -178,16 +178,18 @@ def eigs_summary_oracle(eigs: EigenTable, metric: str, f: str) -> dict:
 def factor_curve_oracle(n: int, a: float, powers=(1, 2)) -> dict[int, np.ndarray]:
     """Factor-curve values by one extended-precision cosine sum per index k.
 
-    Each k takes the cosines of its own angles 2 pi ((k g) mod n) / n; one
-    cosine row serves every requested distance power.
+    Each k reads the cosines of its angles 2 pi ((k g) mod n) / n from one
+    table of the n angles 2 pi m / n; one cosine row serves every requested
+    distance power.
     """
     g = np.arange(n)
     wraps = np.minimum(g, n - g)
     terms = {q: np.longdouble(a) ** -((wraps**q).astype(np.longdouble)) for q in powers}
     pi_l = np.arccos(np.longdouble(-1.0))
+    table = np.cos((2.0 * pi_l) * g.astype(np.longdouble) / np.longdouble(n))
     out = {q: np.empty(n, dtype=np.float64) for q in powers}
     for k in range(n):
-        cosines = np.cos((2.0 * pi_l) * ((k * g) % n).astype(np.longdouble) / np.longdouble(n))
+        cosines = table[(k * g) % n]
         for q in powers:
             out[q][k] = float((terms[q] * cosines).sum())
     return out

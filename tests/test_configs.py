@@ -911,3 +911,12 @@ class TestNonFiniteProfile:
             local_search(dims, Metric.EUCLIDEAN, f, 3, restarts=2)
         # a configuration at finite distances only is still evaluated
         assert energies(Configuration.from_sites(dims, [(0, 0), (0, 1)]), Metric.EUCLIDEAN, f).e_tot == 2.0
+
+    def test_overflowing_member_sums_refused(self):
+        # each member's three pairs of 1e308 sum to inf: no report, whose equienergy
+        # flag would read the NaN spread inf - inf as False
+        config = Configuration.from_sites(GridDims.of(4, 4), [(0, 0), (0, 2), (2, 0), (2, 2)])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="member energies not finite"):
+            energies(config, Metric.LEE, lambda x: 1e308)
+        # at 1e307 the members' sums and their total are finite, and equal
+        assert energies(config, Metric.LEE, lambda x: 1e307).is_equienergetic
