@@ -160,7 +160,7 @@ def factor_curve(n: int, a: float, distance_power: int = 1) -> FactorCurve:
     values = np.fft.hfft(np.longdouble(a) ** -exponent, n).astype(np.float64)
     nonzero_min = float(values[1:].min())
     tol = _ARGMIN_RTOL * (1.0 + abs(nonzero_min))
-    argmin = tuple(k for k in range(1, n) if values[k] <= nonzero_min + tol)
+    argmin = tuple((np.flatnonzero(values[1:] <= nonzero_min + tol) + 1).tolist())
     return FactorCurve(n=n, a=float(a), distance_power=distance_power, values=values, argmin=argmin)
 
 

@@ -5,8 +5,11 @@ lists in `_COMMANDS`.  `--spec FILE` holds one `key = value` per line, whose
 keys are the command's own flags by their argparse `dest` names (`dims`,
 `tie_tol`, `format`, ...).  The file's flags go ahead of the command line's,
 so a flag overrides the file, and one parse validates both alike.  Outputs
-are CSV (RFC 4180, LF line endings, 17-significant-digit floats) and JSON
-documents matching the schemas shipped under `toric_lab/schemas/`.
+are CSV (RFC 4180, LF line endings), ascii-grid pictures and JSON documents
+matching the schemas shipped under `toric_lab/schemas/`.  Every CSV and
+ascii-grid float goes through one formatter, `_fmt`: 17 significant digits,
+which round-trip float64 exactly, and an inf or NaN is refused.  The `eigs`
+summary is the relaxation's lambda(1), lambda_min, argmin and tie tolerance.
 
 Exit codes: 0 success (and certificate granted), 1 certificate refused,
 2 invalid spec or arguments, or a result holding an inf or NaN (which no
@@ -21,7 +24,6 @@ import csv
 import io
 import itertools
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,11 +49,16 @@ class SpecError(ValueError):
     """Invalid instance description (flags or spec file)."""
 
 
-def _fmt(v: float) -> str:
-    """17 significant digits; round-trips float64 exactly.  An inf or NaN is refused."""
-    if not math.isfinite(v):
-        raise ValueError(f"cannot write the non-finite value {float(v)!r}")
-    return format(float(v), ".17g")
+def _fmt(values: Sequence[float] | np.ndarray) -> list[str]:
+    """Each value to 17 significant digits, which round-trip float64 exactly.
+
+    The values are checked once: the first inf or NaN among them is refused.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"cannot write the non-finite value {values[~finite][0].item()!r}")
+    return [format(v, ".17g") for v in values.tolist()]
 
 
 def parse_dims(text: str) -> tuple[int, ...]:
@@ -201,8 +208,8 @@ def _summary_path(out: Path) -> Path:
 def _write_eigen_csv(path: Path | None, table: spectrum.EigenTable) -> None:
     """The `eigs` CSV: a header, then one `j1,...,jd,lambda` line per character, row-major.
 
-    Each block entry is formatted once (`_fmt`, on floats already).  A block
-    row of the leading axes becomes one text, its last axis laid out at the
+    Each block entry is formatted once, by `_fmt` one block row at a time.  A
+    block row of the leading axes becomes one text, its last axis laid out at the
     wraps as "j,value" lines, and serves the mirrored rows c and n - c of
     each leading axis.  So every text is held until the last row is
     written, about 6x the block's bytes; holding one CSV row at a time
@@ -214,7 +221,7 @@ def _write_eigen_csv(path: Path | None, table: spectrum.EigenTable) -> None:
     column_wraps = axis_wraps(dims.sizes[-1]).tolist()
     bodies = []
     for values in table.block.reshape(-1, table.block.shape[-1]):
-        texts = [format(v, ".17g") for v in values.tolist()]
+        texts = _fmt(values)
         bodies.append("\n".join([column + texts[w] for column, w in zip(columns, column_wraps)]))
     # the block row of each leading coordinate tuple, in row-major order
     body_at = [0]
@@ -231,15 +238,15 @@ def _write_eigen_csv(path: Path | None, table: spectrum.EigenTable) -> None:
 def _cmd_eigs(args: argparse.Namespace) -> int:
     dims, metric, f = _instance(args)
     table = spectrum.eigen_table(build_kernel(dims, metric, f))
-    lam_min, argmin = spectrum.min_nontrivial(table, args.tie_tol)
+    sol = spectrum.solve_relaxation(table, 0, args.tie_tol)
     summary = {
-        "dims": list(dims.sizes),
+        "dims": dims.sizes,
         "metric": args.metric,
         "f": args.f,
-        "lambda_trivial": float(table.block.flat[0]),
-        "lambda_min": lam_min,
-        "argmin": [list(c) for c in argmin],
-        "tie_tol": args.tie_tol if args.tie_tol is not None else spectrum.default_tie_tol(lam_min),
+        "lambda_trivial": sol.lambda_trivial,
+        "lambda_min": sol.lambda_min,
+        "argmin": sol.argmin_characters,
+        "tie_tol": sol.tie_tol,
     }
     text = json.dumps(summary, indent=2, allow_nan=False)
     _write_eigen_csv(args.out, table)
@@ -254,15 +261,15 @@ def _cmd_eigs(args: argparse.Namespace) -> int:
 def _cmd_certify(args: argparse.Namespace) -> int:
     cert = spectrum.checkerboard_certificate(*_instance(args), args.tie_tol)
     doc = {
-        "dims": list(cert.dims.sizes),
+        "dims": cert.dims.sizes,
         "metric": args.metric,
         "f": args.f,
         "p": cert.p,
         "certified": cert.certified,
         "lambda_trivial": cert.lambda_trivial,
         "lambda_min": cert.lambda_min,
-        "argmin": [list(c) for c in cert.argmin_characters],
-        "offenders": [list(c) for c in cert.offenders],
+        "argmin": cert.argmin_characters,
+        "offenders": cert.offenders,
         "gap_to_minus_one": cert.gap_to_minus_one,
         "multiplicity": cert.multiplicity,
         "optimal_value": cert.optimal_value,
@@ -306,7 +313,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             )
         ]
     doc = {
-        "dims": list(dims.sizes),
+        "dims": dims.sizes,
         "metric": args.metric,
         "f": args.f,
         "p": args.p,
@@ -320,7 +327,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 "rank": rank,
                 "value": hit.value,
                 "orbit_size": hit.orbit_size,
-                "sites": [list(s) for s in hit.config.sites()],
+                "sites": hit.config.sites(),
             }
             for rank, hit in enumerate(hits, start=1)
         ],
@@ -330,18 +337,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         header = ["rank", "value", "orbit_size", "sites"]
         rows = [
-            [str(r["rank"]), _fmt(r["value"]), str(r["orbit_size"]),
-             ";".join(",".join(map(str, s)) for s in r["sites"])]
-            for r in doc["results"]
+            [str(r["rank"]), value, str(r["orbit_size"]), ";".join(",".join(map(str, s)) for s in r["sites"])]
+            for r, value in zip(doc["results"], _fmt([hit.value for hit in hits]))
         ]
         _write_csv(args.out, header, rows)
     else:
-        blocks = []
-        for r, hit in zip(doc["results"], hits):
-            blocks.append(
-                f"rank={r['rank']} value={_fmt(r['value'])} orbit_size={r['orbit_size']}\n"
-                + _render_ascii(hit.config)
-            )
+        blocks = [
+            f"rank={r['rank']} value={value} orbit_size={r['orbit_size']}\n" + _render_ascii(hit.config)
+            for r, hit, value in zip(doc["results"], hits, _fmt([hit.value for hit in hits]))
+        ]
         text = "\n\n".join(blocks) + "\n"
         with _out_stream(args.out) as handle:
             handle.write(text)
@@ -358,20 +362,20 @@ def _cmd_energy(args: argparse.Namespace) -> int:
     config = Configuration.from_sites(dims, sites)
     report = configs.energies(config, metric, f)
     if args.format == "ascii-grid":
+        e_tot, e_max = _fmt([report.e_tot, report.e_max])
         text = (
             _render_ascii(config)
-            + f"\ne_tot={_fmt(report.e_tot)} e_max={_fmt(report.e_max)}"
-            + f" equienergetic={'yes' if report.is_equienergetic else 'no'}\n"
+            + f"\ne_tot={e_tot} e_max={e_max} equienergetic={'yes' if report.is_equienergetic else 'no'}\n"
         )
         with _out_stream(args.out) as handle:
             handle.write(text)
         return EXIT_OK
     doc = {
-        "dims": list(dims.sizes),
+        "dims": dims.sizes,
         "metric": args.metric,
         "f": args.f,
         "p": config.p,
-        "per_site": [{"site": list(site), "energy": value} for site, value in report.per_site.items()],
+        "per_site": [{"site": site, "energy": value} for site, value in report.per_site.items()],
         "e_max": report.e_max,
         "e_tot": report.e_tot,
         "is_equienergetic": report.is_equienergetic,
@@ -386,38 +390,29 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     dims_list = [parse_dims(part) for part in _list_entries(args.dims_list, ";", "--dims-list")]
     if not dims_list:
         raise SpecError("sweep needs at least one dims entry")
-    header = [
-        "dims", "certified", "lambda_min", "gap_to_minus_one",
-        "optimal_value", "checkerboard_e_tot", "checkerboard_e_max", "tie_tol",
-    ]
+    # each numeric column is the certificate's attribute of that name
+    numeric = ["lambda_min", "gap_to_minus_one", "optimal_value", "checkerboard_e_tot", "checkerboard_e_max",
+               "tie_tol"]
     rows = []
     all_certified = True
     for sizes in dims_list:
         dims = GridDims(sizes)
         cert = spectrum.checkerboard_certificate(dims, metric, f, args.tie_tol)
         all_certified = all_certified and cert.certified
-        rows.append([
-            str(dims),
-            "true" if cert.certified else "false",
-            _fmt(cert.lambda_min),
-            _fmt(cert.gap_to_minus_one),
-            _fmt(cert.optimal_value),
-            _fmt(cert.checkerboard_e_tot),
-            _fmt(cert.checkerboard_e_max),
-            _fmt(cert.tie_tol),
-        ])
-    _write_csv(args.out, header, rows)
+        rows.append([str(dims), "true" if cert.certified else "false",
+                     *_fmt([getattr(cert, name) for name in numeric])])
+    _write_csv(args.out, ["dims", "certified", *numeric], rows)
     return EXIT_OK if all_certified else EXIT_NOT_CERTIFIED
 
 
 def _cmd_factor_curve(args: argparse.Namespace) -> int:
     curve = analysis.factor_curve(args.n, args.a, args.power)
-    rows = [[str(k), _fmt(curve.values[k])] for k in range(curve.n)]
+    rows = zip(map(str, range(curve.n)), _fmt(curve.values))
     summary = {
         "n": curve.n,
         "a": curve.a,
         "power": curve.distance_power,
-        "argmin": list(curve.argmin),
+        "argmin": curve.argmin,
         "min_value": curve.min_value,
     }
     text = json.dumps(summary, indent=2, allow_nan=False)
@@ -430,11 +425,11 @@ def _cmd_bernstein(args: argparse.Namespace) -> int:
     a_grid = [float(x) for x in _list_entries(args.a_grid, ",", "--a-grid")]
     curves = analysis.bernstein_sweep(args.n, args.power, a_grid)
     header = ["a", "argmin", "is_minus_one_strict_min", "min_value"]
-    rows = [
-        [_fmt(c.a), ";".join(map(str, c.argmin)),
-         "true" if c.is_minus_one_strict_min else "false", _fmt(c.min_value)]
-        for c in curves
-    ]
+    rows = []
+    for c in curves:
+        a, min_value = _fmt([c.a, c.min_value])
+        flag = "true" if c.is_minus_one_strict_min else "false"
+        rows.append([a, ";".join(map(str, c.argmin)), flag, min_value])
     _write_csv(args.out, header, rows)
     return EXIT_OK
 

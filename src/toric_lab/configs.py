@@ -228,7 +228,8 @@ def energies(config: Configuration, metric: Metric, f: EnergyFunction) -> Energy
     and not with |G|, and f need only be defined at the members' distances.
     Each pair value is the kernel block's entry at that difference, bit for
     bit.  An empty configuration has no energies; zeros are returned with
-    the is_empty flag set.
+    the is_empty flag set.  A member energy or a total that overflows is a
+    ValueError.
     """
     if config.p == 0:
         return EnergyReport(per_site={}, e_max=0.0, e_tot=0.0, is_equienergetic=True, is_empty=True)
@@ -242,6 +243,8 @@ def energies(config: Configuration, metric: Metric, f: EnergyFunction) -> Energy
         raise ValueError("member energies not finite: a member's sum of pair energies overflows")
     e_max = float(per.max())
     e_tot = float(per.sum())
+    if not math.isfinite(e_tot):  # e_max is one of the finite member energies
+        raise ValueError("total energy not finite: the sum of the member energies overflows")
     spread = float(per.max() - per.min())
     return EnergyReport(
         per_site=dict(zip(index_to_sites(config.dims, idx), per.tolist())),
@@ -340,7 +343,8 @@ def brute_force(
     read off the same table, and 1 without translations.  The work estimate
     checked against the budget, before any work, is the worst case, every
     leaf enumerated: leaves x p^2 member pairs, so pruning never turns a
-    refusal into a run; a negative budget is a ValueError.
+    refusal into a run; a negative budget is a ValueError, and so is a hit
+    whose value overflows.
     """
     if objective not in ("total", "max"):
         raise ValueError(f"objective must be 'total' or 'max', got {objective!r}")
@@ -365,6 +369,8 @@ def brute_force(
     if p == 0:
         return [SearchHit(config=Configuration(dims, ()), value=0.0, orbit_size=1)]
     ranked = _branch_and_bound(dims, kernel_matrix(kernel), p, objective, top_k, reduce == "translations")
+    if not np.isfinite(ranked[0]).all():
+        raise ValueError("hit value not finite: a ranked subset's sum of pair energies overflows")
     return [SearchHit(Configuration(dims, m), v, size) for v, m, size in zip(*(a.tolist() for a in ranked))]
 
 
@@ -548,6 +554,7 @@ def local_search(
     seen, the first restart of least key (e_tot, or (e_max, e_tot) for the
     max objective), with its energies() value, bit for bit, summed off the
     kernel matrix as a brute_force leaf sums it; no optimality claim is made.
+    A best value that overflows is a ValueError.
     """
     if objective not in ("total", "max"):
         raise ValueError(f"objective must be 'total' or 'max', got {objective!r}")
@@ -579,4 +586,6 @@ def local_search(
     assert best_members is not None
     per = K[best_members[:, None], best_members].sum(axis=1)  # read as a leaf reads its energies
     value = float(per.sum() if objective == "total" else per.max()) if p else 0.0
+    if not math.isfinite(value):
+        raise ValueError("hit value not finite: the best subset's sum of pair energies overflows")
     return SearchHit(Configuration(dims, best_members), value, orbit_size=1)

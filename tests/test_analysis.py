@@ -173,7 +173,7 @@ class TestFactorCurve:
         assert curve.argmin == (n // 2,)
 
     @pytest.mark.parametrize("n", [2, 5, 6, 7, 8, 9, 12, 64, 128, 255, 256, 2048, 4000])
-    @pytest.mark.parametrize("a", [1.01, 1.05, 2.0])
+    @pytest.mark.parametrize("a", [1.0001, 1.001, 1.01, 1.05, 2.0])
     def test_values_within_forward_error_of_per_index_loop(self, n, a):
         # one float64 rounding plus the transform's forward-error bound
         # eps_ld * ceil(log2(n)) * sum(terms), with c = 1 (measured at most 0.17)

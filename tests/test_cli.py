@@ -997,6 +997,12 @@ def test_fmt_refuses_non_finite(value):
         cli._fmt(value)
 
 
+def test_fmt_takes_a_sequence_and_names_its_first_non_finite_value():
+    assert cli._fmt([1 / 3, 0.1, 2.0]) == ["0.33333333333333331", "0.10000000000000001", "2"]
+    with pytest.raises(ValueError, match="cannot write the non-finite value nan$"):
+        cli._fmt([1.0, float("nan"), float("inf")])
+
+
 class TestNonFiniteResults:
     """A profile of 1e308 at every distance overflows every sum of two or more terms.
 
@@ -1020,12 +1026,12 @@ class TestNonFiniteResults:
         (("eigs",), "kernel eigenvalues not finite"),
         (("energy", "--config", "four.txt"), "member energies not finite"),
         (("energy", "--config", "four.txt", "--format", "ascii-grid"), "member energies not finite"),
-        (("search", "--p", "4"), "not JSON compliant: inf"),
-        (("search", "--p", "4", "--format", "csv"), "non-finite value inf"),
-        (("search", "--p", "4", "--format", "ascii-grid"), "non-finite value inf"),
-        (("search", "--p", "4", "--method", "local"), "not JSON compliant: inf"),
-        (("search", "--p", "4", "--method", "local", "--format", "csv"), "non-finite value inf"),
-        (("search", "--p", "4", "--method", "local", "--format", "ascii-grid"), "non-finite value inf"),
+        (("search", "--p", "4"), "hit value not finite"),
+        (("search", "--p", "4", "--format", "csv"), "hit value not finite"),
+        (("search", "--p", "4", "--format", "ascii-grid"), "hit value not finite"),
+        (("search", "--p", "4", "--method", "local"), "hit value not finite"),
+        (("search", "--p", "4", "--method", "local", "--format", "csv"), "hit value not finite"),
+        (("search", "--p", "4", "--method", "local", "--format", "ascii-grid"), "hit value not finite"),
     ], ids=[
         "certify", "eigs", "energy-json", "energy-ascii", "search-json", "search-csv", "search-ascii",
         "local-json", "local-csv", "local-ascii",

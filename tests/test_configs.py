@@ -920,3 +920,18 @@ class TestNonFiniteProfile:
             energies(config, Metric.LEE, lambda x: 1e308)
         # at 1e307 the members' sums and their total are finite, and equal
         assert energies(config, Metric.LEE, lambda x: 1e307).is_equienergetic
+
+    def test_overflowing_total_refused(self):
+        # each member's three pairs of 5e307 sum to 1.5e308, but the four members' total overflows
+        config = Configuration.from_sites(GridDims.of(4, 4), [(0, 0), (0, 2), (2, 0), (2, 2)])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="total energy not finite"):
+            energies(config, Metric.LEE, lambda x: 5e307)
+
+    def test_overflowing_exhaustive_hit_refused(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="hit value not finite"):
+            brute_force(GridDims.of(4, 4), Metric.LEE, lambda x: 1e308, 4)
+
+    def test_overflowing_local_hit_refused(self):
+        # the descent's swap scores subtract inf from inf on the way
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="hit value not finite"):
+            local_search(GridDims.of(4, 4), Metric.LEE, lambda x: 1e308, 4)
