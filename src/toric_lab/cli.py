@@ -34,7 +34,7 @@ import numpy as np
 from . import analysis, configs, spectrum
 from .configs import BudgetExceededError, Configuration
 from .energy import EnergyFunction, ExponentialAtom, InversePower, Tabulated, build_kernel
-from .grid import GridDims, Metric, axis_wraps
+from .grid import GridDims, Metric, axis_wraps, index_to_sites
 
 __all__ = ["SpecError", "main"]
 
@@ -312,43 +312,41 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 dims, metric, f, args.p, objective=args.objective, restarts=restarts, rng_seed=seed
             )
         ]
-    doc = {
-        "dims": dims.sizes,
-        "metric": args.metric,
-        "f": args.f,
-        "p": args.p,
-        "objective": args.objective,
-        "top_k": top_k,
-        "reduce": reduce,
-        "seed": seed,
-        "restarts": restarts,
-        "results": [
-            {
-                "rank": rank,
-                "value": hit.value,
-                "orbit_size": hit.orbit_size,
-                "sites": hit.config.sites(),
-            }
-            for rank, hit in enumerate(hits, start=1)
-        ],
-    }
+    # every hit's sites from one listing of the grid's sites, which the kernel
+    # matrix's row limit bounds; p = 0 builds no matrix and its hit has no sites
+    site_of = index_to_sites(dims, np.arange(dims.order if args.p else 0))
     if args.format == "json":
+        doc = {
+            "dims": dims.sizes,
+            "metric": args.metric,
+            "f": args.f,
+            "p": args.p,
+            "objective": args.objective,
+            "top_k": top_k,
+            "reduce": reduce,
+            "seed": seed,
+            "restarts": restarts,
+            "results": [
+                {"rank": rank, "value": hit.value, "orbit_size": hit.orbit_size,
+                 "sites": [site_of[i] for i in hit.config.members]}
+                for rank, hit in enumerate(hits, start=1)
+            ],
+        }
         _emit_json(doc, args.out)
     elif args.format == "csv":
-        header = ["rank", "value", "orbit_size", "sites"]
+        site_text = [",".join(map(str, site)) for site in site_of]
         rows = [
-            [str(r["rank"]), value, str(r["orbit_size"]), ";".join(",".join(map(str, s)) for s in r["sites"])]
-            for r, value in zip(doc["results"], _fmt([hit.value for hit in hits]))
+            [str(rank), value, str(hit.orbit_size), ";".join([site_text[i] for i in hit.config.members])]
+            for rank, hit, value in zip(itertools.count(1), hits, _fmt([hit.value for hit in hits]))
         ]
-        _write_csv(args.out, header, rows)
+        _write_csv(args.out, ["rank", "value", "orbit_size", "sites"], rows)
     else:
         blocks = [
-            f"rank={r['rank']} value={value} orbit_size={r['orbit_size']}\n" + _render_ascii(hit.config)
-            for r, hit, value in zip(doc["results"], hits, _fmt([hit.value for hit in hits]))
+            f"rank={rank} value={value} orbit_size={hit.orbit_size}\n" + _render_ascii(hit.config)
+            for rank, hit, value in zip(itertools.count(1), hits, _fmt([hit.value for hit in hits]))
         ]
-        text = "\n\n".join(blocks) + "\n"
         with _out_stream(args.out) as handle:
-            handle.write(text)
+            handle.write("\n\n".join(blocks) + "\n")
     return EXIT_OK
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .grid import GridDims, Metric, block_shape, distance_table
+from .grid import GridDims, Metric, _check_block, distance_table
 
 __all__ = [
     "EnergyFunction",
@@ -171,11 +171,7 @@ class KernelTable:
     block: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.block.shape != block_shape(self.dims):
-            raise ValueError(
-                f"kernel block has shape {self.block.shape}, expected {block_shape(self.dims)} "
-                f"for grid {self.dims}"
-            )
+        _check_block(self.dims, self.block, "kernel")
 
 
 def build_kernel(dims: GridDims, metric: Metric, f: EnergyFunction | Callable[[float], float]) -> KernelTable:

@@ -110,6 +110,12 @@ def block_shape(dims: GridDims) -> tuple[int, ...]:
     return tuple(n // 2 + 1 for n in dims.sizes)
 
 
+def _check_block(dims: GridDims, block: np.ndarray, name: str) -> None:
+    """Refuse a table stored on the fundamental block whose shape is not `block_shape(dims)`."""
+    if block.shape != block_shape(dims):
+        raise ValueError(f"{name} block has shape {block.shape}, expected {block_shape(dims)} for grid {dims}")
+
+
 def expand_block(dims: GridDims, block: np.ndarray) -> np.ndarray:
     """Full table of shape `dims.sizes` whose entry at g is block[wrap(g)], axis by axis."""
     return block[np.ix_(*[axis_wraps(n) for n in dims.sizes])]

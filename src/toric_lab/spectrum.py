@@ -35,6 +35,7 @@ from .grid import (
     Character,
     GridDims,
     Metric,
+    _check_block,
     _check_site,
     axis_wraps,
     block_shape,
@@ -68,6 +69,9 @@ class EigenTable:
 
     dims: GridDims
     block: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        _check_block(self.dims, self.block, "eigenvalue")
 
     @property
     def values(self) -> np.ndarray:
@@ -174,7 +178,7 @@ class RelaxationSolution:
 
 
 def solve_relaxation(eigs: EigenTable, p: int, tie_tol: float | None = None) -> RelaxationSolution:
-    """Solve the relaxation exactly from the eigenvalue table."""
+    """Solve the relaxation exactly from the eigenvalue table; an optimal value that overflows is a ValueError."""
     dims = eigs.dims
     if not 0 <= p <= dims.order:
         raise ValueError(f"particle count {p} out of range 0..{dims.order}")
@@ -184,6 +188,8 @@ def solve_relaxation(eigs: EigenTable, p: int, tie_tol: float | None = None) -> 
         tie_tol = default_tie_tol(lam_min)
     weight = p - p * p / dims.order
     optimal = lam_triv * (p * p / dims.order) + lam_min * weight
+    if not math.isfinite(optimal):
+        raise ValueError("optimal_value not finite: the relaxation's sum of eigenvalue terms overflows")
     # argmin is closed under conjugation: one real dimension per character
     mult = len(argmin)
     certified = (
@@ -237,12 +243,23 @@ def checkerboard_certificate(
     f: EnergyFunction,
     tie_tol: float | None = None,
 ) -> CheckerboardCertificate:
-    """Build the kernel, transform it, and read the checkerboards off the relaxation at p = |G|/2."""
+    """Build the kernel, transform it, and read the checkerboards off the relaxation at p = |G|/2.
+
+    A reported energy or gap that overflows, although every eigenvalue is
+    finite, is a ValueError naming it.
+    """
     minus_one = minus_one_character(dims)  # refuses an odd size before any work
     eigs = eigen_table(build_kernel(dims, metric, f))
     sol = solve_relaxation(eigs, dims.order // 2, tie_tol)
     lam_minus_one = eigs.value_at(minus_one)
     gap = lam_minus_one - sol.lambda_min
+    # the checkerboard indicator is (1 + chi_minus_one) / 2, so every member
+    # experiences the same energy (lambda(one) + lambda(minus_one)) / 2
+    e_max = (sol.lambda_trivial + lam_minus_one) / 2.0
+    for name, value in (("checkerboard_e_max", e_max), ("checkerboard_e_tot", sol.p * e_max),
+                        ("gap_to_minus_one", gap)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} not finite: a sum or multiple of finite eigenvalues overflows")
     offenders = tuple(chi for chi in sol.argmin_characters if chi != minus_one)
     if sol.is_checkerboard_certified:
         conclusion = (
@@ -258,13 +275,11 @@ def checkerboard_certificate(
             f"than (-1, ..., -1) (offenders: {len(offenders)}; gap from (-1, ..., -1) to the "
             f"minimum: {gap:.6g}); the relaxation does not single out the checkerboards."
         )
-    # the checkerboard indicator is (1 + chi_minus_one) / 2, so every member
-    # experiences the same energy (lambda(one) + lambda(minus_one)) / 2
     return CheckerboardCertificate(
         **vars(sol),
         dims=dims,
         offenders=offenders,
         gap_to_minus_one=float(gap),
-        checkerboard_e_max=(sol.lambda_trivial + lam_minus_one) / 2.0,
+        checkerboard_e_max=e_max,
         conclusion=conclusion,
     )

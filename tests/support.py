@@ -8,6 +8,7 @@ library's factored fast paths.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from typing import Iterator
 
@@ -155,6 +156,41 @@ def eigs_csv_oracle(eigs: EigenTable) -> str:
     lines = [",".join([f"j{i + 1}" for i in range(dims.ndim)] + ["lambda"])]
     for chi, value in zip(enumerate_sites(dims), values.tolist(), strict=True):
         lines.append(",".join(map(str, chi)) + "," + format(value, ".17g"))
+    return "\n".join(lines) + "\n"
+
+
+def search_text_oracle(hits, fmt: str, header: dict) -> str:
+    """The `search` text of a hit list by definition, written hit by hit.
+
+    Each hit's sites come from `Configuration.sites()` and its value from
+    `format(value, ".17g")`.  json is the header's fields, then one result
+    per hit; csv is a header line, then one line per hit whose sites field,
+    "c1,c2;...", is quoted when it holds a comma; ascii-grid is one block per
+    hit, a rank line over one line of 0s and 1s per grid row, the blocks
+    separated by a blank line.
+    """
+    if fmt == "json":
+        results = [
+            {"rank": rank, "value": hit.value, "orbit_size": hit.orbit_size,
+             "sites": [list(site) for site in hit.config.sites()]}
+            for rank, hit in enumerate(hits, start=1)
+        ]
+        return json.dumps({**header, "results": results}, indent=2) + "\n"
+    lines = ["rank,value,orbit_size,sites"] if fmt == "csv" else []
+    for rank, hit in enumerate(hits, start=1):
+        value = format(hit.value, ".17g")
+        sites = hit.config.sites()
+        if fmt == "csv":
+            text = ";".join(",".join(str(c) for c in site) for site in sites)
+            field = f'"{text}"' if "," in text else text
+            lines.append(f"{rank},{value},{hit.orbit_size},{field}")
+        else:
+            if rank > 1:
+                lines.append("")
+            lines.append(f"rank={rank} value={value} orbit_size={hit.orbit_size}")
+            cells = "".join("1" if site in sites else "0" for site in enumerate_sites(hit.config.dims))
+            width = hit.config.dims.sizes[-1]
+            lines += [cells[start:start + width] for start in range(0, len(cells), width)]
     return "\n".join(lines) + "\n"
 
 

@@ -7,7 +7,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from toric_lab import cli, energy, spectrum
+from toric_lab import cli, configs, energy, spectrum
 from toric_lab.cli import (
     EXIT_BUDGET,
     EXIT_IO,
@@ -24,7 +24,7 @@ from toric_lab.energy import ExponentialAtom, InversePower, Tabulated, build_ker
 from toric_lab.grid import GridDims, Metric
 from toric_lab.spectrum import eigen_table
 
-from support import distance, eigs_csv_oracle, eigs_summary_oracle
+from support import distance, eigs_csv_oracle, eigs_summary_oracle, search_text_oracle
 
 
 def load_schema(name):
@@ -441,6 +441,44 @@ class TestSearchCommand:
         code, stdout, err = run(capsys, "search", "--dims", "4,4,4", "--p", "32", "--format", "ascii-grid")
         assert (code, stdout) == (EXIT_SPEC, "")
         assert "ascii-grid output supports 1- and 2-dimensional grids only" in err
+
+
+# (dims, p, flags, brute_force keyword arguments, or None for the local method)
+SEARCH_BYTES_CASES = {
+    "4x4-p4-all-1820": ((4, 4), 4, ("--top-k", "2000"), {"top_k": 2000}),
+    "2x3x2-p5-translations": ((2, 3, 2), 5, ("--reduce", "translations", "--top-k", "7"),
+                              {"top_k": 7, "reduce": "translations"}),
+    "5-p2": ((5,), 2, (), {}),
+    "4x4-p0": ((4, 4), 0, (), {}),
+    "4x4-p16": ((4, 4), 16, (), {}),
+    "3x3-p4-local": ((3, 3), 4, ("--method", "local"), None),
+}
+
+
+class TestSearchBytes:
+    """`search` output, byte for byte, against the hit-by-hit writer of tests/support.py."""
+
+    @pytest.mark.parametrize("case, fmt", [
+        (case, fmt) for case, (sizes, *_) in SEARCH_BYTES_CASES.items()
+        for fmt in ("json", "csv", "ascii-grid") if fmt != "ascii-grid" or len(sizes) <= 2
+    ])
+    def test_stdout_and_out_file(self, capsys, tmp_path, case, fmt):
+        sizes, p, flags, library = SEARCH_BYTES_CASES[case]
+        dims, f = GridDims(sizes), InversePower(1.0)
+        if library is None:
+            hits, library = [configs.local_search(dims, Metric.LEE, f, p, objective="total")], {}
+        else:
+            hits = configs.brute_force(dims, Metric.LEE, f, p, **library)
+        header = {"dims": list(sizes), "metric": "lee", "f": "inverse-power:1", "p": p, "objective": "total",
+                  "top_k": library.get("top_k", 1), "reduce": library.get("reduce", "none"), "seed": 0,
+                  "restarts": 1}
+        text = search_text_oracle(hits, fmt, header)
+        argv = ("search", "--dims", ",".join(map(str, sizes)), "--p", str(p), *flags, "--format", fmt)
+        assert run(capsys, *argv) == (EXIT_OK, text, "")
+        out = tmp_path / "hits.txt"
+        # a JSON document goes to stdout as well as to --out
+        assert run(capsys, *argv, "--out", str(out)) == (EXIT_OK, text if fmt == "json" else "", "")
+        assert out.read_bytes() == text.encode("utf-8")
 
 
 class TestEnergyCommand:
@@ -1044,3 +1082,18 @@ class TestNonFiniteResults:
         line, = err.splitlines()
         assert line.startswith("error: ") and named in line
         assert sorted(p.name for p in files.iterdir()) == ["big.txt", "four.txt"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("argv", [("certify", "--dims", "4,4"), ("sweep", "--dims-list", "4,4")],
+                             ids=["certify", "sweep"])
+    def test_overflowing_relaxation_refused_with_nothing_written(self, capsys, files, out, argv):
+        # at 1e307 every eigenvalue is finite, lambda(one) = 1.5e308, but the
+        # relaxation's optimum at half filling overflows
+        (files / "huge.txt").write_text("1,1e307\n2,1e307\n3,1e307\n4,1e307\n", encoding="utf-8")
+        extra = ["--out", "result.txt"] if out else []
+        code, stdout, err = run(capsys, *argv, "--f", "table:huge.txt", *extra)
+        assert (code, stdout) == (EXIT_SPEC, "")
+        line, = err.splitlines()
+        assert line.startswith("error: ") and "optimal_value not finite" in line
+        assert sorted(p.name for p in files.iterdir()) == ["big.txt", "four.txt", "huge.txt"]

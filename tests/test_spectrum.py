@@ -1,11 +1,12 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from toric_lab.configs import brute_force, checkerboard, energies
-from toric_lab.energy import ExponentialAtom, InversePower, KernelTable, build_kernel
+from toric_lab.energy import ExponentialAtom, InversePower, KernelTable, Tabulated, build_kernel
 from toric_lab.grid import (
     GridDims,
     Metric,
@@ -13,6 +14,7 @@ from toric_lab.grid import (
     site_index,
 )
 from toric_lab.spectrum import (
+    EigenTable,
     RelaxationSolution,
     checkerboard_certificate,
     default_tie_tol,
@@ -129,6 +131,15 @@ class TestEigenTable:
             KernelTable(dims=GridDims.of(4, 3), block=np.zeros((3, 3)))
         kernel = KernelTable(dims=GridDims.of(4, 3), block=np.zeros((3, 2)))
         assert full_kernel(kernel).shape == (12,)
+
+    @pytest.mark.parametrize("table, name", [(KernelTable, "kernel"), (EigenTable, "eigenvalue")])
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 4)], ids=["full-table", "one-axis-full"])
+    def test_block_shape_checked_alike(self, table, name, shape):
+        # both tables are stored on the (3, 3) block of 4x4: the full table, read
+        # row-major, would put eigenvalues at the wrong characters
+        expected = f"{name} block has shape {shape}, expected (3, 3) for grid 4x4"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            table(GridDims.of(4, 4), np.arange(float(np.prod(shape))).reshape(shape))
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -343,6 +354,16 @@ class TestSolveRelaxation:
         assert sol.sphere_dimension == 1
         assert not sol.is_checkerboard_certified
 
+    def test_overflowing_optimal_value_refused(self):
+        # 1e307 at every distance of 4x4 Lee: lambda(one) = 1.5e308 is finite, but
+        # the optimum at half filling, 4 lambda(one) + 4 lambda_min, overflows
+        dims = GridDims.of(4, 4)
+        table = eigen_table(build_kernel(dims, Metric.LEE, Tabulated({d: 1e307 for d in range(1, 5)})))
+        assert table.block.flat[0] == 1.5e308
+        with pytest.raises(ValueError, match="^optimal_value not finite: "):
+            solve_relaxation(table, 8)
+        assert solve_relaxation(table, 0).optimal_value == 0.0
+
     def test_default_tie_tol_scales(self):
         assert default_tie_tol(0.0) == pytest.approx(1e-9)
         assert default_tie_tol(-9.0) == pytest.approx(1e-8)
@@ -381,6 +402,21 @@ class TestCertificates:
         assert "not certified" in cert.conclusion
         assert str(len(cert.offenders)) in cert.conclusion
         assert len(cert.conclusion) <= 300
+
+    # profiles on one axis whose eigenvalues and relaxation optimum are finite, and
+    # the first reported quantity to overflow: e_max = (1.7e308 + 1.2e307) / 2 (and
+    # e_tot with it); e_tot = 3 x 8e307; the gap 1.4e308 - (-6e307)
+    @pytest.mark.parametrize("size, profile, name", [
+        (4, {1: 3.95e307, 2: 9.1e307}, "checkerboard_e_max"),
+        (6, {1: 0.0, 2: 4e307, 3: 0.0}, "checkerboard_e_tot"),
+        (4, {1: -4e307, 2: 6e307}, "gap_to_minus_one"),
+    ], ids=["e_max", "e_tot", "gap"])
+    def test_overflowing_quantity_refused(self, size, profile, name):
+        dims = GridDims.of(size)
+        sol = solve_relaxation(eigen_table(build_kernel(dims, Metric.LEE, profile.get)), size // 2)
+        assert np.isfinite(sol.optimal_value)
+        with pytest.raises(ValueError, match=f"^{name} not finite: "):
+            checkerboard_certificate(dims, Metric.LEE, profile.get)
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ValueError, match=r"needs all even sizes, got odd \[3\] in \(3, 4\)"):
