@@ -21,6 +21,8 @@ Every metric depends on a site only through its per-axis wraps, so the
 kernel and its eigenvalue table are even in every axis.  Both are built,
 transformed and scanned on the fundamental block of wraps 0..n_i // 2, about
 |G| / 2^d entries; the full |G| table is expanded only where it is output.
+The transform runs slab by slab into one output block, so its peak is the
+kernel block, plus the eigenvalue block, plus one slab.
 """
 
 from __future__ import annotations
@@ -56,6 +58,11 @@ __all__ = [
     "checkerboard_certificate",
 ]
 
+# Transform outputs in one slab of eigen_table: its working set beyond the
+# kernel block and the output block.
+_SLAB_ENTRIES = 1 << 16
+
+
 @dataclass(frozen=True)
 class EigenTable:
     """Real eigenvalue table over characters, stored on the fundamental block.
@@ -83,19 +90,57 @@ class EigenTable:
         return float(self.block[tuple(axis_wraps(n)[c % n] for c, n in zip(chi, self.dims.sizes))])
 
 
+def _transform_axis(src: np.ndarray, dst: np.ndarray, axis: int, n: int, across: int) -> None:
+    """Write into dst entries 0..n // 2 of the length-n `hfft` of src along axis, a slab of axis `across` at a time.
+
+    A slab holds about _SLAB_ENTRIES transform outputs.  The hfft of a real
+    half spectrum is its irfft at forward normalisation, and every slab goes
+    through one complex input buffer and one output buffer, so no slab
+    allocates: fresh temporaries per slab make malloc grow and trim its heap
+    on every slab of a process's first call.
+    """
+    width = dst.shape[across]
+    step = max(1, _SLAB_ENTRIES // (n * (dst.size // (dst.shape[axis] * width))))
+    lead = (slice(None),) * across
+    shape = src[lead + (slice(step),)].shape
+    spec = np.empty(shape, dtype=np.promote_types(dst.dtype, np.complex64))
+    full = np.empty(shape[:axis] + (n,) + shape[axis + 1:], dtype=dst.dtype)
+    keep = (slice(None),) * axis + (slice(n // 2 + 1),)
+    for start in range(0, width, step):
+        cut = lead + (slice(start, start + step),)
+        fit = lead + (slice(min(step, width - start)),)
+        spec[fit] = src[cut]
+        np.fft.irfft(spec[fit], n, axis=axis, norm="forward", out=full[fit])
+        dst[cut] = full[fit][keep]
+
+
 def eigen_table(kernel: KernelTable) -> EigenTable:
     """Cosine-transform the kernel into its eigenvalue table, on the fundamental block.
 
     The kernel is even in every axis, so along each axis its block entries at
     wraps 0..n_i // 2 are the half spectrum of a Hermitian sequence of length
     n_i.  One `hfft` per axis turns them into that sequence's real transform,
-    whose entries 0..n_i // 2 are the eigenvalues at those wraps.  An inf or
-    NaN kernel entry, or a sum that overflows, leaves a non-finite eigenvalue:
-    that is an error.
+    whose entries 0..n_i // 2 are the eigenvalues at those wraps.  The
+    transforms run in slabs of about _SLAB_ENTRIES outputs into one output
+    block: axis 0 from the kernel, a slab of axis 1 at a time, then every
+    later axis in place, a slab of axis 0 at a time.  So the peak is the
+    kernel block, plus the output block, plus one slab (and the finiteness
+    check's one byte per entry), and each 1-D transform sees the data of one
+    whole-axis `hfft`, so it gives the same bits.  The output dtype is
+    numpy.fft's, `np.result_type(block.dtype, 1.0)`.  A complex block is
+    refused: a kernel is real.  An inf or NaN kernel entry, or a sum that
+    overflows, leaves a non-finite eigenvalue: that is an error.
     """
-    vals = kernel.block
-    for axis, n in enumerate(kernel.dims.sizes):
-        vals = np.take(np.fft.hfft(vals, n, axis=axis), np.arange(n // 2 + 1), axis=axis)
+    block = kernel.block
+    if np.iscomplexobj(block):
+        raise ValueError(f"kernel block must be real, got dtype {block.dtype}")
+    vals = np.empty(block.shape, dtype=np.result_type(block.dtype, 1.0))
+    # a trailing axis of one gives even a 1-D block an axis 1 to cut slabs across
+    src, dst = block[..., None], vals[..., None]
+    sizes = kernel.dims.sizes
+    _transform_axis(src, dst, 0, sizes[0], across=1)
+    for axis in range(1, len(sizes)):
+        _transform_axis(dst, dst, axis, sizes[axis], across=0)
     if not np.isfinite(vals).all():
         raise ValueError("kernel eigenvalues not finite: a kernel entry is inf or NaN, or a sum overflows")
     return EigenTable(dims=kernel.dims, block=vals)

@@ -1,15 +1,18 @@
 import dataclasses
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from toric_lab import spectrum
 from toric_lab.configs import brute_force, checkerboard, energies
 from toric_lab.energy import ExponentialAtom, InversePower, KernelTable, Tabulated, build_kernel
 from toric_lab.grid import (
     GridDims,
     Metric,
+    block_shape,
     index_to_sites,
     site_index,
 )
@@ -27,6 +30,7 @@ from support import (
     TWELVE_LAMBDA_4X4,
     conjugate_character,
     direct_eigen_oracle,
+    eigen_block_oracle,
     enumerate_sites,
     full_kernel,
     full_scan_argmin,
@@ -179,6 +183,79 @@ class TestEigenTable:
         error = float(np.abs(eigen_table(kernel).values - exact).max())
         bound = np.finfo(np.float64).eps * np.log2(dims.order) * float(np.abs(full_kernel(kernel)).sum())
         assert error <= bound
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(1,), (2,), (7,), (16,), (1, 6), (2, 2), (2, 11), (20, 2), (9, 6), (13, 20),
+         (1, 2, 7), (9, 2, 2), (4, 6, 3), (3, 3, 3), (2, 2, 2, 2), (3, 4, 5, 2), (9, 1, 6, 4)],
+    )
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_slabs_match_whole_axis_transform_bit_for_bit(self, monkeypatch, sizes, metric):
+        # with slabs of 8 outputs every axis of a block past a few entries runs
+        # several slabs; each 1-D transform still sees the data of one whole-axis
+        # hfft, so every eigenvalue keeps its bits
+        monkeypatch.setattr(spectrum, "_SLAB_ENTRIES", 8)
+        kernel = build_kernel(GridDims(sizes), metric, InversePower(0.8))
+        got = eigen_table(kernel).block
+        want = eigen_block_oracle(kernel)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "sizes, slabs",
+        [((20, 2), {0: 2, 1: 3}), ((2, 11), {0: 2, 1: 2}), ((9, 2, 2), {0: 2, 1: 3, 2: 3}), ((7,), {0: 1})],
+    )
+    def test_slab_count_per_axis(self, monkeypatch, sizes, slabs):
+        # axis 0 is cut across axis 1 and every later axis across axis 0, the
+        # last slab ragged where the step does not divide (20 x 2: 11 rows in
+        # steps of 4); a 1-D block is one slab whatever its length
+        monkeypatch.setattr(spectrum, "_SLAB_ENTRIES", 8)
+        calls = []
+        irfft = np.fft.irfft
+
+        def counting(a, n, axis, **kwargs):
+            calls.append(axis)
+            return irfft(a, n, axis=axis, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", counting)
+        eigen_table(build_kernel(GridDims(sizes), Metric.LEE, HARMONIC))
+        assert {axis: calls.count(axis) for axis in set(calls)} == slabs
+
+    @pytest.mark.parametrize(
+        "dtype, out", [(np.int64, np.float64), (np.float32, np.float32), (np.longdouble, np.longdouble)]
+    )
+    def test_output_dtype_is_numpy_fft_dtype(self, monkeypatch, dtype, out):
+        # a hand-built int64 block has float eigenvalues, as numpy.fft gives them;
+        # an output shaped and typed like the input would truncate them
+        monkeypatch.setattr(spectrum, "_SLAB_ENTRIES", 8)
+        block = (np.arange(30).reshape(6, 5) % 7).astype(dtype)
+        kernel = KernelTable(dims=GridDims.of(10, 8), block=block)
+        got = eigen_table(kernel).block
+        want = eigen_block_oracle(kernel)
+        assert got.dtype == want.dtype == out
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, np.round(got))
+
+    def test_complex_block_refused(self):
+        # a kernel is real; the transform reads a block as a real half spectrum
+        kernel = KernelTable(dims=GridDims.of(4, 4), block=np.ones((3, 3), dtype=complex))
+        with pytest.raises(ValueError, match=r"^kernel block must be real, got dtype complex128$"):
+            eigen_table(kernel)
+
+    def test_peak_is_output_block_plus_one_slab(self):
+        # the input block is allocated before tracing starts; the traced peak is
+        # the output block plus one slab's buffers: a float64 output and its
+        # half-length complex128 input, about 16 bytes per output (the
+        # whole-axis transform peaked at 12.7 MB here)
+        kernel = build_kernel(GridDims.of(1024, 1024), Metric.LEE, HARMONIC)
+        tracemalloc.start()
+        try:
+            table = eigen_table(kernel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.block.nbytes == kernel.block.nbytes
+        assert peak <= kernel.block.nbytes + 32 * spectrum._SLAB_ENTRIES
 
     def test_tables_are_immutable(self):
         # a reassigned block would leave anything derived from the old one stale
@@ -393,6 +470,20 @@ class TestCertificates:
         assert cert.offenders == ((2,), (6,))
         assert cert.gap_to_minus_one > 0
         assert "not certified" in cert.conclusion
+
+    @pytest.mark.parametrize("metric", [Metric.LEE, Metric.CHEBYSHEV])
+    def test_peak_within_three_blocks(self, metric):
+        # the kernel block, the eigenvalue block and one slab: 2.5 blocks at
+        # 1024 x 1024, where the whole-axis transform took 7.0
+        dims = GridDims.of(1024, 1024)
+        block_bytes = 8 * math.prod(block_shape(dims))
+        tracemalloc.start()
+        try:
+            checkerboard_certificate(dims, metric, HARMONIC)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * block_bytes
 
     def test_refused_conclusion_counts_offenders(self):
         # 2660 offenders; listing them made the conclusion 26161 characters long
