@@ -8,8 +8,11 @@ so a flag overrides the file, and one parse validates both alike.  Outputs
 are CSV (RFC 4180, LF line endings), ascii-grid pictures and JSON documents
 matching the schemas shipped under `toric_lab/schemas/`.  Every CSV and
 ascii-grid float goes through one formatter, `_fmt`: 17 significant digits,
-which round-trip float64 exactly, and an inf or NaN is refused.  The `eigs`
-summary is the relaxation's lambda(1), lambda_min, argmin and tie tolerance.
+which round-trip float64 exactly, and an inf or NaN is refused.  Every JSON
+document goes through one writer, `_emit_json`, which refuses an inf or NaN
+too; `_echo` gives the `dims`, `metric` and `f` that open the `eigs` summary
+and the `certify`, `search` and `energy` documents.  The `eigs` summary is
+the relaxation's lambda(1), lambda_min, argmin and tie tolerance.
 
 Exit codes: 0 success (and certificate granted), 1 certificate refused,
 2 invalid spec or arguments, or a result holding an inf or NaN (which no
@@ -154,11 +157,17 @@ def _write_csv(path: Path | None, header: list[str], rows: Iterable[Sequence[str
         writer.writerows(rows)
 
 
-def _emit_json(doc: dict, path: Path | None) -> None:
+def _emit_json(doc: dict, path: Path | None, stream: io.TextIOBase | None = None) -> None:
+    """Write doc as indented JSON to path, if given, and print it to stream (default: stdout)."""
     text = json.dumps(doc, indent=2, allow_nan=False)
     if path is not None:
         path.write_text(text + "\n", encoding="utf-8")
-    print(text)
+    print(text, file=stream)
+
+
+def _echo(args: argparse.Namespace, dims: GridDims) -> dict:
+    """The instance a document describes: the grid's sizes, the metric and f as given."""
+    return {"dims": dims.sizes, "metric": args.metric, "f": args.f}
 
 
 def _check_format(fmt: str, dims: GridDims) -> None:
@@ -224,9 +233,7 @@ def _write_eigen_csv(path: Path | None, table: spectrum.EigenTable) -> None:
         texts = _fmt(values)
         bodies.append("\n".join([column + texts[w] for column, w in zip(columns, column_wraps)]))
     # the block row of each leading coordinate tuple, in row-major order
-    body_at = [0]
-    for n, half in zip(leading, table.block.shape):
-        body_at = [at * half + w for at in body_at for w in axis_wraps(n).tolist()]
+    body_at = np.arange(len(bodies)).reshape(table.block.shape[:-1])[np.ix_(*map(axis_wraps, leading))].ravel().tolist()
     with _out_stream(path) as handle:
         handle.write(",".join([f"j{i + 1}" for i in range(dims.ndim)] + ["lambda"]) + "\n")
         # rows in row-major character order, the order of itertools.product
@@ -240,30 +247,24 @@ def _cmd_eigs(args: argparse.Namespace) -> int:
     table = spectrum.eigen_table(build_kernel(dims, metric, f))
     sol = spectrum.solve_relaxation(table, 0, args.tie_tol)
     summary = {
-        "dims": dims.sizes,
-        "metric": args.metric,
-        "f": args.f,
+        **_echo(args, dims),
         "lambda_trivial": sol.lambda_trivial,
         "lambda_min": sol.lambda_min,
         "argmin": sol.argmin_characters,
         "tie_tol": sol.tie_tol,
     }
-    text = json.dumps(summary, indent=2, allow_nan=False)
     _write_eigen_csv(args.out, table)
     if args.out is not None:
-        _summary_path(args.out).write_text(text + "\n", encoding="utf-8")
-        print(text)
+        _emit_json(summary, _summary_path(args.out))
     else:
-        print(text, file=sys.stderr)
+        _emit_json(summary, None, sys.stderr)
     return EXIT_OK
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     cert = spectrum.checkerboard_certificate(*_instance(args), args.tie_tol)
     doc = {
-        "dims": cert.dims.sizes,
-        "metric": args.metric,
-        "f": args.f,
+        **_echo(args, cert.dims),
         "p": cert.p,
         "certified": cert.certified,
         "lambda_trivial": cert.lambda_trivial,
@@ -317,9 +318,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     site_of = index_to_sites(dims, np.arange(dims.order if args.p else 0))
     if args.format == "json":
         doc = {
-            "dims": dims.sizes,
-            "metric": args.metric,
-            "f": args.f,
+            **_echo(args, dims),
             "p": args.p,
             "objective": args.objective,
             "top_k": top_k,
@@ -369,9 +368,7 @@ def _cmd_energy(args: argparse.Namespace) -> int:
             handle.write(text)
         return EXIT_OK
     doc = {
-        "dims": dims.sizes,
-        "metric": args.metric,
-        "f": args.f,
+        **_echo(args, dims),
         "p": config.p,
         "per_site": [{"site": site, "energy": value} for site, value in report.per_site.items()],
         "e_max": report.e_max,
@@ -413,9 +410,8 @@ def _cmd_factor_curve(args: argparse.Namespace) -> int:
         "argmin": curve.argmin,
         "min_value": curve.min_value,
     }
-    text = json.dumps(summary, indent=2, allow_nan=False)
     _write_csv(args.out, ["k", "value"], rows)
-    print(text, file=sys.stdout if args.out is not None else sys.stderr)
+    _emit_json(summary, None, None if args.out is not None else sys.stderr)
     return EXIT_OK
 
 

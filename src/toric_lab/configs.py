@@ -39,6 +39,7 @@ from .grid import (
     Metric,
     Site,
     _check_site,
+    _integers,
     distance_key,
     index_to_sites,
     site_index,
@@ -92,7 +93,7 @@ class Configuration:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        members = tuple(map(int, self.members))
+        members = _integers(self.members, "site indices")
         if any(a >= b for a, b in zip(members, members[1:])):
             raise ValueError("site indices must strictly increase")
         for i in members[:1] + members[-1:]:  # the least and the greatest
@@ -103,7 +104,7 @@ class Configuration:
     @classmethod
     def from_indices(cls, dims: GridDims, indices: Iterable[int]) -> Configuration:
         """The configuration of the given site indices, in any order and with repeats."""
-        return cls(dims, sorted(set(map(int, indices))))
+        return cls(dims, sorted(set(_integers(indices, "site indices"))))
 
     @classmethod
     def from_sites(cls, dims: GridDims, sites: Iterable[Sequence[int]]) -> Configuration:

@@ -14,10 +14,11 @@ gives a block's full table.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,6 +50,15 @@ class Metric(Enum):
     CHEBYSHEV = "chebyshev"
 
 
+def _integers(values: Iterable, name: str) -> tuple[int, ...]:
+    """The values as Python ints; a value that is not an integer, such as a float or a str, is refused."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{name} must be integers, got {values}") from None
+
+
 @dataclass(frozen=True)
 class GridDims:
     """Sizes n1..nd of the grid; the site space is the direct product of the Z/ni."""
@@ -56,7 +66,7 @@ class GridDims:
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(n) for n in self.sizes)
+        sizes = _integers(self.sizes, "grid sizes")
         if len(sizes) == 0:
             raise ValueError("grid needs at least one dimension")
         if any(n < 1 for n in sizes):

@@ -22,7 +22,8 @@ kernel and its eigenvalue table are even in every axis.  Both are built,
 transformed and scanned on the fundamental block of wraps 0..n_i // 2, about
 |G| / 2^d entries; the full |G| table is expanded only where it is output.
 The transform runs slab by slab into one output block, so its peak is the
-kernel block, plus the eigenvalue block, plus one slab.
+kernel block, plus the eigenvalue block, plus one slab; the output's
+finiteness check reads its least and greatest value, with no mask.
 """
 
 from __future__ import annotations
@@ -124,12 +125,12 @@ def eigen_table(kernel: KernelTable) -> EigenTable:
     transforms run in slabs of about _SLAB_ENTRIES outputs into one output
     block: axis 0 from the kernel, a slab of axis 1 at a time, then every
     later axis in place, a slab of axis 0 at a time.  So the peak is the
-    kernel block, plus the output block, plus one slab (and the finiteness
-    check's one byte per entry), and each 1-D transform sees the data of one
-    whole-axis `hfft`, so it gives the same bits.  The output dtype is
-    numpy.fft's, `np.result_type(block.dtype, 1.0)`.  A complex block is
-    refused: a kernel is real.  An inf or NaN kernel entry, or a sum that
-    overflows, leaves a non-finite eigenvalue: that is an error.
+    kernel block, plus the output block, plus one slab, and each 1-D
+    transform sees the data of one whole-axis `hfft`, so it gives the same
+    bits.  The output dtype is numpy.fft's, `np.result_type(block.dtype,
+    1.0)`.  A complex block is refused: a kernel is real.  An inf or NaN
+    kernel entry, or a sum that overflows, leaves a non-finite eigenvalue:
+    that is an error.
     """
     block = kernel.block
     if np.iscomplexobj(block):
@@ -141,7 +142,8 @@ def eigen_table(kernel: KernelTable) -> EigenTable:
     _transform_axis(src, dst, 0, sizes[0], across=1)
     for axis in range(1, len(sizes)):
         _transform_axis(dst, dst, axis, sizes[axis], across=0)
-    if not np.isfinite(vals).all():
+    # min and max propagate NaN, and unlike an isfinite mask allocate nothing block-sized
+    if not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
         raise ValueError("kernel eigenvalues not finite: a kernel entry is inf or NaN, or a sum overflows")
     return EigenTable(dims=kernel.dims, block=vals)
 

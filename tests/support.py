@@ -223,6 +223,54 @@ def eigs_summary_oracle(eigs: EigenTable, metric: str, f: str) -> dict:
     }
 
 
+def certify_doc_oracle(cert, metric: str, f: str) -> dict:
+    """The `certify` JSON document of a certificate, key by key in the order it is written."""
+    return {
+        "dims": list(cert.dims.sizes),
+        "metric": metric,
+        "f": f,
+        "p": cert.p,
+        "certified": cert.certified,
+        "lambda_trivial": cert.lambda_trivial,
+        "lambda_min": cert.lambda_min,
+        "argmin": [list(c) for c in cert.argmin_characters],
+        "offenders": [list(c) for c in cert.offenders],
+        "gap_to_minus_one": cert.gap_to_minus_one,
+        "multiplicity": cert.multiplicity,
+        "optimal_value": cert.optimal_value,
+        "checkerboard_e_tot": cert.checkerboard_e_tot,
+        "checkerboard_e_max": cert.checkerboard_e_max,
+        "tie_tol": cert.tie_tol,
+        "conclusion": cert.conclusion,
+    }
+
+
+def energy_doc_oracle(config, report, metric: str, f: str) -> dict:
+    """The `energy` JSON document of a configuration's energy report, key by key in the order it is written."""
+    return {
+        "dims": list(config.dims.sizes),
+        "metric": metric,
+        "f": f,
+        "p": config.p,
+        "per_site": [{"site": list(site), "energy": value} for site, value in report.per_site.items()],
+        "e_max": report.e_max,
+        "e_tot": report.e_tot,
+        "is_equienergetic": report.is_equienergetic,
+        "is_empty": report.is_empty,
+    }
+
+
+def factor_curve_summary_oracle(curve) -> dict:
+    """The `factor-curve` JSON summary of a curve, key by key in the order it is written."""
+    return {
+        "n": curve.n,
+        "a": curve.a,
+        "power": curve.distance_power,
+        "argmin": list(curve.argmin),
+        "min_value": curve.min_value,
+    }
+
+
 def factor_curve_oracle(n: int, a: float, powers=(1, 2)) -> dict[int, np.ndarray]:
     """Factor-curve values by one extended-precision cosine sum per index k.
 

@@ -7,7 +7,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from toric_lab import cli, configs, energy, spectrum
+from toric_lab import analysis, cli, configs, energy, spectrum
 from toric_lab.cli import (
     EXIT_BUDGET,
     EXIT_IO,
@@ -24,7 +24,16 @@ from toric_lab.energy import ExponentialAtom, InversePower, Tabulated, build_ker
 from toric_lab.grid import GridDims, Metric
 from toric_lab.spectrum import eigen_table
 
-from support import distance, eigs_csv_oracle, eigs_summary_oracle, search_text_oracle
+from support import (
+    ROW_CONFIG_4X4,
+    certify_doc_oracle,
+    distance,
+    eigs_csv_oracle,
+    eigs_summary_oracle,
+    energy_doc_oracle,
+    factor_curve_summary_oracle,
+    search_text_oracle,
+)
 
 
 def load_schema(name):
@@ -479,6 +488,56 @@ class TestSearchBytes:
         # a JSON document goes to stdout as well as to --out
         assert run(capsys, *argv, "--out", str(out)) == (EXIT_OK, text if fmt == "json" else "", "")
         assert out.read_bytes() == text.encode("utf-8")
+
+
+class TestJsonBytes:
+    """`certify`, `energy` and `factor-curve` JSON, byte for byte, against documents built from the library result."""
+
+    @staticmethod
+    def text(doc):
+        return json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("sizes, metric, f, library_f, code", [
+        ((4, 4), "lee", "inverse-power:1", InversePower(1.0), EXIT_OK),
+        ((8,), "euclid-sq", "exp:1.05", ExponentialAtom(1.05, "distance"), EXIT_NOT_CERTIFIED),
+    ])
+    def test_certify(self, capsys, tmp_path, sizes, metric, f, library_f, code):
+        cert = spectrum.checkerboard_certificate(GridDims(sizes), Metric(metric), library_f)
+        text = self.text(certify_doc_oracle(cert, metric, f))
+        jsonschema.validate(json.loads(text), load_schema("certificate.schema.json"))
+        argv = ("certify", "--dims", ",".join(map(str, sizes)), "--metric", metric, "--f", f)
+        assert run(capsys, *argv) == (code, text, "")
+        out = tmp_path / "c.json"
+        assert run(capsys, *argv, "--out", str(out)) == (code, text, "")
+        assert out.read_bytes() == text.encode("utf-8")
+
+    def test_energy(self, capsys, tmp_path):
+        dims = GridDims.of(4, 4)
+        config = configs.Configuration.from_sites(dims, ROW_CONFIG_4X4)
+        report = configs.energies(config, Metric.LEE, InversePower(1.0))
+        text = self.text(energy_doc_oracle(config, report, "lee", "inverse-power:1"))
+        jsonschema.validate(json.loads(text), load_schema("energy-report.schema.json"))
+        sites = tmp_path / "row.txt"
+        sites.write_text("".join(f"{r},{c}\n" for r, c in ROW_CONFIG_4X4), encoding="utf-8")
+        argv = ("energy", "--dims", "4,4", "--config", str(sites))
+        assert run(capsys, *argv) == (EXIT_OK, text, "")
+        out = tmp_path / "e.json"
+        assert run(capsys, *argv, "--out", str(out)) == (EXIT_OK, text, "")
+        assert out.read_bytes() == text.encode("utf-8")
+
+    def test_factor_curve_summary(self, capsys, tmp_path):
+        curve = analysis.factor_curve(8, 1.05, 2)
+        text = self.text(factor_curve_summary_oracle(curve))
+        jsonschema.validate(json.loads(text), load_schema("factor-curve-summary.schema.json"))
+        argv = ("factor-curve", "--n", "8", "--a", "1.05", "--power", "2")
+        # the summary goes to stdout beside a --out table, to stderr under a table on stdout
+        out = tmp_path / "curve.csv"
+        assert run(capsys, *argv, "--out", str(out)) == (EXIT_OK, text, "")
+        code, stdout, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, text)
+        assert stdout == out.read_text(encoding="utf-8")
+        # and no summary file is written
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv"]
 
 
 class TestEnergyCommand:

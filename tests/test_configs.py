@@ -69,6 +69,21 @@ class TestConfiguration:
             with pytest.raises(ValueError):
                 Configuration(dims, members)
 
+    @pytest.mark.parametrize("members, shown", [
+        ((0.5, 1.7), "(0.5, 1.7)"),
+        ((np.float64(1.0), 2), "(np.float64(1.0), 2)"),
+        (("1", 2), "('1', 2)"),
+    ])
+    def test_non_integral_member_refused(self, members, shown):
+        # a member is read with operator.index, not cut down by int()
+        with pytest.raises(ValueError, match=re.escape(f"site indices must be integers, got {shown}")):
+            Configuration(GridDims.of(4, 4), members)
+
+    def test_from_indices_refuses_non_integral_index(self):
+        indices = (i / 2 for i in (6, 1))
+        with pytest.raises(ValueError, match=re.escape("site indices must be integers, got (3.0, 0.5)")):
+            Configuration.from_indices(GridDims.of(4, 4), indices)
+
     def test_large_grid_members_stay_small(self):
         # 2048 members on 16.7M sites: the configuration holds the members, not the grid
         dims = GridDims.of(4096, 4096)

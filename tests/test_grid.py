@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,20 @@ class TestGridDims:
             GridDims.of(0, 4)
         with pytest.raises(ValueError):
             GridDims.of(-2)
+
+    @pytest.mark.parametrize("sizes, shown", [
+        ((2.7, 4), "(2.7, 4)"),
+        ((np.float64(4.0), 4), "(np.float64(4.0), 4)"),
+        (("4", 4), "('4', 4)"),
+    ])
+    def test_non_integral_size_refused(self, sizes, shown):
+        # a size is read with operator.index, not cut down by int()
+        with pytest.raises(ValueError, match=re.escape(f"grid sizes must be integers, got {shown}")):
+            GridDims(sizes)
+
+    def test_numpy_integer_sizes_become_ints(self):
+        sizes = GridDims((np.int64(4), np.uint8(3))).sizes
+        assert sizes == (4, 3) and all(type(n) is int for n in sizes)
 
     def test_size_one_and_single_axis_allowed(self):
         assert GridDims.of(1).order == 1

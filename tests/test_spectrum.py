@@ -161,6 +161,15 @@ class TestEigenTable:
             with pytest.raises(ValueError, match="kernel eigenvalues not finite"):
                 eigen_table(KernelTable(dims=dims, block=refused))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("entry", [1e308, -1e308])
+    def test_one_sided_overflow_refused(self, entry):
+        # on two sites the eigenvalues are u0 + u1 and u0 - u1: here one overflows
+        # to inf of the entries' sign and the other is 0, so the check must read
+        # both the least and the greatest eigenvalue
+        with pytest.raises(ValueError, match="kernel eigenvalues not finite"):
+            eigen_table(KernelTable(dims=GridDims.of(2), block=np.full(2, entry)))
+
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps, reason="long double is no wider than float64"
     )
@@ -242,12 +251,15 @@ class TestEigenTable:
         with pytest.raises(ValueError, match=r"^kernel block must be real, got dtype complex128$"):
             eigen_table(kernel)
 
-    def test_peak_is_output_block_plus_one_slab(self):
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_peak_is_output_block_plus_one_slab(self, n):
         # the input block is allocated before tracing starts; the traced peak is
         # the output block plus one slab's buffers: a float64 output and its
         # half-length complex128 input, about 16 bytes per output (the
-        # whole-axis transform peaked at 12.7 MB here)
-        kernel = build_kernel(GridDims.of(1024, 1024), Metric.LEE, HARMONIC)
+        # whole-axis transform peaked at 12.7 MB at 1024^2).  The finiteness
+        # check allocates nothing block-sized: at 4096^2 an isfinite mask of
+        # the output would exceed the bound by 2 MB
+        kernel = build_kernel(GridDims.of(n, n), Metric.LEE, HARMONIC)
         tracemalloc.start()
         try:
             table = eigen_table(kernel)
