@@ -27,6 +27,7 @@ import csv
 import io
 import itertools
 import json
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,12 +57,14 @@ def _fmt(values: Sequence[float] | np.ndarray) -> list[str]:
     """Each value to 17 significant digits, which round-trip float64 exactly.
 
     The values are checked once: the first inf or NaN among them is refused.
+    One `%` call formats them all, giving for each value the text of
+    `format(x, ".17g")` without a Python call per value.
     """
     values = np.asarray(values, dtype=np.float64)
     finite = np.isfinite(values)
     if not finite.all():
         raise ValueError(f"cannot write the non-finite value {values[~finite][0].item()!r}")
-    return [format(v, ".17g") for v in values.tolist()]
+    return ("%.17g\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
 
 
 def parse_dims(text: str) -> tuple[int, ...]:
@@ -118,12 +121,15 @@ def _content_lines(path: Path) -> Iterator[tuple[int, str, str]]:
 
 def _read_table(path: Path) -> dict[float, float]:
     table: dict[float, float] = {}
-    for _, _, line in _content_lines(path):
+    for number, _, line in _content_lines(path):
         x_text, _, v_text = line.partition(",")
-        x = float(x_text)
+        try:
+            x, value = float(x_text), float(v_text)
+        except ValueError:
+            raise SpecError(f"energy table {path}: line {number}: {line!r} is not a distance,value pair") from None
         if x in table:
             raise SpecError(f"energy table {path} repeats distance {x_text.strip()!r}")
-        table[x] = float(v_text)
+        table[x] = value
     if not table:
         raise SpecError(f"energy table {path} is empty")
     return table
@@ -199,7 +205,10 @@ def _read_sites(path: Path, dims: GridDims) -> list[tuple[int, ...]]:
     """The sites of a configuration file, each on the grid and listed once."""
     line_of: dict[tuple[int, ...], int] = {}
     for number, _, line in _content_lines(path):
-        site = tuple(int(c) for c in line.split(","))
+        try:
+            site = tuple(int(c) for c in line.split(","))
+        except ValueError:
+            site = ()  # a line that does not parse names no site either
         if len(site) != dims.ndim or not all(0 <= c < n for c, n in zip(site, dims.sizes)):
             raise SpecError(f"line {number}: {line!r} is not a site of the {dims} grid")
         if site in line_of:
@@ -218,20 +227,20 @@ def _write_eigen_csv(path: Path | None, table: spectrum.EigenTable) -> None:
     """The `eigs` CSV: a header, then one `j1,...,jd,lambda` line per character, row-major.
 
     Each block entry is formatted once, by `_fmt` one block row at a time.  A
-    block row of the leading axes becomes one text, its last axis laid out at the
-    wraps as "j,value" lines, and serves the mirrored rows c and n - c of
-    each leading axis.  So every text is held until the last row is
-    written, about 6x the block's bytes; holding one CSV row at a time
-    would format each entry 2^(d-1) times.
+    block row of the leading axes becomes one text: one template of
+    "j,%s" lines over the last axis, filled by one `%` with the row's texts
+    picked at the last axis's wraps.  That text serves the mirrored rows
+    c and n - c of each leading axis.  So every text is held until the last
+    row is written, about 6x the block's bytes; holding one CSV row at a
+    time would format each entry 2^(d-1) times, and formatting the whole
+    block in one call would hold its texts too (+5.5 MB peak RSS at 512^2).
     """
     dims = table.dims
     leading = dims.sizes[:-1]
-    columns = [f"{j}," for j in range(dims.sizes[-1])]
-    column_wraps = axis_wraps(dims.sizes[-1]).tolist()
-    bodies = []
-    for values in table.block.reshape(-1, table.block.shape[-1]):
-        texts = _fmt(values)
-        bodies.append("\n".join([column + texts[w] for column, w in zip(columns, column_wraps)]))
+    template = "\n".join([f"{j},%s" for j in range(dims.sizes[-1])])
+    # a tuple of texts, or for a size-1 last axis the one text, which fills the one field
+    at_wraps = operator.itemgetter(*axis_wraps(dims.sizes[-1]).tolist())
+    bodies = [template % at_wraps(_fmt(values)) for values in table.block.reshape(-1, table.block.shape[-1])]
     # the block row of each leading coordinate tuple, in row-major order
     body_at = np.arange(len(bodies)).reshape(table.block.shape[:-1])[np.ix_(*map(axis_wraps, leading))].ravel().tolist()
     with _out_stream(path) as handle:

@@ -121,7 +121,7 @@ class Configuration:
         return site_index(self.dims, site) in self.members
 
     def translate(self, shift: Sequence[int]) -> Configuration:
-        _check_site(self.dims, shift, "shift")
+        shift = _check_site(self.dims, shift, "shift")
         sizes = self.dims.sizes
         coords = np.unravel_index(np.array(self.members, dtype=np.int64), sizes)
         moved = tuple(c - (n - s % n) for c, s, n in zip(coords, shift, sizes))  # -n..n-2: no overflow

@@ -99,11 +99,14 @@ class GridDims:
         return "x".join(str(n) for n in self.sizes)
 
 
-def _check_site(dims: GridDims, s: Sequence[int], name: str) -> None:
-    if len(s) != dims.ndim:
+def _check_site(dims: GridDims, s: Sequence[int], name: str) -> tuple[int, ...]:
+    """The coordinates of s as Python ints; a wrong count or a non-integral coordinate is refused."""
+    coords = _integers(s, f"{name} coordinates")
+    if len(coords) != dims.ndim:
         raise ValueError(
-            f"{name} has {len(s)} coordinates but the grid has {dims.ndim} dimensions"
+            f"{name} has {len(coords)} coordinates but the grid has {dims.ndim} dimensions"
         )
+    return coords
 
 
 def axis_wraps(n: int) -> np.ndarray:
@@ -176,9 +179,8 @@ def distance_table(dims: GridDims, metric: Metric) -> np.ndarray:
 
 def site_index(dims: GridDims, site: Sequence[int]) -> int:
     """Row-major index of a site; coordinates of any size are reduced in Python, not by an int64 ravel."""
-    _check_site(dims, site, "site")
     idx = 0
-    for c, n in zip(site, dims.sizes):
+    for c, n in zip(_check_site(dims, site, "site"), dims.sizes):
         idx = idx * n + (c % n)
     return idx
 

@@ -87,7 +87,7 @@ class EigenTable:
         return expand_block(self.dims, self.block).ravel()
 
     def value_at(self, chi: Character) -> float:
-        _check_site(self.dims, chi, "character")
+        chi = _check_site(self.dims, chi, "character")
         return float(self.block[tuple(axis_wraps(n)[c % n] for c, n in zip(chi, self.dims.sizes))])
 
 

@@ -40,6 +40,14 @@ P4_OPTIMAL_PATTERNS = [
 
 ROW_CONFIG_4X4 = [(0, 0), (0, 1), (0, 2), (0, 3)]
 
+# 2-coordinate sites that are not sites, each with the text an error shows
+# it as: a float, a numpy float and a str coordinate
+NON_INTEGRAL_SITES = [
+    ((1.5, 2), "(1.5, 2)"),
+    ((np.float64(1.0), 2), "(np.float64(1.0), 2)"),
+    (("1", 2), "('1', 2)"),
+]
+
 
 def wrap_abs(a: int, n: int) -> int:
     """Smallest non-negative representative of +-a modulo n; always <= n // 2."""

@@ -5,7 +5,9 @@ import tracemalloc
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from toric_lab import analysis, cli, configs, energy, spectrum
 from toric_lab.cli import (
@@ -315,6 +317,18 @@ class TestCertifyCommand:
         assert stdout == ""
         assert "repeats distance '1'" in err
 
+    @pytest.mark.parametrize("lines, named", [
+        ("1,0.5\n2,abc\n", "line 2: '2,abc' is not a distance,value pair"),
+        ("1,0.5\n# two\n2 # no value\n", "line 3: '2' is not a distance,value pair"),
+        ("x,1\n", "line 1: 'x,1' is not a distance,value pair"),
+    ], ids=["bad-value", "no-value", "bad-distance"])
+    def test_unparsable_table_line_exit_2(self, capsys, tmp_path, lines, named):
+        table = tmp_path / "t.csv"
+        table.write_text(lines, encoding="utf-8")
+        code, stdout, err = run(capsys, "certify", "--dims", "4,4", "--f", f"table:{table}")
+        assert (code, stdout) == (EXIT_SPEC, "")
+        assert err == f"error: energy table {table}: {named}\n"
+
     def test_empty_table_exit_2(self, capsys, tmp_path):
         table = tmp_path / "t.csv"
         table.write_text("# distance, value\n\n", encoding="utf-8")
@@ -599,7 +613,10 @@ class TestEnergyCommand:
         ("0,0\n4,1\n", "line 2: '4,1' is not a site of the 4x4 grid"),
         ("0,-1\n", "line 1: '0,-1' is not a site"),
         ("0,0,0\n", "line 1: '0,0,0' is not a site"),
-    ], ids=["repeated", "out-of-range", "negative", "three-coordinates"])
+        ("0,0\nx,1\n", "line 2: 'x,1' is not a site of the 4x4 grid"),
+        ("0.5,1\n", "line 1: '0.5,1' is not a site of the 4x4 grid"),
+        ("1,\n", "line 1: '1,' is not a site of the 4x4 grid"),
+    ], ids=["repeated", "out-of-range", "negative", "three-coordinates", "unparsable", "float", "empty-coordinate"])
     def test_bad_site_exit_2(self, capsys, tmp_path, lines, named):
         config = tmp_path / "sites.txt"
         config.write_text(lines, encoding="utf-8")
@@ -1058,11 +1075,13 @@ class TestEigsBytes:
         csv_text, summary = self.expected(sizes, "lee")
         calls = []
 
-        def counting_format(value, spec):
-            calls.append(value)
-            return format(value, spec)
+        fmt = cli._fmt
 
-        monkeypatch.setattr(cli, "format", counting_format, raising=False)
+        def recording_fmt(values):
+            calls.extend(values.tolist())
+            return fmt(values)
+
+        monkeypatch.setattr(cli, "_fmt", recording_fmt)
         argv = ("eigs", "--dims", ",".join(map(str, sizes)), "--metric", "lee", "--f", self.F)
         assert run(capsys, *argv) == (EXIT_OK, csv_text, summary)
         block = eigen_table(build_kernel(GridDims(sizes), Metric.LEE, InversePower(0.7))).block
@@ -1098,6 +1117,30 @@ def test_fmt_takes_a_sequence_and_names_its_first_non_finite_value():
     assert cli._fmt([1 / 3, 0.1, 2.0]) == ["0.33333333333333331", "0.10000000000000001", "2"]
     with pytest.raises(ValueError, match="cannot write the non-finite value nan$"):
         cli._fmt([1.0, float("nan"), float("inf")])
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)))
+def test_fmt_is_format_17g(values):
+    assert cli._fmt(values) == [format(x, ".17g") for x in values]
+
+
+@pytest.mark.parametrize("values, texts", [
+    ([-0.0, 0.0], ["-0", "0"]),
+    ([5e-324], ["4.9406564584124654e-324"]),
+    ([1e16], ["10000000000000000"]),
+    ([1e17], ["1e+17"]),
+    ([1.7976931348623157e308, -1.7976931348623157e308], ["1.7976931348623157e+308", "-1.7976931348623157e+308"]),
+    ([], []),
+], ids=["signed-zeros", "least-subnormal", "1e16", "1e17", "max", "empty"])
+def test_fmt_edge_values(values, texts):
+    assert cli._fmt(values) == texts == [format(x, ".17g") for x in values]
+
+
+def test_fmt_widens_float32_exactly():
+    # each float32 is written as the float64 of the same value, not as its own shortest text
+    values = np.array([0.1, 1 / 3, 3.4e38, 1e-45, -2.5], dtype=np.float32)
+    assert cli._fmt(values) == [format(float(x), ".17g") for x in values]
+    assert cli._fmt(values)[0] == "0.10000000149011612"
 
 
 class TestNonFiniteResults:

@@ -22,6 +22,7 @@ from toric_lab.grid import GridDims, Metric
 from toric_lab.spectrum import eigen_table, solve_relaxation
 
 from support import (
+    NON_INTEGRAL_SITES,
     P4_OPTIMAL_PATTERNS,
     ROW_CONFIG_4X4,
     brute_min_total,
@@ -54,6 +55,25 @@ class TestConfiguration:
         assert config.sites() == tuple(sorted(ROW_CONFIG_4X4))
         assert (0, 2) in config
         assert (1, 2) not in config
+
+    @pytest.mark.parametrize("site, shown", NON_INTEGRAL_SITES, ids=["float", "numpy-float", "str"])
+    def test_contains_refuses_non_integral_site(self, site, shown):
+        config = Configuration.from_sites(GridDims.of(4, 4), ROW_CONFIG_4X4)
+        with pytest.raises(ValueError, match=re.escape(f"site coordinates must be integers, got {shown}")):
+            site in config
+
+    @pytest.mark.parametrize("site, shown", NON_INTEGRAL_SITES, ids=["float", "numpy-float", "str"])
+    def test_from_sites_names_the_non_integral_site(self, site, shown):
+        with pytest.raises(ValueError, match=re.escape(f"site coordinates must be integers, got {shown}")):
+            Configuration.from_sites(GridDims.of(4, 4), [(0, 0), site])
+
+    def test_sites_take_numpy_ints(self):
+        dims = GridDims.of(4, 4)
+        config = Configuration.from_sites(dims, [(np.int64(0), np.int32(2)), (np.int8(1), np.uint16(3))])
+        assert config.sites() == ((0, 2), (1, 3))
+        assert (np.int64(0), np.int64(6)) in config
+        assert (np.int64(2), np.int64(2)) not in config
+        assert config.translate((np.int64(1), np.int32(-1))) == config.translate((1, 3))
 
     def test_index_bounds(self):
         dims = GridDims.of(2, 2)
@@ -129,6 +149,12 @@ class TestConfiguration:
     def test_translate_refuses_wrong_length_shift(self, shift):
         config = Configuration.from_sites(GridDims.of(4, 4), ROW_CONFIG_4X4)
         with pytest.raises(ValueError, match=f"shift has {len(shift)} coordinates but the grid has 2"):
+            config.translate(shift)
+
+    @pytest.mark.parametrize("shift, shown", NON_INTEGRAL_SITES, ids=["float", "numpy-float", "str"])
+    def test_translate_refuses_non_integral_shift(self, shift, shown):
+        config = Configuration.from_sites(GridDims.of(4, 4), ROW_CONFIG_4X4)
+        with pytest.raises(ValueError, match=re.escape(f"shift coordinates must be integers, got {shown}")):
             config.translate(shift)
 
     def test_orbit_size(self):

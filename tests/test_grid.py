@@ -19,6 +19,7 @@ from toric_lab.grid import (
 )
 
 from support import (
+    NON_INTEGRAL_SITES,
     add_sites,
     character_value,
     checkerboard_sites,
@@ -204,6 +205,16 @@ class TestIndexing:
     def test_index_reduces_modulo(self):
         dims = GridDims.of(4, 4)
         assert site_index(dims, (5, -1)) == site_index(dims, (1, 3))
+
+    @pytest.mark.parametrize("site, shown", NON_INTEGRAL_SITES, ids=["float", "numpy-float", "str"])
+    def test_index_refuses_non_integral_coordinates(self, site, shown):
+        # a coordinate is read with operator.index, not cut down or formatted into the error
+        with pytest.raises(ValueError, match=re.escape(f"site coordinates must be integers, got {shown}")):
+            site_index(GridDims.of(4, 4), site)
+
+    def test_index_takes_numpy_ints(self):
+        index = site_index(GridDims.of(4, 4), (np.int64(5), np.int32(-2)))
+        assert (type(index), index) == (int, site_index(GridDims.of(4, 4), (1, 2)))
 
     def test_coords_array_matches_enumeration(self):
         dims = GridDims.of(3, 5)

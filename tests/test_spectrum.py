@@ -27,6 +27,7 @@ from toric_lab.spectrum import (
 )
 
 from support import (
+    NON_INTEGRAL_SITES,
     TWELVE_LAMBDA_4X4,
     conjugate_character,
     direct_eigen_oracle,
@@ -78,6 +79,16 @@ class TestEigenTable:
             for shift in [(-4, 0), (0, 8), (-8, -12), (4, 4)]:
                 moved = tuple(c + s for c, s in zip(chi, shift))
                 assert table.value_at(moved) == table.value_at(chi)
+
+    @pytest.mark.parametrize("chi, shown", NON_INTEGRAL_SITES, ids=["float", "numpy-float", "str"])
+    def test_value_at_refuses_non_integral_character(self, chi, shown):
+        table = eigen_table(harmonic_4x4()[1])
+        with pytest.raises(ValueError, match=re.escape(f"character coordinates must be integers, got {shown}")):
+            table.value_at(chi)
+
+    def test_value_at_takes_numpy_ints(self):
+        table = eigen_table(harmonic_4x4()[1])
+        assert table.value_at((np.int64(-1), np.int32(5))) == table.value_at((3, 1))
 
     def test_trivial_character_is_kernel_sum(self):
         dims = GridDims.of(3, 5)
