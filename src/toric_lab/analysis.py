@@ -17,6 +17,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .energy import EnergyFunction, forward_difference
+from .grid import _integer
 
 __all__ = [
     "lambda_1d",
@@ -34,6 +35,14 @@ _POLE_GUARD = 1e-6
 _ARGMIN_RTOL = 1e-12
 
 
+def _even_cycle(n: int) -> int:
+    """The cycle length n as a Python int; one that is not an even integer of at least 2 is refused."""
+    n = _integer(n, "cycle length")
+    if n < 2 or n % 2:
+        raise ValueError(f"cycle length must be even and at least 2, got {n}")
+    return n
+
+
 def lambda_1d(n: int, f: EnergyFunction | Callable[[float], float], j: int) -> float:
     """Eigenvalue at character index j on the n-cycle:
 
@@ -41,8 +50,7 @@ def lambda_1d(n: int, f: EnergyFunction | Callable[[float], float], j: int) -> f
 
     Equals the full transform of the kernel table on a one-dimensional grid.
     """
-    if n < 2 or n % 2:
-        raise ValueError(f"cycle length must be even and at least 2, got {n}")
+    n, j = _even_cycle(n), _integer(j, "character index")
     half = n // 2
     terms = [f(k) * 2.0 * math.cos(2.0 * math.pi * ((j * k) % n) / n) for k in range(1, half)]
     terms.append(f(half) * (1.0 if j % 2 == 0 else -1.0))
@@ -56,8 +64,7 @@ def kappa(n: int, x: float) -> float:
 
     At integer x this equals lambda_1d(n, 1/x profile, x).
     """
-    if n < 2 or n % 2:
-        raise ValueError(f"cycle length must be even and at least 2, got {n}")
+    n = _even_cycle(n)
     half = n // 2
     terms = [(2.0 / k) * math.cos(2.0 * math.pi * x * k / n) for k in range(1, half)]
     terms.append((2.0 / n) * math.cos(math.pi * x))
@@ -73,8 +80,7 @@ def kappa_prime(n: int, x: float) -> float:
     unique interior minimum of kappa at x = n/2.  Evaluation is refused
     within 1e-6 of the poles x = 0 and x = n.
     """
-    if n < 2 or n % 2:
-        raise ValueError(f"cycle length must be even and at least 2, got {n}")
+    n = _even_cycle(n)
     if x < _POLE_GUARD or x > n - _POLE_GUARD:
         raise ValueError(f"x = {x} is within {_POLE_GUARD} of a pole of kappa' (0 or {n})")
     return (
@@ -96,6 +102,7 @@ def hypercube_gap(d: int, f: EnergyFunction | Callable[[float], float], q: int) 
     which is strictly positive whenever the forward differences of f
     alternate in sign up to order d - 1.
     """
+    d, q = _integer(d, "dimension"), _integer(q, "q")
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     if not 0 <= q <= d - 1:
@@ -150,6 +157,7 @@ def factor_curve(n: int, a: float, distance_power: int = 1) -> FactorCurve:
     eps_ld * ceil(log2(n)) * sum(terms) of the exact sum over all n terms,
     eps_ld being the long double epsilon.
     """
+    n, distance_power = _integer(n, "cycle length"), _integer(distance_power, "distance power")
     if n < 2:
         raise ValueError(f"cycle length must be at least 2, got {n}")
     if not 1 < a < math.inf:
@@ -173,8 +181,7 @@ def factor_closed_form(n: int, a: float, k: int) -> float:
     cancellation-free arrangement (expm1 / log1p and the half-angle form of
     the denominator) so it stays accurate to rounding for a close to 1.
     """
-    if n < 2 or n % 2:
-        raise ValueError(f"closed form needs even n >= 2, got {n}")
+    n, k = _even_cycle(n), _integer(k, "root index")
     if not 1 < a < math.inf:
         raise ValueError(f"base must {'be finite' if a > 1 else 'exceed 1'}, got {a}")
     q = a - 1.0
@@ -197,8 +204,7 @@ def bernstein_sweep(n: int, metric_power: int, a_grid: Iterable[float]) -> list[
     at least 6) the minimum migrates away from -1 for small bases, and the
     curves expose the witnessing a.
     """
-    if n < 2 or n % 2:
-        raise ValueError(f"sweep needs even n >= 2, got {n}")
+    n = _even_cycle(n)
     grid = [float(a) for a in a_grid]
     if not grid:
         raise ValueError("a_grid must be nonempty")
@@ -213,6 +219,7 @@ def dirichlet_sin_sum(m: int, x: float) -> float:
     valid away from multiples of 2 pi.  This is the identity behind the
     telescoped derivative of kappa.
     """
+    m = _integer(m, "m")
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
     s = math.sin(x / 2.0)

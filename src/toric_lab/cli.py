@@ -4,15 +4,16 @@ Each command takes only the flags it reads and writes only the formats it
 lists in `_COMMANDS`.  `--spec FILE` holds one `key = value` per line, whose
 keys are the command's own flags by their argparse `dest` names (`dims`,
 `tie_tol`, `format`, ...).  The file's flags go ahead of the command line's,
-so a flag overrides the file, and one parse validates both alike.  Outputs
-are CSV (RFC 4180, LF line endings), ascii-grid pictures and JSON documents
-matching the schemas shipped under `toric_lab/schemas/`.  Every CSV and
-ascii-grid float goes through one formatter, `_fmt`: 17 significant digits,
-which round-trip float64 exactly, and an inf or NaN is refused.  Every JSON
-document goes through one writer, `_emit_json`, which refuses an inf or NaN
-too; `_echo` gives the `dims`, `metric` and `f` that open the `eigs` summary
-and the `certify`, `search` and `energy` documents.  The `eigs` summary is
-the relaxation's lambda(1), lambda_min, argmin and tie tolerance.
+so a flag overrides the file, and one parse validates both alike:
+`_read_integer` and `_read_real` read every number.  Outputs are CSV (RFC
+4180, LF line endings), ascii-grid pictures and JSON documents matching the
+schemas shipped under `toric_lab/schemas/`.  Every CSV and ascii-grid float
+goes through one formatter, `_fmt`: 17 significant digits, which round-trip
+float64 exactly, and an inf or NaN is refused.  Every JSON document goes
+through one writer, `_emit_json`, which refuses an inf or NaN too; `_echo`
+gives the `dims`, `metric` and `f` that open the `eigs` summary and the
+`certify`, `search` and `energy` documents.  The `eigs` summary is the
+relaxation's lambda(1), lambda_min, argmin and tie tolerance.
 
 Exit codes: 0 success (and certificate granted), 1 certificate refused,
 2 invalid spec or arguments, or a result holding an inf or NaN (which no
@@ -28,6 +29,7 @@ import io
 import itertools
 import json
 import operator
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,8 +51,8 @@ EXIT_BUDGET = 3
 EXIT_IO = 4
 
 
-class SpecError(ValueError):
-    """Invalid instance description (flags or spec file)."""
+class SpecError(ValueError, argparse.ArgumentTypeError):
+    """Invalid instance description (flags or spec file); a flag's type reports its message."""
 
 
 def _fmt(values: Sequence[float] | np.ndarray) -> list[str]:
@@ -67,43 +69,48 @@ def _fmt(values: Sequence[float] | np.ndarray) -> list[str]:
     return ("%.17g\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
 
 
-def parse_dims(text: str) -> tuple[int, ...]:
-    parts = text.replace("x", ",").split(",")
-    if not all(p.strip() for p in parts):
-        raise SpecError(f"empty size in dims {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise SpecError(f"cannot parse dims {text!r}") from None
+def _read_integer(text: str, refusal: str = "") -> int:
+    """An optional `-`, then ASCII digits, blanks around allowed; other text is refused with the message refusal."""
+    if text.isascii() and text.strip().removeprefix("-").isdigit():
+        return int(text)
+    raise SpecError(refusal or f"{text!r} is not an integer")
 
 
-def _list_entries(text: str, sep: str, flag: str) -> list[str]:
-    """The entries of a separated list flag: none for a blank text, and an empty entry is refused."""
-    if not text.strip():
-        return []
-    entries = text.split(sep)
+def _read_real(text: str, refusal: str = "") -> float:
+    """What float() reads (inf and nan too), unless the text holds a `_` or a non-ASCII character."""
+    with contextlib.suppress(ValueError):
+        if text.isascii() and "_" not in text:
+            return float(text)
+    raise SpecError(refusal or f"{text!r} is not a number")
+
+
+def _read_list(text: str, sep: str, name: str, read: Callable | None = None, entry: str = "entry") -> list:
+    """The entries of the list name split at the pattern sep, each read by read if given; an empty entry is refused."""
+    entries = re.split(sep, text)
     if not all(e.strip() for e in entries):
-        raise SpecError(f"empty entry in {flag} {text!r}")
-    return entries
+        raise SpecError(f"empty {entry} in {name} {text!r}")
+    return entries if read is None else [read(e, f"bad {entry} {e!r} in {name} {text!r}") for e in entries]
+
+
+def parse_dims(text: str) -> tuple[int, ...]:
+    return tuple(_read_list(text, "[,x]", "dims", _read_integer, "size"))
 
 
 def parse_energy(text: str) -> EnergyFunction:
     """Parse an energy-function spec: inverse-power:A | exp:A[:sq] | table:PATH."""
     head, _, rest = text.partition(":")
+    table = _read_table(Path(rest)) if head == "table" else None
+    base, _, flag = rest.partition(":")
     try:
         if head == "inverse-power":
-            return InversePower(float(rest))
+            return InversePower(_read_real(rest))
         if head == "exp":
-            base, _, flag = rest.partition(":")
             if flag not in ("", "sq"):
-                raise SpecError(f"unknown exponential flag {flag!r} in {text!r}")
-            kind = "distance_squared" if flag == "sq" else "distance"
-            return ExponentialAtom(float(base), kind)
-        if head == "table":
-            return Tabulated(_read_table(Path(rest)))
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, SpecError):
-            raise
+                raise ValueError(f"unknown exponential flag {flag!r}")
+            return ExponentialAtom(_read_real(base), "distance_squared" if flag == "sq" else "distance")
+        if table is not None:
+            return Tabulated(table)
+    except ValueError as exc:
         raise SpecError(f"bad energy function {text!r}: {exc}") from None
     raise SpecError(f"unknown energy function kind {head!r} (expected inverse-power, exp, table)")
 
@@ -123,10 +130,8 @@ def _read_table(path: Path) -> dict[float, float]:
     table: dict[float, float] = {}
     for number, _, line in _content_lines(path):
         x_text, _, v_text = line.partition(",")
-        try:
-            x, value = float(x_text), float(v_text)
-        except ValueError:
-            raise SpecError(f"energy table {path}: line {number}: {line!r} is not a distance,value pair") from None
+        refusal = f"energy table {path}: line {number}: {line!r} is not a distance,value pair"
+        x, value = _read_real(x_text, refusal), _read_real(v_text, refusal)
         if x in table:
             raise SpecError(f"energy table {path} repeats distance {x_text.strip()!r}")
         table[x] = value
@@ -136,9 +141,9 @@ def _read_table(path: Path) -> dict[float, float]:
 
 
 def _tie_tol(text: str) -> float:
-    """The --tie-tol flag's type: a float that spectrum.check_tie_tol accepts."""
+    """The --tie-tol flag's type: a real that spectrum.check_tie_tol accepts."""
     try:
-        return spectrum.check_tie_tol(float(text))
+        return spectrum.check_tie_tol(_read_real(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -202,17 +207,16 @@ def _render_ascii(config: Configuration) -> str:
 
 
 def _read_sites(path: Path, dims: GridDims) -> list[tuple[int, ...]]:
-    """The sites of a configuration file, each on the grid and listed once."""
+    """The sites of a configuration file, each on the grid and listed once; a refusal names the file and line."""
     line_of: dict[tuple[int, ...], int] = {}
     for number, _, line in _content_lines(path):
-        try:
-            site = tuple(int(c) for c in line.split(","))
-        except ValueError:
-            site = ()  # a line that does not parse names no site either
+        where = f"bad configuration file {path}: line {number}: {line!r}"
+        refusal = f"{where} is not a site of the {dims} grid"
+        site = tuple(_read_integer(c, refusal) for c in line.split(","))
         if len(site) != dims.ndim or not all(0 <= c < n for c, n in zip(site, dims.sizes)):
-            raise SpecError(f"line {number}: {line!r} is not a site of the {dims} grid")
+            raise SpecError(refusal)
         if site in line_of:
-            raise SpecError(f"line {number}: {line!r} repeats the site of line {line_of[site]}")
+            raise SpecError(f"{where} repeats the site of line {line_of[site]}")
         line_of[site] = number
     return list(line_of)
 
@@ -361,11 +365,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_energy(args: argparse.Namespace) -> int:
     dims, metric, f = _instance(args)
     _check_format(args.format, dims)
-    try:
-        sites = _read_sites(args.config, dims)
-    except ValueError as exc:
-        raise SpecError(f"bad configuration file {args.config}: {exc}") from None
-    config = Configuration.from_sites(dims, sites)
+    config = Configuration.from_sites(dims, _read_sites(args.config, dims))
     report = configs.energies(config, metric, f)
     if args.format == "ascii-grid":
         e_tot, e_max = _fmt([report.e_tot, report.e_max])
@@ -391,16 +391,15 @@ def _cmd_energy(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     metric, f = Metric(args.metric), parse_energy(args.f)
-    dims_list = [parse_dims(part) for part in _list_entries(args.dims_list, ";", "--dims-list")]
-    if not dims_list:
+    if not args.dims_list.strip():
         raise SpecError("sweep needs at least one dims entry")
+    dims_list = [GridDims(parse_dims(part)) for part in _read_list(args.dims_list, ";", "--dims-list")]
     # each numeric column is the certificate's attribute of that name
     numeric = ["lambda_min", "gap_to_minus_one", "optimal_value", "checkerboard_e_tot", "checkerboard_e_max",
                "tie_tol"]
     rows = []
     all_certified = True
-    for sizes in dims_list:
-        dims = GridDims(sizes)
+    for dims in dims_list:
         cert = spectrum.checkerboard_certificate(dims, metric, f, args.tie_tol)
         all_certified = all_certified and cert.certified
         rows.append([str(dims), "true" if cert.certified else "false",
@@ -425,7 +424,7 @@ def _cmd_factor_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bernstein(args: argparse.Namespace) -> int:
-    a_grid = [float(x) for x in _list_entries(args.a_grid, ",", "--a-grid")]
+    a_grid = _read_list(args.a_grid, ",", "--a-grid", _read_real) if args.a_grid.strip() else []
     curves = analysis.bernstein_sweep(args.n, args.power, a_grid)
     header = ["a", "argmin", "is_minus_one_strict_min", "min_value"]
     rows = []
@@ -444,22 +443,22 @@ _FLAGS: dict[str, dict] = {
     "--metric": dict(type=str, choices=sorted(m.value for m in Metric), default="lee", help="distance kind"),
     "--f": dict(type=str, default="inverse-power:1",
                 help="energy function: inverse-power:A | exp:A[:sq] | table:PATH"),
-    "--p": dict(type=int, required=True, help="particle count"),
+    "--p": dict(type=_read_integer, required=True, help="particle count"),
     "--tie-tol": dict(type=_tie_tol, help="eigenvalue tie tolerance (default: scaled 1e-9)"),
-    "--budget": dict(type=int, help="work budget in member pairs (exhaustive method)"),
-    "--seed": dict(type=int, help="random seed (local method; default 0)"),
+    "--budget": dict(type=_read_integer, help="work budget in member pairs (exhaustive method)"),
+    "--seed": dict(type=_read_integer, help="random seed (local method; default 0)"),
     "--format": dict(type=str, help="output format (default: the first choice)"),
     "--out": dict(type=Path, help="output file (default: stdout)"),
     "--objective": dict(choices=["total", "max"], default="total"),
-    "--top-k": dict(type=int, help="hits to report (exhaustive method; default 1)"),
+    "--top-k": dict(type=_read_integer, help="hits to report (exhaustive method; default 1)"),
     "--reduce": dict(choices=["none", "translations"], help="orbit reduction (exhaustive method; default none)"),
     "--method": dict(choices=["exhaustive", "local"], default="exhaustive"),
-    "--restarts": dict(type=int, help="restarts (local method; default 1)"),
+    "--restarts": dict(type=_read_integer, help="restarts (local method; default 1)"),
     "--config": dict(type=Path, required=True, help="file of sites, one comma-separated coordinate tuple per line"),
     "--dims-list": dict(type=str, required=True, help="semicolon-separated dims, e.g. '2,2;4,4;8,4'"),
-    "--n": dict(type=int, required=True),
-    "--a": dict(type=float, required=True),
-    "--power": dict(type=int, choices=[1, 2], default=1),
+    "--n": dict(type=_read_integer, required=True),
+    "--a": dict(type=_read_real, required=True),
+    "--power": dict(type=_read_integer, choices=[1, 2], default=1),
     "--a-grid": dict(type=str, required=True, help="comma-separated bases > 1"),
 }
 

@@ -39,6 +39,7 @@ from .grid import (
     Metric,
     Site,
     _check_site,
+    _integer,
     _integers,
     distance_key,
     index_to_sites,
@@ -351,6 +352,7 @@ def brute_force(
         raise ValueError(f"objective must be 'total' or 'max', got {objective!r}")
     if reduce not in ("none", "translations"):
         raise ValueError(f"reduce must be 'none' or 'translations', got {reduce!r}")
+    p, top_k = _integer(p, "particle count"), _integer(top_k, "top_k")
     if not 0 <= p <= dims.order:
         raise ValueError(f"particle count {p} out of range 0..{dims.order}")
     if top_k < 1:
@@ -559,6 +561,7 @@ def local_search(
     """
     if objective not in ("total", "max"):
         raise ValueError(f"objective must be 'total' or 'max', got {objective!r}")
+    p, restarts = _integer(p, "particle count"), _integer(restarts, "restarts")
     if not 0 <= p <= dims.order:
         raise ValueError(f"particle count {p} out of range 0..{dims.order}")
     if restarts < 1:

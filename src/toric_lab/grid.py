@@ -50,6 +50,14 @@ class Metric(Enum):
     CHEBYSHEV = "chebyshev"
 
 
+def _integer(value: object, name: str) -> int:
+    """The value as a Python int; a value that is not an integer, such as a float or a str, is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _integers(values: Iterable, name: str) -> tuple[int, ...]:
     """The values as Python ints; a value that is not an integer, such as a float or a str, is refused."""
     values = tuple(values)

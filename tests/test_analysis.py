@@ -324,3 +324,44 @@ class TestDirichletSinSum:
 def test_domain_refusals(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: lambda_1d(n, HARMONIC, 1),
+    lambda n: kappa(n, 1.0),
+    lambda n: kappa_prime(n, 1.0),
+    lambda n: factor_closed_form(n, 2.0, 1),
+    lambda n: bernstein_sweep(n, 1, [2.0]),
+], ids=["lambda-1d", "kappa", "kappa-prime", "closed-form", "bernstein"])
+@pytest.mark.parametrize("n, message", [
+    (7, "cycle length must be even and at least 2, got 7"),
+    (0, "cycle length must be even and at least 2, got 0"),
+    (8.0, "cycle length must be an integer, got 8.0"),
+    (np.float64(8.0), "cycle length must be an integer, got np.float64(8.0)"),
+])
+def test_one_even_cycle_check(call, n, message):
+    # every function of an even cycle refuses an odd, short or non-integral length alike
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(n)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: lambda_1d(8, HARMONIC, 1.5), "character index must be an integer, got 1.5"),
+    (lambda: factor_closed_form(8, 2.0, 1.5), "root index must be an integer, got 1.5"),
+    (lambda: factor_curve(8.0, 2.0), "cycle length must be an integer, got 8.0"),
+    (lambda: factor_curve(8, 2.0, 1.0), "distance power must be an integer, got 1.0"),
+    (lambda: hypercube_gap(2.0, HARMONIC, 0), "dimension must be an integer, got 2.0"),
+    (lambda: hypercube_gap(2, HARMONIC, "0"), "q must be an integer, got '0'"),
+    (lambda: dirichlet_sin_sum(3.0, 1.0), "m must be an integer, got 3.0"),
+], ids=["lambda-1d-j", "closed-form-k", "curve-n", "curve-power", "gap-d", "gap-q", "dirichlet-m"])
+def test_non_integral_parameter_refused(call, message):
+    # read with operator.index, as GridDims reads its sizes, not cut down or taken as a float
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_numpy_integer_parameters_accepted():
+    curve = factor_curve(np.int64(8), 2.0, np.int32(2))
+    assert (type(curve.n), type(curve.distance_power)) == (int, int)
+    assert factor_closed_form(np.int64(8), 2.0, np.int64(3)) == factor_closed_form(8, 2.0, 3)
+    assert lambda_1d(np.int64(8), HARMONIC, np.int64(3)) == lambda_1d(8, HARMONIC, 3)

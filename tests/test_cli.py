@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import math
+import re
 import tracemalloc
 from importlib import resources
 
@@ -67,6 +69,19 @@ class TestParsing:
     def test_parse_dims_allows_spaces_and_x(self):
         assert parse_dims(" 4 x 6 , 2 ") == (4, 6, 2)
 
+    @given(st.integers())
+    def test_integer_reader_reads_every_int(self, n):
+        assert cli._read_integer(f" {n} ") == n
+
+    @given(st.floats())
+    def test_real_reader_reads_every_repr(self, x):
+        got = cli._read_real(repr(x))
+        assert got == x or (math.isnan(got) and math.isnan(x))
+
+    @pytest.mark.parametrize("text, value", [("1e+300", 1e300), ("-inf", -math.inf), ("+4", 4.0), (" .5 ", 0.5)])
+    def test_real_reader_spellings(self, text, value):
+        assert cli._read_real(text) == value
+
     @pytest.mark.parametrize("argv", [
         ("certify", "--dims", "4,,4"),
         ("eigs", "--dims", "4,4,"),
@@ -122,6 +137,48 @@ def write_spec(tmp_path, text):
     path = tmp_path / "instance.spec"
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+# Spellings no integer reader takes: digit-group underscores, a leading +, an
+# Arabic-Indic four, a fraction and the empty text.  A real reader takes "+4".
+INTEGER_REFUSED = ["1_6", "+4", "\u0664", "1_0.5", ""]
+REAL_REFUSED = ["1_6", "\u0664", "1_0.5", ""]
+# each number flag: the arguments ahead of it, its spec key if the command reads
+# --spec, the spellings it refuses, and a pattern its refusal names
+NUMBER_FLAGS = {
+    "--dims": (("certify",), "dims", INTEGER_REFUSED, r"dims '"),
+    "--p": (("search", "--dims", "4,4"), "p", INTEGER_REFUSED, r"argument --p: "),
+    "--tie-tol": (("certify", "--dims", "4,4"), "tie_tol", REAL_REFUSED, r"argument --tie-tol: "),
+    "--n": (("factor-curve", "--a", "2"), None, INTEGER_REFUSED, r"argument --n: "),
+    "--a": (("factor-curve", "--n", "8"), None, REAL_REFUSED, r"argument --a: "),
+    "--a-grid": (("bernstein", "--n", "8"), None, REAL_REFUSED, r"a[-_]grid"),
+}
+
+
+@pytest.mark.parametrize("flag, spelling", [
+    *[(flag, spelling) for flag, (_, _, refused, _) in NUMBER_FLAGS.items() for spelling in refused],
+    ("--config", "0,1_0"),
+    ("--f", "1_0,0.5"),
+])
+def test_refused_spelling_exit_2_as_flag_and_spec_key(capsys, tmp_path, flag, spelling):
+    """Flags, spec keys, list entries and file lines share one integer and one real reader."""
+    if flag == "--config":  # a configuration-file line
+        (tmp_path / "sites.txt").write_text(f"{spelling}\n", encoding="utf-8")
+        requests = [("energy", "--dims", "16,16", "--config", str(tmp_path / "sites.txt"))]
+        named = re.escape(f"line 1: {spelling!r} is not a site of the 16x16 grid")
+    elif flag == "--f":  # an energy-table line, after lines for every 4x4 Lee distance
+        (tmp_path / "t.csv").write_text(f"1,1\n2,0.5\n3,0.25\n4,0.125\n{spelling}\n", encoding="utf-8")
+        requests = [("certify", "--dims", "4,4", "--f", f"table:{tmp_path / 't.csv'}")]
+        named = re.escape(f"line 5: {spelling!r} is not a distance,value pair")
+    else:
+        ahead, key, _, named = NUMBER_FLAGS[flag]
+        requests = [(*ahead, f"{flag}={spelling}")]
+        if key is not None:
+            requests.append((*ahead, "--spec", write_spec(tmp_path, f"{key} = {spelling}\n")))
+    for argv in requests:
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (EXIT_SPEC, ""), argv
+        assert re.search(named, err), err
 
 
 class TestSpecFile:
@@ -780,14 +837,14 @@ class TestCurveCommands:
             (("factor-curve", "--n", "1", "--a", "2"), "cycle length must be at least 2, got 1"),
             (("factor-curve", "--n", "8", "--a", "0.9"), "base must exceed 1, got 0.9"),
             (("bernstein", "--n", "8", "--power", "1", "--a-grid", ""), "a_grid must be nonempty"),
-            (("bernstein", "--n", "8", "--power", "1", "--a-grid", "abc"),
-             "could not convert string to float: 'abc'"),
+            (("bernstein", "--n", "8", "--power", "1", "--a-grid", "abc"), "bad entry 'abc' in --a-grid 'abc'"),
             (("factor-curve", "--n", "8", "--a", "inf"), "base must be finite, got inf"),
             (("bernstein", "--n", "8", "--a-grid", "1.5,inf"), "base must be finite, got inf"),
         ],
     )
     def test_library_value_errors_exit_2(self, capsys, argv, message):
-        # main reports a ValueError raised by the analysis layer like any spec error
+        # main reports a ValueError raised by the analysis layer like any spec error, and so
+        # a list entry that the real reader refuses
         assert run(capsys, *argv) == (EXIT_SPEC, "", f"error: {message}\n")
 
 

@@ -545,12 +545,15 @@ class TestBruteForce:
             (dict(objective="mean"), "objective must be 'total' or 'max', got 'mean'"),
             (dict(reduce="rotations"), "reduce must be 'none' or 'translations', got 'rotations'"),
             (dict(top_k=0), "top_k must be at least 1, got 0"),
+            (dict(top_k=1.5), "top_k must be an integer, got 1.5"),
+            (dict(p=3.0), "particle count must be an integer, got 3.0"),
         ],
-        ids=["objective", "reduce", "top-k"],
+        ids=["objective", "reduce", "top-k", "top-k-float", "p-float"],
     )
     def test_bad_arguments(self, kwargs, message):
+        args = {"p": 3, **kwargs}
         with pytest.raises(ValueError, match=re.escape(message)):
-            brute_force(GridDims.of(4, 2), Metric.LEE, HARMONIC, 3, **kwargs)
+            brute_force(GridDims.of(4, 2), Metric.LEE, HARMONIC, **args)
 
     def test_deterministic_ordering(self):
         dims = GridDims.of(4, 4)
@@ -774,6 +777,15 @@ class TestRelaxationDominance:
 
 
 class TestLocalSearch:
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(p=3.0), "particle count must be an integer, got 3.0"),
+        (dict(restarts=2.0), "restarts must be an integer, got 2.0"),
+    ], ids=["p", "restarts"])
+    def test_refuses_non_integral_arguments(self, kwargs, message):
+        args = {"p": 3, **kwargs}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            local_search(GridDims.of(4, 2), Metric.LEE, HARMONIC, **args)
+
     def test_singleton(self):
         result = local_search(GridDims.of(4, 4), Metric.LEE, HARMONIC, 1, rng_seed=3)
         assert result.config.p == 1

@@ -416,6 +416,18 @@ class TestSolveRelaxation:
         assert sol.sphere_dimension == 0
         assert sol.argmin_characters == ((2, 2),)
 
+    @pytest.mark.parametrize("p, shown", [(8.0, "8.0"), (np.float64(8.0), "np.float64(8.0)"), ("8", "'8'")])
+    def test_non_integral_p_refused(self, p, shown):
+        # read with operator.index, as GridDims reads its sizes: 8.0 is not taken for 8
+        _, kernel = harmonic_4x4()
+        with pytest.raises(ValueError, match=f"^{re.escape(f'particle count must be an integer, got {shown}')}$"):
+            solve_relaxation(eigen_table(kernel), p)
+
+    def test_numpy_integer_p_becomes_int(self):
+        _, kernel = harmonic_4x4()
+        sol = solve_relaxation(eigen_table(kernel), np.int64(8))
+        assert type(sol.p) is int and sol == solve_relaxation(eigen_table(kernel), 8)
+
     def test_empty_configuration(self):
         _, kernel = harmonic_4x4()
         sol = solve_relaxation(eigen_table(kernel), 0)
