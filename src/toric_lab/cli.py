@@ -15,6 +15,12 @@ gives the `dims`, `metric` and `f` that open the `eigs` summary and the
 `certify`, `search` and `energy` documents.  The `eigs` summary is the
 relaxation's lambda(1), lambda_min, argmin and tie tolerance.
 
+Parsers are built on first use: `_command_parser` builds a command's
+parser when a command line names it and keeps it for the process, and the
+top-level parser is built only for `-h` or a missing or unknown command.
+Likewise the commands import `configs` and `analysis` where they use them,
+so `certify`, `sweep` and `eigs` load only `grid`, `energy` and `spectrum`.
+
 Exit codes: 0 success (and certificate granted), 1 certificate refused,
 2 invalid spec or arguments, or a result holding an inf or NaN (which no
 format writes), 3 work-budget or allocation refusal, 4 I/O failure.
@@ -25,6 +31,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import json
@@ -33,14 +40,16 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import analysis, configs, spectrum
-from .configs import BudgetExceededError, Configuration
+from . import spectrum
 from .energy import EnergyFunction, ExponentialAtom, InversePower, Tabulated, build_kernel
-from .grid import GridDims, Metric, axis_wraps, index_to_sites
+from .grid import BudgetExceededError, GridDims, Metric, axis_wraps, index_to_sites
+
+if TYPE_CHECKING:
+    from .configs import Configuration
 
 __all__ = ["SpecError", "main"]
 
@@ -70,9 +79,13 @@ def _fmt(values: Sequence[float] | np.ndarray) -> list[str]:
 
 
 def _read_integer(text: str, refusal: str = "") -> int:
-    """An optional `-`, then ASCII digits, blanks around allowed; other text is refused with the message refusal."""
-    if text.isascii() and text.strip().removeprefix("-").isdigit():
-        return int(text)
+    """An optional `-`, then ASCII digits, blanks around allowed; other text is refused with the message refusal.
+
+    So are more digits than int() reads (sys.get_int_max_str_digits()).
+    """
+    with contextlib.suppress(ValueError):
+        if text.isascii() and text.strip().removeprefix("-").isdigit():
+            return int(text)
     raise SpecError(refusal or f"{text!r} is not an integer")
 
 
@@ -115,12 +128,21 @@ def parse_energy(text: str) -> EnergyFunction:
     raise SpecError(f"unknown energy function kind {head!r} (expected inverse-power, exp, table)")
 
 
-def _content_lines(path: Path) -> Iterator[tuple[int, str, str]]:
+def _content_lines(path: Path, kind: str) -> Iterator[tuple[int, str, str]]:
     """Line number, raw text and content of each line whose content is not blank.
 
-    The content is the text ahead of any `#` comment, stripped.
+    The content is the text ahead of any `#` comment, stripped.  A file that
+    is not UTF-8 is refused by its kind (such as "spec file"), name and the
+    line of its first bad byte.
     """
-    for number, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the text ahead of the bad byte is UTF-8; the byte is on its last line
+        number = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise SpecError(f"{kind} {path}: line {number} is not UTF-8 text ({exc.reason})") from None
+    for number, raw in enumerate(text.splitlines(), start=1):
         content = raw.split("#", 1)[0].strip()
         if content:
             yield number, raw, content
@@ -128,7 +150,7 @@ def _content_lines(path: Path) -> Iterator[tuple[int, str, str]]:
 
 def _read_table(path: Path) -> dict[float, float]:
     table: dict[float, float] = {}
-    for number, _, line in _content_lines(path):
+    for number, _, line in _content_lines(path, "energy table"):
         x_text, _, v_text = line.partition(",")
         refusal = f"energy table {path}: line {number}: {line!r} is not a distance,value pair"
         x, value = _read_real(x_text, refusal), _read_real(v_text, refusal)
@@ -189,6 +211,8 @@ def _check_format(fmt: str, dims: GridDims) -> None:
     """
     if fmt != "ascii-grid":
         return
+    from . import configs
+
     if dims.ndim > 2:
         raise SpecError("ascii-grid output supports 1- and 2-dimensional grids only")
     if dims.order > configs._MAX_MATRIX_SITES**2:
@@ -209,7 +233,7 @@ def _render_ascii(config: Configuration) -> str:
 def _read_sites(path: Path, dims: GridDims) -> list[tuple[int, ...]]:
     """The sites of a configuration file, each on the grid and listed once; a refusal names the file and line."""
     line_of: dict[tuple[int, ...], int] = {}
-    for number, _, line in _content_lines(path):
+    for number, _, line in _content_lines(path, "configuration file"):
         where = f"bad configuration file {path}: line {number}: {line!r}"
         refusal = f"{where} is not a site of the {dims} grid"
         site = tuple(_read_integer(c, refusal) for c in line.split(","))
@@ -297,6 +321,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from . import configs
+
     # flags that only the other method reads
     unread = ("top_k", "reduce", "budget") if args.method == "local" else ("restarts", "seed")
     given = [f"--{name.replace('_', '-')} {getattr(args, name)}" for name in unread
@@ -363,9 +389,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_energy(args: argparse.Namespace) -> int:
+    from . import configs
+
     dims, metric, f = _instance(args)
     _check_format(args.format, dims)
-    config = Configuration.from_sites(dims, _read_sites(args.config, dims))
+    config = configs.Configuration.from_sites(dims, _read_sites(args.config, dims))
     report = configs.energies(config, metric, f)
     if args.format == "ascii-grid":
         e_tot, e_max = _fmt([report.e_tot, report.e_max])
@@ -409,6 +437,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_factor_curve(args: argparse.Namespace) -> int:
+    from . import analysis
+
     curve = analysis.factor_curve(args.n, args.a, args.power)
     rows = zip(map(str, range(curve.n)), _fmt(curve.values))
     summary = {
@@ -424,6 +454,8 @@ def _cmd_factor_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bernstein(args: argparse.Namespace) -> int:
+    from . import analysis
+
     a_grid = _read_list(args.a_grid, ",", "--a-grid", _read_real) if args.a_grid.strip() else []
     curves = analysis.bernstein_sweep(args.n, args.power, a_grid)
     header = ["a", "argmin", "is_minus_one_strict_min", "min_value"]
@@ -505,27 +537,35 @@ _COMMANDS: dict[str, _Command] = {
 }
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and each command's parser by command name."""
+def _add_flags(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """The parser, given the flags of the command name."""
+    command = _COMMANDS[name]
+    for flag in command.flags:
+        options = dict(_FLAGS[flag])
+        if flag == "--format":
+            options.update(choices=command.formats, default=command.formats[0])
+        parser.add_argument(flag, **options)
+    return parser
+
+
+# no abbreviations, so that sweep refuses --dims rather than read it as --dims-list
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of the command name; main parses each command line with it, built on first use."""
+    return _add_flags(argparse.ArgumentParser(prog=f"toric-lab {name}", allow_abbrev=False), name)
+
+
+def _top_parser() -> argparse.ArgumentParser:
+    """The parser of the whole command line, which only -h and a missing or unknown command need."""
     parser = argparse.ArgumentParser(
         prog="toric-lab",
         description="Spectral certificates and configuration search for repelling particles on toric grids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
+    # each with its flags: a command named after another word (`-x certify --dims 4,4`) is parsed as well
     for name, command in _COMMANDS.items():
-        # no abbreviations, so that sweep refuses --dims rather than read it as --dims-list
-        p_cmd = commands[name] = sub.add_parser(name, help=command.help, allow_abbrev=False)
-        for flag in command.flags:
-            options = dict(_FLAGS[flag])
-            if flag == "--format":
-                options.update(choices=command.formats, default=command.formats[0])
-            p_cmd.add_argument(flag, **options)
-    return parser, commands
-
-
-# built once; main parses each command line with its command's own parser
-_PARSER, _COMMAND_PARSERS = _build_parser()
+        _add_flags(sub.add_parser(name, help=command.help, allow_abbrev=False), name)
+    return parser
 
 
 def _spec_flags(path: Path, command: str) -> list[str]:
@@ -535,7 +575,7 @@ def _spec_flags(path: Path, command: str) -> list[str]:
     `--tie-tol`); a key set twice, or naming no such flag, is refused.
     """
     keys: dict[str, str] = {}
-    for _, raw, line in _content_lines(path):
+    for _, raw, line in _content_lines(path, "spec file"):
         key, sep, value = line.partition("=")
         if not sep:
             raise SpecError(f"expected 'key = value', got {raw!r}")
@@ -558,7 +598,7 @@ _SPEC_FLAG.add_argument("--spec", type=Path)
 def _parse_args(argv: list[str]) -> tuple[_Command, argparse.Namespace]:
     """The command named first and its flags, with the flags of its --spec file put ahead."""
     if not argv or argv[0] not in _COMMANDS:  # -h, or no or an unknown command
-        _PARSER.parse_args(argv)  # prints the help or the error and exits
+        _top_parser().parse_args(argv)  # prints the help or the error and exits
     name, flags = argv[0], argv[1:]
     command = _COMMANDS[name]
     if "--spec" in command.flags:
@@ -568,7 +608,7 @@ def _parse_args(argv: list[str]) -> tuple[_Command, argparse.Namespace]:
             path = None
         if path is not None:
             flags = [*_spec_flags(path, name), *flags]
-    return command, _COMMAND_PARSERS[name].parse_args(flags)
+    return command, _command_parser(name).parse_args(flags)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -35,6 +35,7 @@ import numpy as np
 
 from .energy import EnergyFunction, KernelTable, _tabulate, build_kernel
 from .grid import (
+    BudgetExceededError,
     GridDims,
     Metric,
     Site,
@@ -80,10 +81,6 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 _EQUIENERGY_RTOL = 1e-9
 _MAX_DESCENT_STEPS = 10_000
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised instead of starting a search that would exceed the work budget."""
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ kernels, eigenvalues) are stored on the fundamental block of wraps
 0..n_i // 2, of shape `block_shape`: `axis_wraps` is the wrap of each
 coordinate, `distance_key` the one integer key of every metric at given
 wraps, `distance_table` the metric over the block, and `expand_block`
-gives a block's full table.
+gives a block's full table.  `BudgetExceededError` is the refusal of work
+or an allocation beyond a limit; it lives here, in the layer every other
+module imports, so that any of them can raise it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,12 @@ __all__ = [
     "site_index",
     "index_to_sites",
     "minus_one_character",
+    "BudgetExceededError",
 ]
+
+
+class BudgetExceededError(RuntimeError):
+    """Raised instead of starting work or an allocation beyond a limit, before any of it is done."""
 
 
 class Metric(Enum):

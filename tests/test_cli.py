@@ -19,7 +19,6 @@ from toric_lab.cli import (
     EXIT_OK,
     EXIT_SPEC,
     SpecError,
-    _build_parser,
     main,
     parse_dims,
     parse_energy,
@@ -179,6 +178,45 @@ def test_refused_spelling_exit_2_as_flag_and_spec_key(capsys, tmp_path, flag, sp
         code, stdout, err = run(capsys, *argv)
         assert (code, stdout) == (EXIT_SPEC, ""), argv
         assert re.search(named, err), err
+
+
+# more digits than int() reads (sys.get_int_max_str_digits(), 4300 by default)
+LONG_INTEGER = "9" * 5000
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("search", "--dims", "4,4", "--p", LONG_INTEGER), f"error: argument --p: '{LONG_INTEGER}' is not an integer"),
+    (("certify", "--dims", f"{LONG_INTEGER},4"), f"error: bad size '{LONG_INTEGER}' in dims '{LONG_INTEGER},4'"),
+    (("energy", "--dims", "16,16", "--config", "sites.txt"), (
+        f"error: bad configuration file sites.txt: line 1: '0,{LONG_INTEGER}' is not a site of the 16x16 grid")),
+], ids=["flag", "dims-entry", "configuration-line"])
+def test_integer_beyond_digit_limit_exit_2(capsys, tmp_path, monkeypatch, argv, named):
+    """The integer reader refuses what int() cannot read in its own words, naming the flag or line."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sites.txt").write_text(f"0,{LONG_INTEGER}\n", encoding="utf-8")
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (EXIT_SPEC, "")
+    assert err.endswith(named + "\n"), err[-200:]
+
+
+@pytest.mark.parametrize("kind, content, line", [
+    ("spec file", b"\xffdims = 4,4\n", 1),
+    ("energy table", b"\xff1,1\n", 1),
+    ("configuration file", b"\xff0,0\n", 1),
+    ("energy table", b"1,1\r\n# r\xc3\xa9sum\xc3\xa9\r\n2,\xc3\n", 3),
+], ids=["spec", "table", "configuration", "table-line-3"])
+def test_non_utf8_file_refused_by_name(capsys, tmp_path, monkeypatch, kind, content, line):
+    """A file that is not UTF-8 is refused by its kind, name and the line of its first bad byte."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.txt").write_bytes(content)
+    argv = {
+        "spec file": ("certify", "--spec", "f.txt"),
+        "energy table": ("certify", "--dims", "4,4", "--f", "table:f.txt"),
+        "configuration file": ("energy", "--dims", "4,4", "--config", "f.txt"),
+    }[kind]
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (EXIT_SPEC, "")
+    assert re.fullmatch(rf"error: {kind} f\.txt: line {line} is not UTF-8 text \(.+\)\n", err), err
 
 
 class TestSpecFile:
@@ -903,17 +941,30 @@ class TestSpecFileFlow:
 
 
 class TestParserReuse:
-    """The parsers are built once, at import, and every main call starts afresh."""
+    """A command's parser is built on first use, once, and every main call starts afresh."""
 
-    def test_main_does_not_build_parser(self, capsys, monkeypatch):
+    def test_main_builds_each_parser_once(self, capsys, monkeypatch):
+        built = []
+        add_flags = cli._add_flags
+
+        def recorded(parser, name):
+            built.append(parser.prog)
+            return add_flags(parser, name)
+
         def refuse():
-            raise AssertionError("main built a parser")
+            raise AssertionError("a known command built the top-level parser")
 
-        monkeypatch.setattr(cli, "_build_parser", refuse)
-        assert run(capsys, "certify", "--dims", "4,4")[0] == EXIT_OK
-        assert run(capsys, "search", "--dims", "4,2", "--p", "3")[0] == EXIT_OK
-        assert run(capsys, "certify", "--dims", "4,4", "--p", "3")[0] == EXIT_SPEC
-        assert run(capsys, "bogus")[0] == EXIT_SPEC
+        monkeypatch.setattr(cli, "_add_flags", recorded)
+        monkeypatch.setattr(cli, "_top_parser", refuse)
+        cli._command_parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert run(capsys, "certify", "--dims", "4,4")[0] == EXIT_OK
+                assert run(capsys, "search", "--dims", "4,2", "--p", "3")[0] == EXIT_OK
+                assert run(capsys, "certify", "--dims", "4,4", "--p", "3")[0] == EXIT_SPEC
+        finally:
+            cli._command_parser.cache_clear()
+        assert built == ["toric-lab certify", "toric-lab search"]
 
     def test_flags_not_carried_over(self, capsys):
         argv = ("search", "--dims", "4,2", "--p", "3")
@@ -989,10 +1040,9 @@ REMOVED_FLAGS = [
 
 class TestCommandFlags:
     def test_option_sets_match_table(self):
-        _, commands = _build_parser()
         options = {
-            name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
-            for name, p in commands.items()
+            name: {o for a in cli._command_parser(name)._actions for o in a.option_strings if o not in ("-h", "--help")}
+            for name in cli._COMMANDS
         }
         assert options == COMMAND_FLAGS
         assert sum(len(flags) for flags in options.values()) == 47
