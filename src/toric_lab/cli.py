@@ -419,8 +419,6 @@ def _cmd_energy(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     metric, f = Metric(args.metric), parse_energy(args.f)
-    if not args.dims_list.strip():
-        raise SpecError("sweep needs at least one dims entry")
     dims_list = [GridDims(parse_dims(part)) for part in _read_list(args.dims_list, ";", "--dims-list")]
     # each numeric column is the certificate's attribute of that name
     numeric = ["lambda_min", "gap_to_minus_one", "optimal_value", "checkerboard_e_tot", "checkerboard_e_max",
@@ -456,8 +454,7 @@ def _cmd_factor_curve(args: argparse.Namespace) -> int:
 def _cmd_bernstein(args: argparse.Namespace) -> int:
     from . import analysis
 
-    a_grid = _read_list(args.a_grid, ",", "--a-grid", _read_real) if args.a_grid.strip() else []
-    curves = analysis.bernstein_sweep(args.n, args.power, a_grid)
+    curves = analysis.bernstein_sweep(args.n, args.power, _read_list(args.a_grid, ",", "--a-grid", _read_real))
     header = ["a", "argmin", "is_minus_one_strict_min", "min_value"]
     rows = []
     for c in curves:

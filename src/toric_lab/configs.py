@@ -14,8 +14,13 @@ subset reached reads its member pairs off the kernel matrix, whose entries are
 f at the same keys, so hits are ranked by (value, member tuple) exactly as a
 full enumeration of energies() values ranks them, with orbit sizes from the
 translates the leaves were filtered by.  It refuses a worst-case work estimate
-beyond a budget, before any work, instead of running for hours.  Local search
-reads its winner's value off the same matrix and keeps per-site energies
+beyond a budget instead of running for hours.  Both searches go through one
+entry, _search, which owns every rule they share: the argument checks; each
+search's own limits and the kernel matrix's 2048-row limit, all checked
+before the kernel is built or f is called; p = 0 as the empty configuration,
+which reads no energy; the one kernel matrix; one leaf-value reader; and one
+refusal of a hit value that overflows.  Local search reads its winner's
+value off the same matrix as a leaf and keeps per-site energies
 incrementally: a swap costs O(|G|) to apply, and scoring a step's swaps
 O(p (|G| - p)) for the total objective and O(p^2 (|G| - p)) for the max.
 Its restarts descend together in batches of about _BATCH_PAIRS / (p (|G| - p))
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -294,6 +299,42 @@ class SearchHit:
     orbit_size: int
 
 
+def _search(
+    dims: GridDims, metric: Metric, f: EnergyFunction, p: int, objective: str, limit: Callable, find: Callable
+) -> list[SearchHit]:
+    """The one entry of brute_force and local_search: every rule they share.
+
+    Each search checks the arguments only it reads before it enters.  Here
+    the objective and the particle count are checked, then limit(p), the
+    search's own limits at that count, so every limit is checked before the
+    kernel is built or f is called.  p = 0 is then the empty configuration,
+    value 0.0 and orbit size 1, which reads no energy, as energies() treats
+    it.  Otherwise the kernel matrix's 2048-row limit is checked, the one
+    kernel matrix is built, and the search's algorithm find(K, p) returns
+    its hits' values (each read by _leaf_values), member rows and orbit
+    sizes, ranked.  A hit value that overflows is a ValueError.
+    """
+    if objective not in ("total", "max"):
+        raise ValueError(f"objective must be 'total' or 'max', got {objective!r}")
+    p = _integer(p, "particle count")
+    if not 0 <= p <= dims.order:
+        raise ValueError(f"particle count {p} out of range 0..{dims.order}")
+    limit(p)
+    if p == 0:
+        return [SearchHit(config=Configuration(dims, ()), value=0.0, orbit_size=1)]
+    _check_rows(dims.order)
+    ranked = find(kernel_matrix(build_kernel(dims, metric, f)), p)
+    if not np.isfinite(ranked[0]).all():
+        raise ValueError("hit value not finite: a hit's sum of pair energies overflows")
+    return [SearchHit(Configuration(dims, m), v, size) for v, m, size in zip(*(a.tolist() for a in ranked))]
+
+
+def _leaf_values(K: np.ndarray, rows: np.ndarray, objective: str) -> np.ndarray:
+    """Each row's value: its member pairs read off K, summed per member, then totalled or maximised."""
+    per = K[rows[:, :, None], rows[:, None, :]].sum(axis=2)
+    return per.sum(axis=1) if objective == "total" else per.max(axis=1)
+
+
 def brute_force(
     dims: GridDims,
     metric: Metric,
@@ -340,38 +381,32 @@ def brute_force(
     expanded, and each leaf is checked against its p translates through
     site 0; its orbit size is |G| over the number of those equal to itself,
     read off the same table, and 1 without translations.  The work estimate
-    checked against the budget, before any work, is the worst case, every
-    leaf enumerated: leaves x p^2 member pairs, so pruning never turns a
-    refusal into a run; a negative budget is a ValueError, and so is a hit
+    checked against the budget is the worst case, every leaf enumerated:
+    leaves x p^2 member pairs, so pruning never turns a refusal into a run.
+    It and the kernel matrix's 2048-row limit are checked before the kernel
+    is built or f is called, and p = 0 is the empty configuration, which
+    reads no energy.  A negative budget is a ValueError, and so is a hit
     whose value overflows.
     """
-    if objective not in ("total", "max"):
-        raise ValueError(f"objective must be 'total' or 'max', got {objective!r}")
     if reduce not in ("none", "translations"):
         raise ValueError(f"reduce must be 'none' or 'translations', got {reduce!r}")
-    p, top_k = _integer(p, "particle count"), _integer(top_k, "top_k")
-    if not 0 <= p <= dims.order:
-        raise ValueError(f"particle count {p} out of range 0..{dims.order}")
+    top_k = _integer(top_k, "top_k")
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
-    if budget is None:
-        budget = DEFAULT_WORK_BUDGET
+    budget = DEFAULT_WORK_BUDGET if budget is None else budget
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
-    leaves = math.comb(dims.order - 1, p - 1) if reduce == "translations" and p else math.comb(dims.order, p)
-    work = leaves * p * p
-    if work > budget:
-        raise BudgetExceededError(
-            f"estimated work {work:.3e} member pairs exceeds budget {budget:.3e} "
-            f"for p = {p} on {dims.order} sites with reduce={reduce!r}"
-        )
-    kernel = build_kernel(dims, metric, f)
-    if p == 0:
-        return [SearchHit(config=Configuration(dims, ()), value=0.0, orbit_size=1)]
-    ranked = _branch_and_bound(dims, kernel_matrix(kernel), p, objective, top_k, reduce == "translations")
-    if not np.isfinite(ranked[0]).all():
-        raise ValueError("hit value not finite: a ranked subset's sum of pair energies overflows")
-    return [SearchHit(Configuration(dims, m), v, size) for v, m, size in zip(*(a.tolist() for a in ranked))]
+
+    def limit(p: int) -> None:
+        leaves = math.comb(dims.order - 1, p - 1) if reduce == "translations" and p else math.comb(dims.order, p)
+        if (work := leaves * p * p) > budget:
+            raise BudgetExceededError(
+                f"estimated work {work:.3e} member pairs exceeds budget {budget:.3e} "
+                f"for p = {p} on {dims.order} sites with reduce={reduce!r}"
+            )
+
+    return _search(dims, metric, f, p, objective, limit,
+                   lambda K, p: _branch_and_bound(dims, K, p, objective, top_k, reduce == "translations"))
 
 
 def _rank(seen: list[tuple[np.ndarray, ...]], top_k: int) -> tuple[np.ndarray, ...]:
@@ -421,8 +456,7 @@ def _branch_and_bound(
                 translates = translates[_least_rows(translates) == 0]
                 batch = translates[:, 0]  # row 0 is the leaf itself, S - 0: its first member is site 0
                 sizes = order // (translates == translates[:, :1]).all(axis=2).sum(axis=1)
-            per = K[batch[:, :, None], batch[:, None, :]].sum(axis=2)
-            leaf = per.sum(axis=1) if objective == "total" else per.max(axis=1)
+            leaf = _leaf_values(K, batch, objective)
             kept = ~(leaf > limit)
             seen.append((leaf[kept], batch[kept], sizes[kept]))
             waiting += int(kept.sum())
@@ -552,41 +586,38 @@ def local_search(
     _BATCH_PAIRS entries however many restarts run.  Every restart's
     descent is the one it would take alone.  Returns the best configuration
     seen, the first restart of least key (e_tot, or (e_max, e_tot) for the
-    max objective), with its energies() value, bit for bit, summed off the
-    kernel matrix as a brute_force leaf sums it; no optimality claim is made.
-    A best value that overflows is a ValueError.
+    max objective), with its energies() value, bit for bit, read off the
+    kernel matrix as a brute_force leaf reads it; no optimality claim is made.
+    The max objective's swap-term limit and the kernel matrix's 2048-row
+    limit are checked before the kernel is built or f is called, and p = 0
+    is the empty configuration, which reads no energy.  A best value that
+    overflows is a ValueError.
     """
-    if objective not in ("total", "max"):
-        raise ValueError(f"objective must be 'total' or 'max', got {objective!r}")
-    p, restarts = _integer(p, "particle count"), _integer(restarts, "restarts")
-    if not 0 <= p <= dims.order:
-        raise ValueError(f"particle count {p} out of range 0..{dims.order}")
+    restarts = _integer(restarts, "restarts")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    # a max-objective step scores each of the p x (|G| - p) swaps against p members:
-    # bound that p^2 (|G| - p) work per step and restart
-    if objective == "max" and p * p * (dims.order - p) > _MAX_MATRIX_SITES**2:
-        raise BudgetExceededError(
-            f"refusing the max objective: one descent step scores {p} x {dims.order - p} x {p} "
-            f"swap terms (limit {_MAX_MATRIX_SITES ** 2} terms)"
-        )
-    K = kernel_matrix(build_kernel(dims, metric, f))
-    rng = np.random.default_rng(rng_seed)
-    # |G| also bounds a batch's (restarts, |G|) site arrays when p or |G| - p is 0
-    size = max(1, _BATCH_PAIRS // max(p * (dims.order - p), dims.order))
-    best_key: tuple[float, ...] | None = None
-    best_members: np.ndarray | None = None
-    for first in range(0, restarts, size):
-        count = min(size, restarts - first)
-        starts = np.array([rng.choice(dims.order, size=p, replace=False) for _ in range(count)])
-        members, e_max, e_tot = _descend(K, starts.reshape(count, p), objective)
-        keys = zip(e_tot.tolist()) if objective == "total" else zip(e_max.tolist(), e_tot.tolist())
-        for row, key in zip(members, keys):
-            if best_key is None or key < best_key:
-                best_key, best_members = key, row
-    assert best_members is not None
-    per = K[best_members[:, None], best_members].sum(axis=1)  # read as a leaf reads its energies
-    value = float(per.sum() if objective == "total" else per.max()) if p else 0.0
-    if not math.isfinite(value):
-        raise ValueError("hit value not finite: the best subset's sum of pair energies overflows")
-    return SearchHit(Configuration(dims, best_members), value, orbit_size=1)
+
+    def limit(p: int) -> None:
+        # a max-objective step scores each of the p x (|G| - p) swaps against p members:
+        # bound that p^2 (|G| - p) work per step and restart
+        if objective == "max" and p * p * (dims.order - p) > _MAX_MATRIX_SITES**2:
+            raise BudgetExceededError(
+                f"refusing the max objective: one descent step scores {p} x {dims.order - p} x {p} "
+                f"swap terms (limit {_MAX_MATRIX_SITES ** 2} terms)"
+            )
+
+    def find(K: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
+        rng = np.random.default_rng(rng_seed)
+        # |G| also bounds a batch's (restarts, |G|) site arrays when |G| - p is 0
+        size = max(1, _BATCH_PAIRS // max(p * (dims.order - p), dims.order))
+        best_key: tuple[float, ...] | None = None
+        for first in range(0, restarts, size):
+            starts = [rng.choice(dims.order, size=p, replace=False) for _ in range(min(size, restarts - first))]
+            members, e_max, e_tot = _descend(K, np.array(starts), objective)
+            keys = zip(e_tot.tolist()) if objective == "total" else zip(e_max.tolist(), e_tot.tolist())
+            for row, key in zip(members, keys):
+                if best_key is None or key < best_key:
+                    best_key, best = key, row[None]
+        return _leaf_values(K, best, objective), best, np.ones(1, dtype=np.int64)
+
+    return _search(dims, metric, f, p, objective, limit, find)[0]

@@ -539,6 +539,21 @@ class TestSearchCommand:
         # a zero budget is still a work refusal
         assert run(capsys, "search", "--dims", "4,2", "--p", "3", "--budget", "0")[0] == EXIT_BUDGET
 
+    @pytest.mark.parametrize("method", ["exhaustive", "local"])
+    def test_profile_undefined_on_the_grid(self, capsys, tmp_path, method):
+        # a table with no value at distance 2: p = 0 reads no energy, and above
+        # 2048 sites the row limit refuses before f is called
+        table = tmp_path / "t.csv"
+        table.write_text("1,1.0\n", encoding="utf-8")
+        argv = ("search", "--f", f"table:{table}", "--method", method, "--format", "csv")
+        assert run(capsys, *argv, "--dims", "4,4", "--p", "0") == (EXIT_OK, "rank,value,orbit_size,sites\n1,0,1,\n", "")
+        code, stdout, err = run(capsys, *argv, "--dims", "64,64", "--p", "2")
+        assert (code, stdout) == (EXIT_BUDGET, "")
+        assert "kernel matrix" in err
+        code, stdout, err = run(capsys, *argv, "--dims", "4,4", "--p", "2")
+        assert (code, stdout) == (EXIT_SPEC, "")
+        assert "no tabulated value at distance 2" in err
+
     @pytest.mark.parametrize("argv", [
         ("--method", "local", "--restarts", "20"),
         (),
@@ -570,6 +585,9 @@ SEARCH_BYTES_CASES = {
     "4x4-p0": ((4, 4), 0, (), {}),
     "4x4-p16": ((4, 4), 16, (), {}),
     "3x3-p4-local": ((3, 3), 4, ("--method", "local"), None),
+    # the local method's bytes against the exhaustive hit: above the kernel matrix's
+    # 2048 rows, p = 0 is the empty hit whichever the method
+    "300x300-p0-local": ((300, 300), 0, ("--method", "local"), {}),
 }
 
 
@@ -834,7 +852,7 @@ class TestSweepCommand:
 
     def test_blank_dims_list_exit_2(self, capsys):
         code, stdout, err = run(capsys, "sweep", "--dims-list", " ")
-        assert (code, stdout, err) == (EXIT_SPEC, "", "error: sweep needs at least one dims entry\n")
+        assert (code, stdout, err) == (EXIT_SPEC, "", "error: empty entry in --dims-list ' '\n")
 
     def test_dims_flag_rejected(self, capsys):
         code, stdout, err = run(
@@ -874,7 +892,7 @@ class TestCurveCommands:
         [
             (("factor-curve", "--n", "1", "--a", "2"), "cycle length must be at least 2, got 1"),
             (("factor-curve", "--n", "8", "--a", "0.9"), "base must exceed 1, got 0.9"),
-            (("bernstein", "--n", "8", "--power", "1", "--a-grid", ""), "a_grid must be nonempty"),
+            (("bernstein", "--n", "8", "--power", "1", "--a-grid", ""), "empty entry in --a-grid ''"),
             (("bernstein", "--n", "8", "--power", "1", "--a-grid", "abc"), "bad entry 'abc' in --a-grid 'abc'"),
             (("factor-curve", "--n", "8", "--a", "inf"), "base must be finite, got inf"),
             (("bernstein", "--n", "8", "--a-grid", "1.5,inf"), "base must be finite, got inf"),
@@ -882,7 +900,7 @@ class TestCurveCommands:
     )
     def test_library_value_errors_exit_2(self, capsys, argv, message):
         # main reports a ValueError raised by the analysis layer like any spec error, and so
-        # a list entry that the real reader refuses
+        # a list that the list reader refuses and a list entry that the real reader refuses
         assert run(capsys, *argv) == (EXIT_SPEC, "", f"error: {message}\n")
 
 

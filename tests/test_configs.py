@@ -946,6 +946,33 @@ class TestLocalSearch:
             local_search(GridDims.of(2, 2), Metric.LEE, HARMONIC, 1, restarts=0)
 
 
+class TestSearchEntry:
+    """Rules both searches share: every limit comes before the kernel is built or f is called."""
+
+    @staticmethod
+    def never(x):
+        raise AssertionError(f"f called at {x}")
+
+    @pytest.mark.parametrize("search, p", [(brute_force, 1), (local_search, 3)], ids=["exhaustive", "local"])
+    def test_matrix_rows_refused_before_f(self, search, p):
+        # 4 096 sites: the kernel matrix's row limit refuses before f tabulates the grid
+        with pytest.raises(BudgetExceededError, match="4096 x 4096 kernel matrix"):
+            search(GridDims.of(64, 64), Metric.LEE, self.never, p)
+
+    @pytest.mark.parametrize("search", [brute_force, local_search], ids=["exhaustive", "local"])
+    def test_empty_filling_reads_no_energy(self, search):
+        hits = search(GridDims.of(64, 64), Metric.LEE, self.never, 0)
+        hit, = hits if isinstance(hits, list) else [hits]
+        assert (hit.config.members, hit.value, hit.orbit_size) == ((), 0.0, 1)
+
+    def test_own_limits_come_first(self):
+        # each search's own limits are checked ahead of the matrix's row limit
+        with pytest.raises(BudgetExceededError, match="exceeds budget"):
+            brute_force(GridDims.of(64, 64), Metric.LEE, self.never, 2, budget=10)
+        with pytest.raises(BudgetExceededError, match="swap terms"):
+            local_search(GridDims.of(64, 64), Metric.LEE, self.never, 2048, objective="max")
+
+
 class TestNonFiniteProfile:
     # f(x) is inf or NaN from sqrt 2 on: refused, naming that least distance, not propagated
     @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
@@ -980,11 +1007,14 @@ class TestNonFiniteProfile:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="total energy not finite"):
             energies(config, Metric.LEE, lambda x: 5e307)
 
+    # both searches refuse with one message
+    OVERFLOW = re.escape("hit value not finite: a hit's sum of pair energies overflows")
+
     def test_overflowing_exhaustive_hit_refused(self):
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="hit value not finite"):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"^{self.OVERFLOW}$"):
             brute_force(GridDims.of(4, 4), Metric.LEE, lambda x: 1e308, 4)
 
     def test_overflowing_local_hit_refused(self):
         # the descent's swap scores subtract inf from inf on the way
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="hit value not finite"):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=f"^{self.OVERFLOW}$"):
             local_search(GridDims.of(4, 4), Metric.LEE, lambda x: 1e308, 4)
