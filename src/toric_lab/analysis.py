@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .energy import EnergyFunction, forward_difference
-from .grid import _integer
+from .grid import _integer, _real
 
 __all__ = [
     "lambda_1d",
@@ -62,9 +62,10 @@ def kappa(n: int, x: float) -> float:
 
         kappa(x) = sum_{k=1}^{n/2-1} (2/k) cos(2 pi x k / n) + (2/n) cos(pi x).
 
-    At integer x this equals lambda_1d(n, 1/x profile, x).
+    At integer x this equals lambda_1d(n, 1/x profile, x).  x must be a
+    finite real number.
     """
-    n = _even_cycle(n)
+    n, x = _even_cycle(n), _real(x, "x", -math.inf)
     half = n // 2
     terms = [(2.0 / k) * math.cos(2.0 * math.pi * x * k / n) for k in range(1, half)]
     terms.append((2.0 / n) * math.cos(math.pi * x))
@@ -77,11 +78,12 @@ def kappa_prime(n: int, x: float) -> float:
         kappa'(x) = (2 pi / n) (cos(pi x) - 1) * cos(pi x / n) / sin(pi x / n).
 
     Non-positive on (0, n/2) and non-negative on (n/2, n), which pins the
-    unique interior minimum of kappa at x = n/2.  Evaluation is refused
-    within 1e-6 of the poles x = 0 and x = n.
+    unique interior minimum of kappa at x = n/2.  x must be a finite real
+    number, and evaluation is refused within 1e-6 of the poles x = 0 and
+    x = n.
     """
-    n = _even_cycle(n)
-    if x < _POLE_GUARD or x > n - _POLE_GUARD:
+    n, x = _even_cycle(n), _real(x, "x", -math.inf)
+    if not _POLE_GUARD <= x <= n - _POLE_GUARD:
         raise ValueError(f"x = {x} is within {_POLE_GUARD} of a pole of kappa' (0 or {n})")
     return (
         (2.0 * math.pi / n)
@@ -102,9 +104,7 @@ def hypercube_gap(d: int, f: EnergyFunction | Callable[[float], float], q: int) 
     which is strictly positive whenever the forward differences of f
     alternate in sign up to order d - 1.
     """
-    d, q = _integer(d, "dimension"), _integer(q, "q")
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
+    d, q = _integer(d, "dimension", 1), _integer(q, "q")
     if not 0 <= q <= d - 1:
         raise ValueError(f"q must lie in 0..{d - 1}, got {q}")
     m = d - 1 - q
@@ -157,11 +157,8 @@ def factor_curve(n: int, a: float, distance_power: int = 1) -> FactorCurve:
     eps_ld * ceil(log2(n)) * sum(terms) of the exact sum over all n terms,
     eps_ld being the long double epsilon.
     """
-    n, distance_power = _integer(n, "cycle length"), _integer(distance_power, "distance power")
-    if n < 2:
-        raise ValueError(f"cycle length must be at least 2, got {n}")
-    if not 1 < a < math.inf:
-        raise ValueError(f"base must {'be finite' if a > 1 else 'exceed 1'}, got {a}")
+    n, a = _integer(n, "cycle length", 2), _real(a, "base", 1)
+    distance_power = _integer(distance_power, "distance power")
     if distance_power not in (1, 2):
         raise ValueError(f"distance power must be 1 or 2, got {distance_power}")
     exponent = (np.arange(n // 2 + 1) ** distance_power).astype(np.longdouble)
@@ -181,9 +178,7 @@ def factor_closed_form(n: int, a: float, k: int) -> float:
     cancellation-free arrangement (expm1 / log1p and the half-angle form of
     the denominator) so it stays accurate to rounding for a close to 1.
     """
-    n, k = _even_cycle(n), _integer(k, "root index")
-    if not 1 < a < math.inf:
-        raise ValueError(f"base must {'be finite' if a > 1 else 'exceed 1'}, got {a}")
+    n, k, a = _even_cycle(n), _integer(k, "root index"), _real(a, "base", 1)
     q = a - 1.0
     ln_a = math.log1p(q)
     half = n // 2
@@ -216,12 +211,11 @@ def dirichlet_sin_sum(m: int, x: float) -> float:
 
         (cos(x/2) - cos((m + 1/2) x)) / (2 sin(x/2)),
 
-    valid away from multiples of 2 pi.  This is the identity behind the
-    telescoped derivative of kappa.
+    valid away from multiples of 2 pi, for an integer m of at least 0 and a
+    finite real x.  This is the identity behind the telescoped derivative
+    of kappa.
     """
-    m = _integer(m, "m")
-    if m < 0:
-        raise ValueError(f"m must be non-negative, got {m}")
+    m, x = _integer(m, "m", 0), _real(x, "x", -math.inf)
     s = math.sin(x / 2.0)
     if s == 0.0:
         raise ValueError(f"x = {x} is a pole of the closed form")

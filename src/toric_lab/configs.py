@@ -44,9 +44,11 @@ from .grid import (
     GridDims,
     Metric,
     Site,
+    _check_even,
     _check_site,
     _integer,
     _integers,
+    _particle_count,
     distance_key,
     index_to_sites,
     site_index,
@@ -153,9 +155,7 @@ def checkerboard(dims: GridDims, parity: str = "even") -> Configuration:
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if not dims.all_even():
-        odd = [n for n in dims.sizes if n % 2]
-        raise ValueError(f"checkerboard undefined: odd size(s) {odd} in {dims.sizes}")
+    _check_even(dims, "checkerboard")
     coordinate_sum = sum(np.ix_(*[np.arange(n) for n in dims.sizes]))
     want = 0 if parity == "even" else 1
     return Configuration(dims, np.flatnonzero(coordinate_sum % 2 == want))
@@ -316,9 +316,7 @@ def _search(
     """
     if objective not in ("total", "max"):
         raise ValueError(f"objective must be 'total' or 'max', got {objective!r}")
-    p = _integer(p, "particle count")
-    if not 0 <= p <= dims.order:
-        raise ValueError(f"particle count {p} out of range 0..{dims.order}")
+    p = _particle_count(dims, p)
     limit(p)
     if p == 0:
         return [SearchHit(config=Configuration(dims, ()), value=0.0, orbit_size=1)]
@@ -385,17 +383,14 @@ def brute_force(
     leaves x p^2 member pairs, so pruning never turns a refusal into a run.
     It and the kernel matrix's 2048-row limit are checked before the kernel
     is built or f is called, and p = 0 is the empty configuration, which
-    reads no energy.  A negative budget is a ValueError, and so is a hit
-    whose value overflows.
+    reads no energy.  The budget must be an integer of at least 0, so NaN
+    and inf are refused; each refusal is a ValueError, and so is a hit whose
+    value overflows.
     """
     if reduce not in ("none", "translations"):
         raise ValueError(f"reduce must be 'none' or 'translations', got {reduce!r}")
-    top_k = _integer(top_k, "top_k")
-    if top_k < 1:
-        raise ValueError(f"top_k must be at least 1, got {top_k}")
-    budget = DEFAULT_WORK_BUDGET if budget is None else budget
-    if budget < 0:
-        raise ValueError(f"budget must be at least 0, got {budget}")
+    top_k = _integer(top_k, "top_k", 1)
+    budget = DEFAULT_WORK_BUDGET if budget is None else _integer(budget, "budget", 0)
 
     def limit(p: int) -> None:
         leaves = math.comb(dims.order - 1, p - 1) if reduce == "translations" and p else math.comb(dims.order, p)
@@ -579,11 +574,13 @@ def local_search(
 ) -> SearchHit:
     """Repeated single-swap hill descent from uniform random p-subsets.
 
-    Deterministic for a fixed seed.  The starts are drawn one restart after
-    another from one generator and descend in batches of
-    _BATCH_PAIRS // (p (|G| - p)) restarts, at least one (|G| stands in for
-    p (|G| - p) where it is larger), so a batch's score arrays hold about
-    _BATCH_PAIRS entries however many restarts run.  Every restart's
+    rng_seed, an integer of at least 0, seeds the one generator, so the
+    search is deterministic for a fixed seed; restarts is an integer of at
+    least 1.  Both are checked before the kernel is built.  The starts are
+    drawn one restart after another from that generator and descend in
+    batches of _BATCH_PAIRS // (p (|G| - p)) restarts, at least one (|G|
+    stands in for p (|G| - p) where it is larger), so a batch's score arrays
+    hold about _BATCH_PAIRS entries however many restarts run.  Every restart's
     descent is the one it would take alone.  Returns the best configuration
     seen, the first restart of least key (e_tot, or (e_max, e_tot) for the
     max objective), with its energies() value, bit for bit, read off the
@@ -593,9 +590,7 @@ def local_search(
     is the empty configuration, which reads no energy.  A best value that
     overflows is a ValueError.
     """
-    restarts = _integer(restarts, "restarts")
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    restarts, rng_seed = _integer(restarts, "restarts", 1), _integer(rng_seed, "rng_seed", 0)
 
     def limit(p: int) -> None:
         # a max-objective step scores each of the p x (|G| - p) swaps against p members:

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .grid import GridDims, Metric, _check_block, distance_table
+from .grid import GridDims, Metric, _check_block, _integer, _integers, _real, distance_table
 
 __all__ = [
     "EnergyFunction",
@@ -81,8 +81,7 @@ class InversePower(EnergyFunction):
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValueError(f"inverse-power exponent must be positive, got {self.alpha}")
+        _real(self.alpha, "inverse-power exponent", 0)
 
     def __call__(self, x: float) -> float:
         if x <= 0:
@@ -102,8 +101,7 @@ class ExponentialAtom(EnergyFunction):
     exponent_of: str = "distance"  # "distance" or "distance_squared"
 
     def __post_init__(self) -> None:
-        if not (self.a > 1 and math.isfinite(self.a)):
-            raise ValueError(f"exponential base must exceed 1, got {self.a}")
+        _real(self.a, "exponential base", 1)
         if self.exponent_of not in ("distance", "distance_squared"):
             raise ValueError(f"unknown exponent_of {self.exponent_of!r}")
 
@@ -236,9 +234,8 @@ def _tabulate(key: np.ndarray, metric: Metric, f: EnergyFunction | Callable[[flo
 
 
 def forward_difference(f: Callable[[float], float], m: int, x: float) -> float:
-    """m-th forward difference of f at x, from the binomial expansion."""
-    if m < 0:
-        raise ValueError(f"difference order must be non-negative, got {m}")
+    """m-th forward difference of f at x, from the binomial expansion; m is an integer of at least 0."""
+    m = _integer(m, "difference order", 0)
     return math.fsum(
         math.comb(m, k) * (-1) ** (m + k) * f(x + k) for k in range(m + 1)
     )
@@ -309,12 +306,13 @@ def check_alternating_differences(
     """Check (-1)^m * (m-th forward difference of f) > 0 on an integer window.
 
     Orders m = 0..max_order are scanned (order zero is positivity of f
-    itself).  Values within STRICTNESS_RTOL * max(1, |f(x)|) of zero are
-    reported as inconclusive rather than failed.
+    itself), max_order an integer of at least 0.  The window's points must
+    be integers: a float such as 1.5, or a str, is refused, not truncated.
+    Values within STRICTNESS_RTOL * max(1, |f(x)|) of zero are reported as
+    inconclusive rather than failed.
     """
-    xs = sorted(set(int(x) for x in window))
-    if max_order < 0:
-        raise ValueError(f"max_order must be non-negative, got {max_order}")
+    xs = sorted(set(_integers(window, "window")))
+    max_order = _integer(max_order, "max_order", 0)
 
     def scan(m: int, x: int) -> tuple[float, float]:
         return forward_difference(f, m, x), STRICTNESS_RTOL * max(1.0, abs(f(x)))
@@ -339,18 +337,16 @@ def check_complete_monotonicity_proxy(
 
     This is a diagnostic proxy, not a proof: derivative estimates use
     central differences, and estimates smaller than the rounding noise of
-    the stencil are reported as inconclusive.  Tabulated profiles are
+    the stencil are reported as inconclusive.  max_order is an integer of
+    at least 0; step and every grid point are finite positive real numbers,
+    so a NaN point is refused rather than scanned.  Tabulated profiles are
     rejected because the stencil needs off-grid evaluations.
     """
     if isinstance(f, Tabulated):
         raise ValueError("complete-monotonicity proxy requires a smooth profile, not a table")
-    if max_order < 0:
-        raise ValueError(f"max_order must be non-negative, got {max_order}")
-    if not (step > 0):
-        raise ValueError(f"step must be positive, got {step}")
-    xs = sorted(set(float(x) for x in grid))
-    if any(x <= 0 for x in xs):
-        raise ValueError("grid points must be positive")
+    max_order = _integer(max_order, "max_order", 0)
+    step = _real(step, "step", 0)
+    xs = sorted(set(float(_real(x, "grid point", 0)) for x in grid))
     eps = np.finfo(np.float64).eps
 
     def scan(k: int, x: float) -> tuple[float, float]:

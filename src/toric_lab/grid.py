@@ -12,10 +12,19 @@ wraps, `distance_table` the metric over the block, and `expand_block`
 gives a block's full table.  `BudgetExceededError` is the refusal of work
 or an allocation beyond a limit; it lives here, in the layer every other
 module imports, so that any of them can raise it.
+
+Every argument rule the library shares is written once here, and each
+public entry that takes such an argument calls it: `_integer` (an integer,
+at least a given least value), `_real` (a finite real number above a given
+bound), `_particle_count` (an integer in 0..|G|) and `_check_even` (all
+sizes even); `_integers` reads a sequence of integers.  Each refusal is a
+ValueError naming the argument.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -57,12 +66,34 @@ class Metric(Enum):
     CHEBYSHEV = "chebyshev"
 
 
-def _integer(value: object, name: str) -> int:
-    """The value as a Python int; a value that is not an integer, such as a float or a str, is refused."""
+def _integer(value: object, name: str, least: int | None = None) -> int:
+    """The value as a Python int; a value that is not an integer, such as a float or a str, is refused.
+
+    When least is given, so is an integer below it.
+    """
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def _real(value: object, name: str, above: float) -> float:
+    """The value itself if it is a real number above `above` and finite; a ValueError naming it otherwise.
+
+    A value that is not a `numbers.Real`, such as a str, is refused, and so
+    are NaN, a value not above the bound and inf.  With `above` = -inf the
+    rule is only that the value is finite.
+    """
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not above < value < math.inf:
+        finite = value > above or above == -math.inf
+        rule = "be finite" if finite else "be positive" if above == 0 else f"exceed {above}"
+        raise ValueError(f"{name} must {rule}, got {value}")
+    return value
 
 
 def _integers(values: Iterable, name: str) -> tuple[int, ...]:
@@ -112,6 +143,21 @@ class GridDims:
 
     def __str__(self) -> str:
         return "x".join(str(n) for n in self.sizes)
+
+
+def _particle_count(dims: GridDims, p: object) -> int:
+    """The particle count p as a Python int; one that is not an integer in 0..|G| is refused."""
+    p = _integer(p, "particle count")
+    if not 0 <= p <= dims.order:
+        raise ValueError(f"particle count {p} out of range 0..{dims.order}")
+    return p
+
+
+def _check_even(dims: GridDims, what: str) -> None:
+    """Refuse a grid with an odd size: what, the object that needs all sizes even, is named."""
+    if not dims.all_even():
+        odd = [n for n in dims.sizes if n % 2]
+        raise ValueError(f"{what} needs all even sizes, got odd {odd} in {dims.sizes}")
 
 
 def _check_site(dims: GridDims, s: Sequence[int], name: str) -> tuple[int, ...]:
@@ -208,7 +254,5 @@ def index_to_sites(dims: GridDims, indices: Sequence[int] | np.ndarray) -> list[
 
 def minus_one_character(dims: GridDims) -> Character:
     """The real character (-1, ..., -1); exists exactly when all sizes are even."""
-    if not dims.all_even():
-        odd = [n for n in dims.sizes if n % 2]
-        raise ValueError(f"(-1, ..., -1) needs all even sizes, got odd {odd} in {dims.sizes}")
+    _check_even(dims, "(-1, ..., -1)")
     return tuple(n // 2 for n in dims.sizes)

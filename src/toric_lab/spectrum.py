@@ -40,7 +40,7 @@ from .grid import (
     Metric,
     _check_block,
     _check_site,
-    _integer,
+    _particle_count,
     axis_wraps,
     block_shape,
     expand_block,
@@ -228,9 +228,7 @@ class RelaxationSolution:
 def solve_relaxation(eigs: EigenTable, p: int, tie_tol: float | None = None) -> RelaxationSolution:
     """Solve the relaxation exactly from the eigenvalue table; an optimal value that overflows is a ValueError."""
     dims = eigs.dims
-    p = _integer(p, "particle count")
-    if not 0 <= p <= dims.order:
-        raise ValueError(f"particle count {p} out of range 0..{dims.order}")
+    p = _particle_count(dims, p)
     lam_triv = float(eigs.block.flat[0])
     lam_min, argmin = min_nontrivial(eigs, tie_tol)
     if tie_tol is None:

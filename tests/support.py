@@ -87,7 +87,7 @@ def checkerboard_sites(dims: GridDims, parity: str = "even") -> list[Site]:
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     if not dims.all_even():
         odd = [n for n in dims.sizes if n % 2]
-        raise ValueError(f"checkerboard undefined: odd size(s) {odd} in {dims.sizes}")
+        raise ValueError(f"checkerboard needs all even sizes, got odd {odd} in {dims.sizes}")
     want = 0 if parity == "even" else 1
     return [s for s in enumerate_sites(dims) if sum(s) % 2 == want]
 

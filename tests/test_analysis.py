@@ -309,9 +309,9 @@ class TestDirichletSinSum:
     [
         (lambda: kappa(7, 1.0), "cycle length must be even and at least 2, got 7"),
         (lambda: kappa_prime(7, 1.0), "cycle length must be even and at least 2, got 7"),
-        (lambda: hypercube_gap(0, HARMONIC, 0), "dimension must be positive, got 0"),
+        (lambda: hypercube_gap(0, HARMONIC, 0), "dimension must be at least 1, got 0"),
         (lambda: factor_closed_form(8, 1.0, 1), "base must exceed 1, got 1.0"),
-        (lambda: dirichlet_sin_sum(-1, 1.0), "m must be non-negative, got -1"),
+        (lambda: dirichlet_sin_sum(-1, 1.0), "m must be at least 0, got -1"),
         # a base of inf has no curve: summaries would print Infinity, which is not JSON
         (lambda: factor_closed_form(8, math.inf, 1), "base must be finite, got inf"),
         (lambda: factor_curve(8, math.inf), "base must be finite, got inf"),

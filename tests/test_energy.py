@@ -299,5 +299,5 @@ class TestMonotonicityProxy:
     ids=["alternating-differences", "monotonicity-proxy"],
 )
 def test_negative_max_order_rejected(check, args):
-    with pytest.raises(ValueError, match="max_order must be non-negative, got -1"):
+    with pytest.raises(ValueError, match="max_order must be at least 0, got -1"):
         check(InversePower(1.0), -1, *args)

@@ -281,7 +281,7 @@ class TestCheckerboard:
             assert s in even
 
     def test_odd_size_rejected(self):
-        with pytest.raises(ValueError, match="checkerboard undefined"):
+        with pytest.raises(ValueError, match="checkerboard needs all even sizes"):
             checkerboard(GridDims.of(3, 4))
         with pytest.raises(ValueError):
             checkerboard(GridDims.of(4, 4), parity="sideways")
