@@ -197,10 +197,11 @@ def bernstein_sweep(n: int, metric_power: int, a_grid: Iterable[float]) -> list[
 
     For n divisible by 4 at power 1 every base passes; for n = 2 mod 4 (n
     at least 6) the minimum migrates away from -1 for small bases, and the
-    curves expose the witnessing a.
+    curves expose the witnessing a.  Each base is read by `factor_curve`'s
+    rule, as given: a str is refused, not converted.
     """
     n = _even_cycle(n)
-    grid = [float(a) for a in a_grid]
+    grid = list(a_grid)
     if not grid:
         raise ValueError("a_grid must be nonempty")
     return [factor_curve(n, a, metric_power) for a in grid]

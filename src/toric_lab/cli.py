@@ -9,7 +9,8 @@ so a flag overrides the file, and one parse validates both alike:
 4180, LF line endings), ascii-grid pictures and JSON documents matching the
 schemas shipped under `toric_lab/schemas/`.  Every CSV and ascii-grid float
 goes through one formatter, `_fmt`: 17 significant digits, which round-trip
-float64 exactly, and an inf or NaN is refused.  Every JSON document goes
+float64 exactly, and an inf or NaN is refused; the `eigs` table takes its
+texts as ASCII bytes and stays bytes up to its file.  Every JSON document goes
 through one writer, `_emit_json`, which refuses an inf or NaN too; `_echo`
 gives the `dims`, `metric` and `f` that open the `eigs` summary and the
 `certify`, `search` and `energy` documents.  The `eigs` summary is the
@@ -64,18 +65,22 @@ class SpecError(ValueError, argparse.ArgumentTypeError):
     """Invalid instance description (flags or spec file); a flag's type reports its message."""
 
 
-def _fmt(values: Sequence[float] | np.ndarray) -> list[str]:
-    """Each value to 17 significant digits, which round-trip float64 exactly.
+def _fmt(values: Sequence[float] | np.ndarray, kind: type[str] | type[bytes] = str) -> list:
+    """Each value to 17 significant digits, which round-trip float64 exactly, as a str or as ASCII bytes.
 
     The values are checked once: the first inf or NaN among them is refused.
     One `%` call formats them all, giving for each value the text of
-    `format(x, ".17g")` without a Python call per value.
+    `format(x, ".17g")`, or its ASCII bytes when kind is bytes, without a
+    Python call per value.
     """
     values = np.asarray(values, dtype=np.float64)
     finite = np.isfinite(values)
     if not finite.all():
         raise ValueError(f"cannot write the non-finite value {values[~finite][0].item()!r}")
-    return ("%.17g\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
+    line = "%.17g\n"
+    if kind is bytes:
+        line = line.encode()
+    return (line * len(values) % tuple(values.tolist())).split(line[-1:])[:-1]
 
 
 def _read_integer(text: str, refusal: str = "") -> int:
@@ -254,29 +259,40 @@ def _summary_path(out: Path) -> Path:
 def _write_eigen_csv(path: Path | None, table: spectrum.EigenTable) -> None:
     """The `eigs` CSV: a header, then one `j1,...,jd,lambda` line per character, row-major.
 
-    Each block entry is formatted once, by `_fmt` one block row at a time.  A
-    block row of the leading axes becomes one text: one template of
-    "j,%s" lines over the last axis, filled by one `%` with the row's texts
-    picked at the last axis's wraps.  That text serves the mirrored rows
-    c and n - c of each leading axis.  So every text is held until the last
-    row is written, about 6x the block's bytes; holding one CSV row at a
-    time would format each entry 2^(d-1) times, and formatting the whole
-    block in one call would hold its texts too (+5.5 MB peak RSS at 512^2).
+    Every byte of it is ASCII, so it is built as bytes from the formatter
+    on: the file is opened "wb", and only stdout, a text stream, gets each
+    chunk decoded.  Each block entry is formatted once, by `_fmt` one block
+    row at a time.  A block row of the leading axes becomes one text: one
+    template of "j,%s" lines over the last axis, filled by one `%` with the
+    row's texts picked at the last axis's wraps.  That text serves the
+    mirrored rows c and n - c of each leading axis.  So every text is held
+    until the last row is written, about 6x the block's bytes; holding one
+    CSV row at a time would format each entry 2^(d-1) times.  Every text
+    is formatted before the file is opened, so a refusal writes nothing.
     """
     dims = table.dims
     leading = dims.sizes[:-1]
-    template = "\n".join([f"{j},%s" for j in range(dims.sizes[-1])])
+    header = (",".join([f"j{i + 1}" for i in range(dims.ndim)] + ["lambda"]) + "\n").encode()
+    template = "\n".join([f"{j},%s" for j in range(dims.sizes[-1])]).encode()
     # a tuple of texts, or for a size-1 last axis the one text, which fills the one field
     at_wraps = operator.itemgetter(*axis_wraps(dims.sizes[-1]).tolist())
-    bodies = [template % at_wraps(_fmt(values)) for values in table.block.reshape(-1, table.block.shape[-1])]
+    bodies = [template % at_wraps(_fmt(values, bytes)) for values in table.block.reshape(-1, table.block.shape[-1])]
     # the block row of each leading coordinate tuple, in row-major order
     body_at = np.arange(len(bodies)).reshape(table.block.shape[:-1])[np.ix_(*map(axis_wraps, leading))].ravel().tolist()
-    with _out_stream(path) as handle:
-        handle.write(",".join([f"j{i + 1}" for i in range(dims.ndim)] + ["lambda"]) + "\n")
+
+    def chunks() -> Iterator[bytes]:
+        yield header
         # rows in row-major character order, the order of itertools.product
         for lead, at in zip(itertools.product(*map(range, leading)), body_at):
-            prefix = "".join(f"{c}," for c in lead)
-            handle.write(prefix + bodies[at].replace("\n", "\n" + prefix) + "\n")
+            prefix = "".join(f"{c}," for c in lead).encode()
+            yield prefix + bodies[at].replace(b"\n", b"\n" + prefix) + b"\n"
+
+    if path is None:
+        for chunk in chunks():
+            sys.stdout.write(chunk.decode())
+    else:
+        with open(path, "wb") as handle:
+            handle.writelines(chunks())
 
 
 def _cmd_eigs(args: argparse.Namespace) -> int:

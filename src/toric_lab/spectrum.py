@@ -29,6 +29,7 @@ finiteness check reads its least and greatest value, with no mask.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,7 @@ from .grid import (
     _check_block,
     _check_site,
     _particle_count,
+    _real,
     axis_wraps,
     block_shape,
     expand_block,
@@ -155,10 +157,14 @@ def default_tie_tol(lambda_min: float) -> float:
 
 
 def check_tie_tol(tie_tol: float) -> float:
-    """tie_tol itself if it is finite and non-negative; a ValueError otherwise."""
-    if not (math.isfinite(tie_tol) and tie_tol >= 0):
+    """tie_tol itself if it is a finite real of at least 0; a ValueError naming it otherwise.
+
+    Whether it is a real at all is `grid._real`'s rule, so a str or None is
+    refused by name too.
+    """
+    if isinstance(tie_tol, numbers.Real) and not 0 <= tie_tol < math.inf:
         raise ValueError(f"tie_tol must be finite and >= 0, got {tie_tol!r}")
-    return tie_tol
+    return _real(tie_tol, "tie_tol", -math.inf)
 
 
 def _reflection_index(dims: GridDims, hits: np.ndarray) -> np.ndarray:

@@ -283,6 +283,12 @@ class TestBernsteinSweep:
                 else:
                     assert got == expected, name
 
+    def test_bases_as_given(self):
+        # ints and numpy floats are bases as they are; each curve stores its base as a float
+        curves = bernstein_sweep(8, 1, [2, np.float64(1.5)])
+        assert [(type(c.a), c.a) for c in curves] == [(float, 2.0), (float, 1.5)]
+        assert curves[0].values.tolist() == factor_curve(8, 2.0).values.tolist()
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             bernstein_sweep(8, 1, [])

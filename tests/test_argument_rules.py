@@ -14,7 +14,7 @@ import re
 import pytest
 
 from toric_lab import cli, configs
-from toric_lab.analysis import dirichlet_sin_sum, factor_curve, kappa, kappa_prime
+from toric_lab.analysis import bernstein_sweep, dirichlet_sin_sum, factor_curve, kappa, kappa_prime
 from toric_lab.configs import brute_force, local_search
 from toric_lab.energy import (
     ExponentialAtom,
@@ -24,6 +24,7 @@ from toric_lab.energy import (
     forward_difference,
 )
 from toric_lab.grid import GridDims, Metric
+from toric_lab.spectrum import check_tie_tol
 
 HARMONIC = InversePower(1.0)
 
@@ -62,6 +63,13 @@ CASES = {
     # a base is a real number: a str would reach a comparison as a bare TypeError
     "exp-base-str": (lambda: ExponentialAtom("2"), "exponential base must be a real number, got '2'"),
     "curve-base-str": (lambda: factor_curve(8, "2"), "base must be a real number, got '2'"),
+    # a sweep reads each base by the factor curve's rule: "2" is not 2.0
+    "sweep-base-str": (lambda: bernstein_sweep(8, 1, [1.5, "2"]), "base must be a real number, got '2'"),
+    # a tie tolerance is a real number: a str or None would reach math.isfinite as a bare TypeError
+    "tie-tol-str": (lambda: check_tie_tol("0.1"), "tie_tol must be a real number, got '0.1'"),
+    "tie-tol-none": (lambda: check_tie_tol(None), "tie_tol must be a real number, got None"),
+    "tie-tol-nan": (lambda: check_tie_tol(math.nan), "tie_tol must be finite and >= 0, got nan"),
+    "tie-tol-negative": (lambda: check_tie_tol(-1), "tie_tol must be finite and >= 0, got -1"),
     # the seed is checked before the kernel is built, not by numpy after it
     "rng-seed-float": (lambda: local_search(GridDims.of(4, 4), Metric.LEE, never, 3, rng_seed=1.5),
                        "rng_seed must be an integer, got 1.5"),

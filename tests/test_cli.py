@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -1181,6 +1182,24 @@ class TestEigsBytes:
         assert out.read_bytes() == csv_text.encode("utf-8")
         assert (tmp_path / "e.summary.json").read_bytes() == summary.encode("utf-8")
 
+    @pytest.mark.parametrize("sizes", [(10, 10), (4, 3, 6)])
+    def test_stdout_redirected_to_a_text_buffer(self, capsys, sizes):
+        # the CSV is built as bytes, but stdout is a text stream: a StringIO gets the same text
+        csv_text, summary = self.expected(sizes, "lee")
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = main(["eigs", "--dims", ",".join(map(str, sizes)), "--metric", "lee", "--f", self.F])
+        assert (code, buffer.getvalue(), capsys.readouterr()) == (EXIT_OK, csv_text, ("", summary))
+
+    def test_out_over_a_longer_file(self, capsys, tmp_path):
+        # the old file's tail is truncated, not left after the table
+        csv_text, summary = self.expected((5, 2, 7), "euclid")
+        out = tmp_path / "e.csv"
+        out.write_bytes(b"x" * (2 * len(csv_text)))
+        argv = ("eigs", "--dims", "5,2,7", "--metric", "euclid", "--f", self.F, "--out", str(out))
+        assert run(capsys, *argv) == (EXIT_OK, summary, "")
+        assert out.read_bytes() == csv_text.encode("ascii")
+
     def test_never_expands_the_full_table(self, capsys, tmp_path, monkeypatch):
         csv_text, summary = self.expected((4, 2, 6), "lee")
 
@@ -1202,9 +1221,9 @@ class TestEigsBytes:
 
         fmt = cli._fmt
 
-        def recording_fmt(values):
+        def recording_fmt(values, kind=str):
             calls.extend(values.tolist())
-            return fmt(values)
+            return fmt(values, kind)
 
         monkeypatch.setattr(cli, "_fmt", recording_fmt)
         argv = ("eigs", "--dims", ",".join(map(str, sizes)), "--metric", "lee", "--f", self.F)
@@ -1247,6 +1266,17 @@ def test_fmt_takes_a_sequence_and_names_its_first_non_finite_value():
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)))
 def test_fmt_is_format_17g(values):
     assert cli._fmt(values) == [format(x, ".17g") for x in values]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)))
+def test_fmt_bytes_are_the_ascii_of_its_texts(values):
+    assert cli._fmt(values, bytes) == [text.encode("ascii") for text in cli._fmt(values)]
+
+
+def test_fmt_bytes_refuses_non_finite():
+    assert cli._fmt([], bytes) == []
+    with pytest.raises(ValueError, match="cannot write the non-finite value -inf$"):
+        cli._fmt([1.0, -math.inf], bytes)
 
 
 @pytest.mark.parametrize("values, texts", [
