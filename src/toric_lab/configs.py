@@ -22,12 +22,18 @@ which reads no energy; the one kernel matrix; one leaf-value reader; and one
 refusal of a hit value that overflows.  Local search reads its winner's
 value off the same matrix as a leaf and keeps per-site energies
 incrementally: a swap costs O(|G|) to apply, and scoring a step's swaps
-O(p (|G| - p)) for the total objective and O(p^2 (|G| - p)) for the max.
+O(p (|G| - p)) for the total objective.  For the max it costs
+O(H p (|G| - p)) for a lower bound on every swap's new maximum from the
+H = _HOT_MEMBERS members of highest energy, plus O(p) for each swap whose
+bound does not rule it out, whose exact new maximum is then computed, or
+O(p^2 (|G| - p)) in all when so many survive that folding every member in
+costs less; the bound and the exact values take the same float
+operations, so the pick is the one that scoring every swap exactly gives,
+bit for bit.  The O(p^2 (|G| - p)) limit stays the worst case.
 Its restarts descend together in batches of about _BATCH_PAIRS / (p (|G| - p))
 restarts, so a batch holds a few (restarts, p, |G| - p) score arrays of about
-_BATCH_PAIRS entries each, whatever the number of restarts; the max
-objective folds each member's energy after a swap into the new maximum one
-member at a time, on arrays of that shape.
+_BATCH_PAIRS entries each, whatever the number of restarts, and the exact
+maxima are computed in chunks no larger than those arrays.
 """
 
 from __future__ import annotations
@@ -88,6 +94,13 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 _EQUIENERGY_RTOL = 1e-9
 _MAX_DESCENT_STEPS = 10_000
+
+# Members of highest energy whose energies bound a max-objective swap's new
+# maximum from below (see _descend).
+_HOT_MEMBERS = 8
+# The time of one term of a swap's exact new maximum computed on its own, in
+# terms folded over every swap at once: 5.9 against 1.6 ns at 12x12 p = 72.
+_EXACT_COST = 4
 
 
 @dataclass(frozen=True)
@@ -484,6 +497,57 @@ def _branch_and_bound(
     return _rank(seen, top_k)
 
 
+def _fold_members(
+    new_max: np.ndarray, K: np.ndarray, K_mn: np.ndarray, cur_m: np.ndarray, members: np.ndarray,
+    columns: np.ndarray,
+) -> None:
+    """Max-folds into new_max[r, o, i] the energy (c_a - K[a, o]) + K[a, i] of each member a = columns[r, j].
+
+    One column j at a time, on (rows, p, |G| - p) arrays; a = o, the member
+    swapped out, is left out.
+    """
+    step = np.arange(len(members))
+    stay = np.empty_like(new_max)
+    for a in columns.T:
+        v = cur_m[step, a, None] - K[members[step, a, None], members]
+        v[step, a] = -np.inf
+        np.add(v[:, :, None], K_mn[step, a, None, :], out=stay)
+        np.maximum(new_max, stay, out=new_max)
+
+
+def _new_maxima(
+    K: np.ndarray, cur_m: np.ndarray, members: np.ndarray, non: np.ndarray, bound: np.ndarray, at: np.ndarray
+) -> np.ndarray:
+    """The exact new maximum of each swap at flat index `at` of _descend's (rows, p, |G| - p) swap array.
+
+    Each is the swap's bound, which holds the incoming site's energy,
+    max-folded with every staying member's energy (c_a - K[a, o]) + K[a, i],
+    the float operations _descend's bound does on its terms, so the value is
+    the one a fold over every member gives, bit for bit.  The swaps go in
+    chunks of at most _BATCH_PAIRS terms and 1 / _EXACT_COST of the swap
+    array's entries: a chunk's three (swaps, p) arrays together stay below
+    one of the step's score arrays, and _descend computes exact maxima on
+    their own only for fewer terms than that in all, so one chunk serves a
+    step whose score arrays hold at most _EXACT_COST * _BATCH_PAIRS entries.
+    """
+    rows, p = members.shape
+    q = non.shape[1]
+    size = max(1, min(_BATCH_PAIRS // p, rows * q // _EXACT_COST))
+    out = np.empty(at.size)
+    for start in range(0, at.size, size):
+        swaps = at[start:start + size]
+        row, o_i = np.divmod(swaps, p * q)
+        o_i, i_i = np.divmod(o_i, q)
+        flat = members[row] * K.shape[1]  # K[a, j] is K.take(a |G| + j)
+        stay = K.take(flat + members[row, o_i, None])
+        np.subtract(cur_m[row], stay, out=stay)
+        stay[np.arange(swaps.size), o_i] = -np.inf
+        flat += non[row, i_i, None]
+        stay += K.take(flat)
+        np.maximum(stay.max(axis=1), bound.reshape(-1)[swaps], out=out[start:start + size])
+    return out
+
+
 def _descend(
     K: np.ndarray, starts: np.ndarray, objective: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -497,10 +561,25 @@ def _descend(
     still taken and plateaus of equal maxima can be crossed.  The key
     strictly decreases at every step; _MAX_DESCENT_STEPS per row only
     guards against rounding pathologies.  Scoring a step costs O(p (|G| - p)) per
-    row for the total and O(p^2 (|G| - p)) for the max, in (rows, p,
-    |G| - p) arrays: member a's energy after swapping member o out for
-    site i is (c_a - K[a, o]) + K[a, i], accumulated into the new maximum
-    one member a at a time.  K is symmetric, so its rows serve as columns.
+    row for the total, in (rows, p, |G| - p) arrays.  For the max, member
+    a's energy after swapping member o out for site i is
+    (c_a - K[a, o]) + K[a, i], and the incoming site's is c_i - K[o, i]:
+      - bound: the incoming site's energy max-folded with the energies of
+        the row's _HOT_MEMBERS members of highest c_a (a = o left out), one
+        member at a time, O(H p (|G| - p)) per row.  max is exact, so the
+        bound is at most the exact new maximum, bit for bit;
+      - threshold: t = min(e_max, exact new maximum of the bound's first
+        argmin).  A swap bounded above t has a new maximum above the least
+        one, or above e_max, so it cannot be picked, or no swap moves;
+      - survivors: the swaps bounded at most t get their exact new maxima
+        from _new_maxima, O(p) each, the others +inf, and the pick above
+        runs on these values as on a fold over every member.  When so many
+        survive that this would cost more than folding the other p - H
+        members in (one exact term costs about _EXACT_COST folded ones), they
+        are folded in instead, and every value is exact.
+    With p at most _HOT_MEMBERS the bound folds every member and is exact.
+    A NaN bound or threshold rules nothing out.  K is symmetric, so its
+    rows serve as columns.
     """
     rows, p = starts.shape
     order = K.shape[0]
@@ -532,15 +611,24 @@ def _descend(
                 flat = flat_tot.argmin(axis=1)
                 moves = flat_tot[step, flat] < e_tot
             else:
-                # the incoming site's energy, then each staying member's; K[i, i] is zero
+                # a lower bound on each swap's new maximum: the incoming site's energy
+                # (K[i, i] is zero), then the energies of the row's hottest members
+                heat = np.argsort(cur_m, axis=1)
                 new_max = cur_n[:, None, :] - K_mn
-                stay = np.empty_like(new_max)
-                for a in range(p):
-                    v = cur_m[:, a, None] - K[members[:, a, None], members]
-                    v[:, a] = -np.inf
-                    np.add(v[:, :, None], K_mn[:, a, None, :], out=stay)
-                    np.maximum(new_max, stay, out=new_max)
+                _fold_members(new_max, K, K_mn, cur_m, members, heat[:, -_HOT_MEMBERS:])
                 flat_max = new_max.reshape(live.size, p * q)
+                if p > _HOT_MEMBERS:  # else every member was folded in: the bound is exact
+                    # t as in the docstring; a NaN bound, or a NaN t, keeps every swap it touches
+                    first = flat_max.argmin(axis=1) + step * (p * q)
+                    t = np.minimum(e_max, _new_maxima(K, cur_m, members, non, flat_max, first))
+                    candidates = ~(flat_max > t[:, None])
+                    if np.count_nonzero(candidates) * p * _EXACT_COST <= (p - _HOT_MEMBERS) * flat_max.size:
+                        survivors = np.flatnonzero(candidates)
+                        exact = _new_maxima(K, cur_m, members, non, flat_max, survivors)
+                        flat_max[~candidates] = np.inf
+                        flat_max.reshape(-1)[survivors] = exact
+                    else:  # so many survive that folding the other members in costs less
+                        _fold_members(new_max, K, K_mn, cur_m, members, heat[:, :-_HOT_MEMBERS])
                 least_max = flat_max.min(axis=1)
                 ties = flat_max == least_max[:, None]
                 least_tot = np.where(ties, flat_tot, np.inf).min(axis=1)
@@ -593,8 +681,9 @@ def local_search(
     restarts, rng_seed = _integer(restarts, "restarts", 1), _integer(rng_seed, "rng_seed", 0)
 
     def limit(p: int) -> None:
-        # a max-objective step scores each of the p x (|G| - p) swaps against p members:
-        # bound that p^2 (|G| - p) work per step and restart
+        # a max-objective step scores each of the p x (|G| - p) swaps against p members
+        # when its bound rules none out: bound that worst case, p^2 (|G| - p) work per
+        # step and restart
         if objective == "max" and p * p * (dims.order - p) > _MAX_MATRIX_SITES**2:
             raise BudgetExceededError(
                 f"refusing the max objective: one descent step scores {p} x {dims.order - p} x {p} "

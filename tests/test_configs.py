@@ -845,6 +845,46 @@ class TestLocalSearch:
                 assert np.array_equal(got[0], want[0]), where
                 assert (got[1].hex(), got[2].hex()) == (want[1].hex(), want[2].hex()), where
 
+    @pytest.mark.parametrize("sizes", [(8, 8), (6, 10), (10, 10), (4, 4, 4)])
+    def test_pruned_max_descent_is_the_oracle(self, sizes):
+        # p from 10 to |G| - 10, well above the _HOT_MEMBERS whose energies bound a
+        # swap's new maximum, so the bound prunes: every row still descends as
+        # descent_oracle descends it alone, bit for bit.  math.cos has negative
+        # entries; a constant profile ties every swap, so none is pruned and the
+        # step folds every member in
+        rng = np.random.default_rng(math.prod(sizes))
+        profiles = [HARMONIC, InversePower(0.3), ExponentialAtom(1.05), math.cos, lambda x: 1.0]
+        for case in range(20):
+            metric, f = list(Metric)[case % len(Metric)], profiles[case % len(profiles)]
+            dims, kernel = harmonic_kernel(sizes, metric, f)
+            p = int(rng.integers(10, dims.order - 9))
+            assert p > configs._HOT_MEMBERS
+            restarts = int(rng.integers(1, 13))
+            starts = np.array([rng.choice(dims.order, size=p, replace=False) for _ in range(restarts)])
+            K = kernel_matrix(kernel)
+            members, e_max, e_tot = configs._descend(K, starts, "max")
+            for row, start in enumerate(starts):
+                want = descent_oracle(K, start, "max")
+                where = (metric, case, p, row)
+                assert np.array_equal(members[row], want[0]), where
+                assert (float(e_max[row]).hex(), float(e_tot[row]).hex()) == (want[1].hex(), want[2].hex()), where
+
+    def test_pruned_max_descent_overflowing_profile(self):
+        # at 1e308 every member's energy is inf and every candidate total inf - inf:
+        # the rows stop where the oracle stops, and the search refuses the hit
+        dims, kernel = harmonic_kernel((6, 6), Metric.CHEBYSHEV, lambda x: 1e308)
+        p = 2 * configs._HOT_MEMBERS
+        starts = np.random.default_rng(6).permuted(np.tile(np.arange(dims.order), (4, 1)), axis=1)[:, :p]
+        K = kernel_matrix(kernel)
+        with np.errstate(over="ignore", invalid="ignore"):
+            members, e_max, e_tot = configs._descend(K, starts, "max")
+            for row, start in enumerate(starts):
+                want = descent_oracle(K, start, "max")
+                assert np.array_equal(members[row], want[0])
+                assert (float(e_max[row]).hex(), float(e_tot[row]).hex()) == (want[1].hex(), want[2].hex())
+            with pytest.raises(ValueError, match="^hit value not finite"):
+                local_search(dims, Metric.CHEBYSHEV, lambda x: 1e308, p, restarts=3)
+
     @pytest.mark.parametrize("batch_pairs", [1, 40, 200])
     def test_winner_across_batches(self, batch_pairs, monkeypatch):
         # batches of one to a few restarts: the winner is still the first restart of
@@ -922,6 +962,21 @@ class TestLocalSearch:
         # descent allocates every array a step does, in a second.
         monkeypatch.setattr(configs, "_MAX_DESCENT_STEPS", 1)
         args = (GridDims.of(12, 12), Metric.CHEBYSHEV, HARMONIC, 72)
+        peaks = {}
+        for restarts in (5, 500):
+            tracemalloc.start()
+            try:
+                local_search(*args, objective="max", restarts=restarts, rng_seed=0)
+                peaks[restarts] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[500] <= peaks[5] + 4 * 2**20, peaks
+
+    def test_memory_does_not_grow_with_restarts_when_no_swap_is_pruned(self, monkeypatch):
+        # a constant kernel ties every swap, so none is pruned and the step folds
+        # every member into every swap: 500 restarts still peak about where 5 do
+        monkeypatch.setattr(configs, "_MAX_DESCENT_STEPS", 1)
+        args = (GridDims.of(12, 12), Metric.CHEBYSHEV, lambda x: 1.0, 72)
         peaks = {}
         for restarts in (5, 500):
             tracemalloc.start()
