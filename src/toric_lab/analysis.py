@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .energy import EnergyFunction, forward_difference
-from .grid import _integer, _real
+from .grid import _finite, _fsum, _integer, _real
 
 __all__ = [
     "lambda_1d",
@@ -49,12 +49,14 @@ def lambda_1d(n: int, f: EnergyFunction | Callable[[float], float], j: int) -> f
         sum_{k=1}^{n/2-1} f(k) * 2 cos(2 pi j k / n)  +  f(n/2) * (-1)^j.
 
     Equals the full transform of the kernel table on a one-dimensional grid.
+    An inf or NaN f, or a sum that overflows, is a ValueError naming the
+    eigenvalue.
     """
     n, j = _even_cycle(n), _integer(j, "character index")
     half = n // 2
     terms = [f(k) * 2.0 * math.cos(2.0 * math.pi * ((j * k) % n) / n) for k in range(1, half)]
     terms.append(f(half) * (1.0 if j % 2 == 0 else -1.0))
-    return math.fsum(terms)
+    return _finite(_fsum(terms), "cycle eigenvalue", "f is inf or NaN at a distance, or its cosine sum overflows")
 
 
 def kappa(n: int, x: float) -> float:
@@ -102,16 +104,16 @@ def hypercube_gap(d: int, f: EnergyFunction | Callable[[float], float], q: int) 
         2 * sum_{l=0}^{q} C(q, l) * (-1)^(d-1-q) * (Delta^(d-1-q) f)(l + 1),
 
     which is strictly positive whenever the forward differences of f
-    alternate in sign up to order d - 1.
+    alternate in sign up to order d - 1.  A sum that overflows is a
+    ValueError naming the gap, or the forward difference it overflowed in.
     """
     d, q = _integer(d, "dimension", 1), _integer(q, "q")
     if not 0 <= q <= d - 1:
         raise ValueError(f"q must lie in 0..{d - 1}, got {q}")
     m = d - 1 - q
     sign = -1.0 if m % 2 else 1.0
-    return 2.0 * math.fsum(
-        math.comb(q, l) * sign * forward_difference(f, m, l + 1) for l in range(q + 1)
-    )
+    total = _fsum(math.comb(q, l) * sign * forward_difference(f, m, l + 1) for l in range(q + 1))
+    return _finite(2.0 * total, "hypercube gap", "a weighted sum of finite forward differences overflows")
 
 
 @dataclass(frozen=True)

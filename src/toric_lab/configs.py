@@ -52,6 +52,7 @@ from .grid import (
     Site,
     _check_even,
     _check_site,
+    _finite,
     _integer,
     _integers,
     _particle_count,
@@ -99,7 +100,9 @@ _MAX_DESCENT_STEPS = 10_000
 # maximum from below (see _descend).
 _HOT_MEMBERS = 8
 # The time of one term of a swap's exact new maximum computed on its own, in
-# terms folded over every swap at once: 5.9 against 1.6 ns at 12x12 p = 72.
+# terms folded over every swap at once: 8.4-9.0 against 1.95-2.05 ns at 12x12
+# p = 72 (the calls of one 5-restart Chebyshev search, f = 1 below distance 3
+# and 0.5 beyond; 2-vCPU host).
 _EXACT_COST = 4
 
 
@@ -254,14 +257,11 @@ def energies(config: Configuration, metric: Metric, f: EnergyFunction) -> Energy
     # the other axes' tables are freed before f is tabulated at the keys
     key = distance_key(metric, _wraps(config.dims.sizes, _pair_differences(config.dims, idx)))
     per = _tabulate(key, metric, f).sum(axis=1)
-    if not np.isfinite(per).all():
-        # f is finite at every key, so a member's sum overflowed; inf - inf
-        # would make the equienergy spread NaN and the flag read False
-        raise ValueError("member energies not finite: a member's sum of pair energies overflows")
-    e_max = float(per.max())
-    e_tot = float(per.sum())
-    if not math.isfinite(e_tot):  # e_max is one of the finite member energies
-        raise ValueError("total energy not finite: the sum of the member energies overflows")
+    # f is finite at every key, so a non-finite member energy is an overflowed sum;
+    # inf - inf would make the equienergy spread NaN and the flag read False
+    _finite(per, "member energies", "a member's sum of pair energies overflows")
+    e_max = float(per.max())  # one of the finite member energies
+    e_tot = _finite(float(per.sum()), "total energy", "the sum of the member energies overflows")
     spread = float(per.max() - per.min())
     return EnergyReport(
         per_site=dict(zip(index_to_sites(config.dims, idx), per.tolist())),
@@ -335,8 +335,7 @@ def _search(
         return [SearchHit(config=Configuration(dims, ()), value=0.0, orbit_size=1)]
     _check_rows(dims.order)
     ranked = find(kernel_matrix(build_kernel(dims, metric, f)), p)
-    if not np.isfinite(ranked[0]).all():
-        raise ValueError("hit value not finite: a hit's sum of pair energies overflows")
+    _finite(ranked[0], "hit value", "a hit's sum of pair energies overflows")
     return [SearchHit(Configuration(dims, m), v, size) for v, m, size in zip(*(a.tolist() for a in ranked))]
 
 
@@ -516,34 +515,33 @@ def _fold_members(
 
 
 def _new_maxima(
-    K: np.ndarray, cur_m: np.ndarray, members: np.ndarray, non: np.ndarray, bound: np.ndarray, at: np.ndarray
+    K: np.ndarray, K_mn: np.ndarray, cur_m: np.ndarray, members: np.ndarray, bound: np.ndarray, at: np.ndarray
 ) -> np.ndarray:
     """The exact new maximum of each swap at flat index `at` of _descend's (rows, p, |G| - p) swap array.
 
     Each is the swap's bound, which holds the incoming site's energy,
     max-folded with every staying member's energy (c_a - K[a, o]) + K[a, i],
     the float operations _descend's bound does on its terms, so the value is
-    the one a fold over every member gives, bit for bit.  The swaps go in
+    the one a fold over every member gives, bit for bit.  K[a, i] is read
+    off the step's member-by-non-member table K_mn.  The swaps go in
     chunks of at most _BATCH_PAIRS terms and 1 / _EXACT_COST of the swap
     array's entries: a chunk's three (swaps, p) arrays together stay below
     one of the step's score arrays, and _descend computes exact maxima on
     their own only for fewer terms than that in all, so one chunk serves a
     step whose score arrays hold at most _EXACT_COST * _BATCH_PAIRS entries.
     """
-    rows, p = members.shape
-    q = non.shape[1]
+    rows, p, q = K_mn.shape
     size = max(1, min(_BATCH_PAIRS // p, rows * q // _EXACT_COST))
     out = np.empty(at.size)
     for start in range(0, at.size, size):
         swaps = at[start:start + size]
         row, o_i = np.divmod(swaps, p * q)
         o_i, i_i = np.divmod(o_i, q)
-        flat = members[row] * K.shape[1]  # K[a, j] is K.take(a |G| + j)
-        stay = K.take(flat + members[row, o_i, None])
+        # K[a, o] is K.take(a |G| + o)
+        stay = K.take(members[row] * K.shape[1] + members[row, o_i, None])
         np.subtract(cur_m[row], stay, out=stay)
         stay[np.arange(swaps.size), o_i] = -np.inf
-        flat += non[row, i_i, None]
-        stay += K.take(flat)
+        stay += K_mn[row, :, i_i]
         np.maximum(stay.max(axis=1), bound.reshape(-1)[swaps], out=out[start:start + size])
     return out
 
@@ -620,11 +618,11 @@ def _descend(
                 if p > _HOT_MEMBERS:  # else every member was folded in: the bound is exact
                     # t as in the docstring; a NaN bound, or a NaN t, keeps every swap it touches
                     first = flat_max.argmin(axis=1) + step * (p * q)
-                    t = np.minimum(e_max, _new_maxima(K, cur_m, members, non, flat_max, first))
+                    t = np.minimum(e_max, _new_maxima(K, K_mn, cur_m, members, flat_max, first))
                     candidates = ~(flat_max > t[:, None])
                     if np.count_nonzero(candidates) * p * _EXACT_COST <= (p - _HOT_MEMBERS) * flat_max.size:
                         survivors = np.flatnonzero(candidates)
-                        exact = _new_maxima(K, cur_m, members, non, flat_max, survivors)
+                        exact = _new_maxima(K, K_mn, cur_m, members, flat_max, survivors)
                         flat_max[~candidates] = np.inf
                         flat_max.reshape(-1)[survivors] = exact
                     else:  # so many survive that folding the other members in costs less

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .grid import GridDims, Metric, _check_block, _integer, _integers, _real, distance_table
+from .grid import GridDims, Metric, _check_block, _finite, _fsum, _integer, _integers, _real, distance_table
 
 __all__ = [
     "EnergyFunction",
@@ -234,11 +234,13 @@ def _tabulate(key: np.ndarray, metric: Metric, f: EnergyFunction | Callable[[flo
 
 
 def forward_difference(f: Callable[[float], float], m: int, x: float) -> float:
-    """m-th forward difference of f at x, from the binomial expansion; m is an integer of at least 0."""
+    """m-th forward difference of f at x, from the binomial expansion; m is an integer of at least 0.
+
+    An inf or NaN f, or a sum that overflows, is a ValueError naming the difference.
+    """
     m = _integer(m, "difference order", 0)
-    return math.fsum(
-        math.comb(m, k) * (-1) ** (m + k) * f(x + k) for k in range(m + 1)
-    )
+    total = _fsum(math.comb(m, k) * (-1) ** (m + k) * f(x + k) for k in range(m + 1))
+    return _finite(total, "forward difference", "f is inf or NaN at a point, or its binomial sum overflows")
 
 
 @dataclass(frozen=True)
@@ -309,7 +311,8 @@ def check_alternating_differences(
     itself), max_order an integer of at least 0.  The window's points must
     be integers: a float such as 1.5, or a str, is refused, not truncated.
     Values within STRICTNESS_RTOL * max(1, |f(x)|) of zero are reported as
-    inconclusive rather than failed.
+    inconclusive rather than failed; a difference that is not finite is a
+    ValueError naming it (see forward_difference).
     """
     xs = sorted(set(_integers(window, "window")))
     max_order = _integer(max_order, "max_order", 0)
@@ -321,10 +324,9 @@ def check_alternating_differences(
 
 
 def _central_derivative(f: Callable[[float], float], k: int, x: float, step: float) -> float:
-    """Central finite-difference estimate of the k-th derivative at x."""
-    return math.fsum(
-        (-1) ** i * math.comb(k, i) * f(x + (k / 2.0 - i) * step) for i in range(k + 1)
-    ) / step**k
+    """Central finite-difference estimate of the k-th derivative at x; one that is not finite is a ValueError."""
+    total = _fsum((-1) ** i * math.comb(k, i) * f(x + (k / 2.0 - i) * step) for i in range(k + 1))
+    return _finite(total / step**k, "derivative estimate", "f is inf or NaN at a point, or its stencil sum overflows")
 
 
 def check_complete_monotonicity_proxy(
@@ -340,7 +342,8 @@ def check_complete_monotonicity_proxy(
     the stencil are reported as inconclusive.  max_order is an integer of
     at least 0; step and every grid point are finite positive real numbers,
     so a NaN point is refused rather than scanned.  Tabulated profiles are
-    rejected because the stencil needs off-grid evaluations.
+    rejected because the stencil needs off-grid evaluations.  An estimate
+    that is not finite is a ValueError naming it.
     """
     if isinstance(f, Tabulated):
         raise ValueError("complete-monotonicity proxy requires a smooth profile, not a table")

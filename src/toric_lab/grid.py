@@ -18,7 +18,11 @@ public entry that takes such an argument calls it: `_integer` (an integer,
 at least a given least value), `_real` (a finite real number above a given
 bound), `_particle_count` (an integer in 0..|G|) and `_check_even` (all
 sizes even); `_integers` reads a sequence of integers.  Each refusal is a
-ValueError naming the argument.
+ValueError naming the argument.  Results are refused by one rule too:
+`_finite` passes a float, or an array whose least and greatest entries
+are finite, and refuses any other with a ValueError naming the result and
+what overflowed; `_fsum` is math.fsum with fsum's own refusal of an
+overflowing sum turned into a NaN that `_finite` then refuses.
 """
 
 from __future__ import annotations
@@ -103,6 +107,31 @@ def _integers(values: Iterable, name: str) -> tuple[int, ...]:
         return tuple(map(operator.index, values))
     except TypeError:
         raise ValueError(f"{name} must be integers, got {values}") from None
+
+
+def _finite(value, name: str, cause: str):
+    """The value itself if it is finite; a ValueError "{name} not finite: {cause}" otherwise.
+
+    A float is checked itself, an array by its least and greatest entries:
+    min and max propagate NaN, so no mask of the array's size is built.
+    """
+    ends = (value.min(), value.max()) if isinstance(value, np.ndarray) else (value,)
+    if not all(map(math.isfinite, ends)):
+        raise ValueError(f"{name} not finite: {cause}")
+    return value
+
+
+def _fsum(terms: Iterable[float]) -> float:
+    """math.fsum of the terms, or NaN where fsum refuses their sum (an intermediate overflow, or inf - inf).
+
+    The terms are listed first, so an error raised while they are evaluated
+    is not taken for fsum's.  The caller refuses the NaN through `_finite`.
+    """
+    terms = list(terms)
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 @dataclass(frozen=True)

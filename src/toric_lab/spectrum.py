@@ -41,6 +41,7 @@ from .grid import (
     Metric,
     _check_block,
     _check_site,
+    _finite,
     _particle_count,
     _real,
     axis_wraps,
@@ -145,9 +146,7 @@ def eigen_table(kernel: KernelTable) -> EigenTable:
     _transform_axis(src, dst, 0, sizes[0], across=1)
     for axis in range(1, len(sizes)):
         _transform_axis(dst, dst, axis, sizes[axis], across=0)
-    # min and max propagate NaN, and unlike an isfinite mask allocate nothing block-sized
-    if not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
-        raise ValueError("kernel eigenvalues not finite: a kernel entry is inf or NaN, or a sum overflows")
+    _finite(vals, "kernel eigenvalues", "a kernel entry is inf or NaN, or a sum overflows")
     return EigenTable(dims=kernel.dims, block=vals)
 
 
@@ -241,8 +240,7 @@ def solve_relaxation(eigs: EigenTable, p: int, tie_tol: float | None = None) -> 
         tie_tol = default_tie_tol(lam_min)
     weight = p - p * p / dims.order
     optimal = lam_triv * (p * p / dims.order) + lam_min * weight
-    if not math.isfinite(optimal):
-        raise ValueError("optimal_value not finite: the relaxation's sum of eigenvalue terms overflows")
+    _finite(optimal, "optimal_value", "the relaxation's sum of eigenvalue terms overflows")
     # argmin is closed under conjugation: one real dimension per character
     mult = len(argmin)
     certified = (
@@ -311,8 +309,7 @@ def checkerboard_certificate(
     e_max = (sol.lambda_trivial + lam_minus_one) / 2.0
     for name, value in (("checkerboard_e_max", e_max), ("checkerboard_e_tot", sol.p * e_max),
                         ("gap_to_minus_one", gap)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} not finite: a sum or multiple of finite eigenvalues overflows")
+        _finite(value, name, "a sum or multiple of finite eigenvalues overflows")
     offenders = tuple(chi for chi in sol.argmin_characters if chi != minus_one)
     if sol.is_checkerboard_certified:
         conclusion = (

@@ -885,6 +885,27 @@ class TestLocalSearch:
             with pytest.raises(ValueError, match="^hit value not finite"):
                 local_search(dims, Metric.CHEBYSHEV, lambda x: 1e308, p, restarts=3)
 
+    @pytest.mark.parametrize("sizes", [(4, 4), (6, 6), (4, 4, 4)])
+    def test_pruned_max_descent_few_non_members(self, sizes):
+        # one to three non-members and p above _HOT_MEMBERS: a step's swap array is
+        # p x q per row, so the kept swaps are few against the p - H members the
+        # fold-in would add, and both the exact-maxima and the fold-in path run
+        rng = np.random.default_rng(math.prod(sizes) + 1)
+        for metric in Metric:
+            for f in (HARMONIC, math.cos, lambda x: 1.0):
+                dims, kernel = harmonic_kernel(sizes, metric, f)
+                K = kernel_matrix(kernel)
+                for q in (1, 2, 3):
+                    p = dims.order - q
+                    assert p > configs._HOT_MEMBERS
+                    starts = np.array([rng.choice(dims.order, size=p, replace=False) for _ in range(5)])
+                    members, e_max, e_tot = configs._descend(K, starts, "max")
+                    for row, start in enumerate(starts):
+                        want = descent_oracle(K, start, "max")
+                        where = (metric, f, q, row)
+                        assert np.array_equal(members[row], want[0]), where
+                        assert (float(e_max[row]).hex(), float(e_tot[row]).hex()) == (want[1].hex(), want[2].hex()), where
+
     @pytest.mark.parametrize("batch_pairs", [1, 40, 200])
     def test_winner_across_batches(self, batch_pairs, monkeypatch):
         # batches of one to a few restarts: the winner is still the first restart of
